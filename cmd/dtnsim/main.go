@@ -39,7 +39,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("dtnsim", flag.ContinueOnError)
 	var (
 		tf         = cli.AddTraceFlags(fs)
-		schemeName = fs.String("scheme", experiment.SchemeIntentional, "scheme: "+strings.Join(append(experiment.SchemeNames(), experiment.ReplacementNames()[1:]...), ", "))
+		schemeName = fs.String("scheme", engine.SchemeIntentional, "scheme: "+strings.Join(append(engine.SchemeNames(), engine.ReplacementNames()[1:]...), ", "))
 		ef         = cli.AddEngineFlags(fs)
 		ff         = cli.AddFaultFlags(fs)
 		of         = cli.AddObsFlags(fs)

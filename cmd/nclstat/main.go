@@ -16,6 +16,7 @@ import (
 	"os"
 	"sort"
 
+	"dtncache/internal/engine"
 	"dtncache/internal/experiment"
 	"dtncache/internal/graph"
 	"dtncache/internal/knowledge"
@@ -75,7 +76,7 @@ func run(args []string) error {
 
 	t := *horizon
 	if t == 0 {
-		t = experiment.DefaultMetricT(tr.Name)
+		t = engine.DefaultMetricT(tr.Name)
 	}
 	// Whole-trace knowledge snapshot over the raw contact list, the
 	// Sec. IV-B offline analysis convention.

@@ -31,6 +31,7 @@ package dtncache
 import (
 	"io"
 
+	"dtncache/internal/engine"
 	"dtncache/internal/experiment"
 	"dtncache/internal/knowledge"
 	"dtncache/internal/metrics"
@@ -56,7 +57,7 @@ type (
 	Preset = trace.Preset
 	// Setup describes one simulation run (trace + workload + protocol
 	// parameters; zero values pick the paper's defaults).
-	Setup = experiment.Setup
+	Setup = engine.Config
 	// Report is the metric summary of one run.
 	Report = metrics.Report
 	// Table is a formatted result table for a reproduced figure.
@@ -96,21 +97,21 @@ const (
 
 // Scheme names accepted by Run.
 const (
-	SchemeIntentional     = experiment.SchemeIntentional
-	SchemeNoCache         = experiment.SchemeNoCache
-	SchemeRandomCache     = experiment.SchemeRandomCache
-	SchemeCacheData       = experiment.SchemeCacheData
-	SchemeBundleCache     = experiment.SchemeBundleCache
-	SchemeIntentionalFIFO = experiment.SchemeIntentionalFIFO
-	SchemeIntentionalLRU  = experiment.SchemeIntentionalLRU
-	SchemeIntentionalGDS  = experiment.SchemeIntentionalGDS
+	SchemeIntentional     = engine.SchemeIntentional
+	SchemeNoCache         = engine.SchemeNoCache
+	SchemeRandomCache     = engine.SchemeRandomCache
+	SchemeCacheData       = engine.SchemeCacheData
+	SchemeBundleCache     = engine.SchemeBundleCache
+	SchemeIntentionalFIFO = engine.SchemeIntentionalFIFO
+	SchemeIntentionalLRU  = engine.SchemeIntentionalLRU
+	SchemeIntentionalGDS  = engine.SchemeIntentionalGDS
 )
 
 // Schemes lists the five data access schemes compared in Fig. 10.
-func Schemes() []string { return experiment.SchemeNames() }
+func Schemes() []string { return engine.SchemeNames() }
 
 // ReplacementSchemes lists the Fig. 12 replacement comparison variants.
-func ReplacementSchemes() []string { return experiment.ReplacementNames() }
+func ReplacementSchemes() []string { return engine.ReplacementNames() }
 
 // GenerateTrace creates a synthetic contact trace calibrated to the
 // given Table I preset.
@@ -214,4 +215,4 @@ func NCLMetrics(tr *Trace, metricT float64) ([]float64, error) {
 
 // DefaultMetricT returns the paper's (adaptively chosen) path-weight
 // horizon for a trace name.
-func DefaultMetricT(name string) float64 { return experiment.DefaultMetricT(name) }
+func DefaultMetricT(name string) float64 { return engine.DefaultMetricT(name) }

@@ -51,7 +51,7 @@ func TestInitRequiresNCLs(t *testing.T) {
 	w := manualWorkload(tr)
 	cfg := lineConfig(tr)
 	cfg.NCLCount = 0
-	if _, err := scheme.NewEnv(tr, w, cfg, New()); err == nil {
+	if _, err := scheme.NewEnv(tr, w, cfg, New(), nil, nil); err == nil {
 		t.Error("NCLCount=0 accepted")
 	}
 }
@@ -60,7 +60,7 @@ func TestIntentionalEndToEnd(t *testing.T) {
 	tr := lineTrace(1000, 40000)
 	w := manualWorkload(tr)
 	s := New()
-	env, err := scheme.NewEnv(tr, w, lineConfig(tr), s)
+	env, err := scheme.NewEnv(tr, w, lineConfig(tr), s, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestPushLandsAtCenter(t *testing.T) {
 	tr := lineTrace(1000, 40000)
 	w := manualWorkload(tr)
 	s := New()
-	env, err := scheme.NewEnv(tr, w, lineConfig(tr), s)
+	env, err := scheme.NewEnv(tr, w, lineConfig(tr), s, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestIntentionalDeterministic(t *testing.T) {
 		cfg := scheme.DefaultConfig(tr.Duration)
 		cfg.MetricT = 3600
 		cfg.NCLCount = 3
-		env, err := scheme.NewEnv(tr, w, cfg, New())
+		env, err := scheme.NewEnv(tr, w, cfg, New(), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +157,7 @@ func TestIntentionalOnInfocom05BeatsNoCache(t *testing.T) {
 		cfg := scheme.DefaultConfig(tr.Duration)
 		cfg.MetricT = 3600
 		cfg.NCLCount = 5
-		env, err := scheme.NewEnv(tr, w, cfg, s)
+		env, err := scheme.NewEnv(tr, w, cfg, s, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,7 +175,7 @@ func TestEvictionPolicyVariantRuns(t *testing.T) {
 	w := manualWorkload(tr)
 	for _, p := range []buffer.Policy{buffer.FIFO{}, buffer.LRU{}, &buffer.GreedyDualSize{}} {
 		s := New(WithEvictionPolicy(p))
-		env, err := scheme.NewEnv(tr, w, lineConfig(tr), s)
+		env, err := scheme.NewEnv(tr, w, lineConfig(tr), s, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +190,7 @@ func TestReplacementDisabled(t *testing.T) {
 	tr := lineTrace(1000, 40000)
 	w := manualWorkload(tr)
 	s := New(WithReplacement(false))
-	env, err := scheme.NewEnv(tr, w, lineConfig(tr), s)
+	env, err := scheme.NewEnv(tr, w, lineConfig(tr), s, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestPopularDataMigratesTowardCenter(t *testing.T) {
 		cfg := scheme.DefaultConfig(tr.Duration)
 		cfg.MetricT = 3600
 		cfg.NCLCount = 5
-		env, err := scheme.NewEnv(tr, w, cfg, New(WithReplacement(replacement)))
+		env, err := scheme.NewEnv(tr, w, cfg, New(WithReplacement(replacement)), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,7 +249,7 @@ func TestQuerySprayOption(t *testing.T) {
 	tr := lineTrace(1000, 40000)
 	w := manualWorkload(tr)
 	s := New(WithQuerySpray(4))
-	env, err := scheme.NewEnv(tr, w, lineConfig(tr), s)
+	env, err := scheme.NewEnv(tr, w, lineConfig(tr), s, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestQuerySprayOnPreset(t *testing.T) {
 		} else {
 			s = New()
 		}
-		env, err := scheme.NewEnv(tr, w, cfg, s)
+		env, err := scheme.NewEnv(tr, w, cfg, s, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -301,7 +301,7 @@ func TestCoreHelpers(t *testing.T) {
 	tr := lineTrace(1000, 40000)
 	w := manualWorkload(tr)
 	s := New()
-	env, err := scheme.NewEnv(tr, w, lineConfig(tr), s)
+	env, err := scheme.NewEnv(tr, w, lineConfig(tr), s, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

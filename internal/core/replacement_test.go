@@ -50,7 +50,7 @@ func replacementFixture(t *testing.T, opts ...Option) (*scheme.Env, *Intentional
 	cfg.MetricT = 3600
 	cfg.NCLCount = 1
 	cfg.QuantBits = 1e6
-	env, err := scheme.NewEnv(tr, w, cfg, s)
+	env, err := scheme.NewEnv(tr, w, cfg, s, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,6 @@ import (
 	"dtncache/internal/knowledge"
 	"dtncache/internal/obs"
 	"dtncache/internal/scheme"
-	"dtncache/internal/sim"
 	"dtncache/internal/trace"
 )
 
@@ -119,13 +118,13 @@ type Config struct {
 	Knowledge *knowledge.Provider
 	// Stream optionally replays contacts from a streaming source instead
 	// of Trace.Contacts, so city-scale traces never materialize in
-	// memory. The opener must return a fresh source positioned at the
-	// start on every call — the engine opens one stream for the contact
-	// driver and one (plus one per rewind) for the knowledge feed. Trace
-	// is still required and supplies the metadata (Name, Nodes,
-	// Duration); its Contacts may be empty. Results are byte-identical
-	// to a materialized run over the same contacts; callers should check
-	// Engine.ReplayErr after the run.
+	// memory; nil replays Trace.Contacts through the same path. The
+	// opener must return a fresh source positioned at the start on
+	// every call — the engine opens one stream for the contact driver
+	// and one (plus one per rewind) for the knowledge feed. Trace is
+	// still required and supplies the metadata (Name, Nodes, Duration);
+	// its Contacts may be empty. Callers should check Engine.ReplayErr
+	// after the run.
 	Stream func() (trace.ContactSource, error)
 	// Obs is the observability recorder wired into the environment (nil
 	// = off). Metric updates are atomic, so one recorder may be shared
@@ -298,8 +297,8 @@ func SharedKnowledge(tr *trace.Trace, metricT float64) *knowledge.Provider {
 	if metricT == 0 {
 		metricT = DefaultMetricT(tr.Name)
 	}
-	return knowledge.NewProvider(knowledge.Params{
+	return knowledge.NewStreamProvider(knowledge.Params{
 		Nodes:   tr.Nodes,
 		MetricT: metricT,
-	}, sim.MergeOverlaps(tr.Contacts))
+	}, func() (trace.ContactSource, error) { return trace.NewSliceSource(tr.Contacts), nil })
 }

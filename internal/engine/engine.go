@@ -93,12 +93,7 @@ func New(cfg Config) (*Engine, error) {
 	sc.Seed = c.Seed
 	sc.Obs = c.Obs
 	sc.SpanRetain = c.SpanRetain
-	var env *scheme.Env
-	if c.Stream != nil {
-		env, err = scheme.NewEnvStream(c.Trace, w, sc, factory(), c.Knowledge, c.Stream)
-	} else {
-		env, err = scheme.NewEnvShared(c.Trace, w, sc, factory(), c.Knowledge)
-	}
+	env, err := scheme.NewEnv(c.Trace, w, sc, factory(), c.Knowledge, c.Stream)
 	if err != nil {
 		return nil, err
 	}
@@ -297,9 +292,9 @@ func (e *Engine) Satisfied(id workload.QueryID) bool {
 }
 
 // ReplayErr returns the sticky error, if any, the streaming contact
-// feed or knowledge feed reported. Always nil for a materialized run.
-// A streaming run observing a non-nil ReplayErr saw only a prefix of
-// the trace and must be discarded.
+// feed or knowledge feed reported. Always nil for a run over
+// Trace.Contacts. A streaming run observing a non-nil ReplayErr saw
+// only a prefix of the trace and must be discarded.
 func (e *Engine) ReplayErr() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -80,7 +80,7 @@ func TestRunMatchesExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := experiment.Run(engine.Config{Trace: tr}, experiment.SchemeIntentional)
+	got, err := experiment.Run(engine.Config{Trace: tr}, engine.SchemeIntentional)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"dtncache/internal/engine"
 	"dtncache/internal/knowledge"
 	"dtncache/internal/metrics"
 	"dtncache/internal/routing"
@@ -12,7 +13,7 @@ import (
 type ablationVariant struct {
 	label  string
 	scheme string
-	mutate func(*Setup)
+	mutate func(*engine.Config)
 }
 
 // Ablations quantifies the contribution of each design choice of the
@@ -48,19 +49,19 @@ func Ablations(o FigureOptions) (*Table, error) {
 		},
 	}
 	variants := []ablationVariant{
-		{"baseline", SchemeIntentional, func(*Setup) {}},
-		{"response: global p_CR", SchemeIntentional, func(s *Setup) { s.Response = scheme.ResponseGlobal }},
-		{"response: always", SchemeIntentional, func(s *Setup) { s.Response = scheme.ResponseAlways }},
-		{"Algorithm 1 off (pure knapsack)", SchemeIntentional, func(s *Setup) { s.DisableProbabilisticSelection = true }},
-		{"Eq.6 literal (t_e - t_1)", SchemeIntentional, func(s *Setup) { s.PopularityFromFirst = true }},
-		{"replacement off", SchemeIntentional, func(s *Setup) { s.DisableReplacement = true }},
-		{"utility floor 0.5", SchemeIntentional, func(s *Setup) { s.UtilityFloor = 0.5 }},
-		{"NCLs by degree", SchemeIntentional, func(s *Setup) { s.NCLSelection = scheme.NCLByDegree }},
-		{"NCLs by contact count", SchemeIntentional, func(s *Setup) { s.NCLSelection = scheme.NCLByContacts }},
-		{"NCLs random", SchemeIntentional, func(s *Setup) { s.NCLSelection = scheme.NCLRandom }},
-		{"query spray L=4", SchemeIntentional, func(s *Setup) { s.QuerySprayCopies = 4 }},
-		{"per-node interests", SchemeIntentional, func(s *Setup) { s.PerNodeInterests = true }},
-		{"Epidemic flooding reference", SchemeEpidemic, func(*Setup) {}},
+		{"baseline", engine.SchemeIntentional, func(*engine.Config) {}},
+		{"response: global p_CR", engine.SchemeIntentional, func(s *engine.Config) { s.Response = scheme.ResponseGlobal }},
+		{"response: always", engine.SchemeIntentional, func(s *engine.Config) { s.Response = scheme.ResponseAlways }},
+		{"Algorithm 1 off (pure knapsack)", engine.SchemeIntentional, func(s *engine.Config) { s.DisableProbabilisticSelection = true }},
+		{"Eq.6 literal (t_e - t_1)", engine.SchemeIntentional, func(s *engine.Config) { s.PopularityFromFirst = true }},
+		{"replacement off", engine.SchemeIntentional, func(s *engine.Config) { s.DisableReplacement = true }},
+		{"utility floor 0.5", engine.SchemeIntentional, func(s *engine.Config) { s.UtilityFloor = 0.5 }},
+		{"NCLs by degree", engine.SchemeIntentional, func(s *engine.Config) { s.NCLSelection = scheme.NCLByDegree }},
+		{"NCLs by contact count", engine.SchemeIntentional, func(s *engine.Config) { s.NCLSelection = scheme.NCLByContacts }},
+		{"NCLs random", engine.SchemeIntentional, func(s *engine.Config) { s.NCLSelection = scheme.NCLRandom }},
+		{"query spray L=4", engine.SchemeIntentional, func(s *engine.Config) { s.QuerySprayCopies = 4 }},
+		{"per-node interests", engine.SchemeIntentional, func(s *engine.Config) { s.PerNodeInterests = true }},
+		{"Epidemic flooding reference", engine.SchemeEpidemic, func(*engine.Config) {}},
 	}
 	if o.Quick {
 		variants = variants[:3]
@@ -68,7 +69,7 @@ func Ablations(o FigureOptions) (*Table, error) {
 	kb := SharedKnowledge(tr, 0)
 	reports := make([]metrics.Report, len(variants))
 	if err := forEachCell(len(variants), func(i int) error {
-		setup := Setup{Trace: tr, AvgLifetime: tl, K: 8, Seed: o.Seed, Knowledge: kb}
+		setup := engine.Config{Trace: tr, AvgLifetime: tl, K: 8, Seed: o.Seed, Knowledge: kb}
 		variants[i].mutate(&setup)
 		rep, err := RunAveraged(setup, variants[i].scheme, o.Repeats)
 		reports[i] = rep
@@ -108,7 +109,7 @@ func Robustness(o FigureOptions) (*Table, error) {
 	if o.Quick {
 		probs = []float64{0, 0.25}
 	}
-	schemes := []string{SchemeIntentional, SchemeNoCache}
+	schemes := []string{engine.SchemeIntentional, engine.SchemeNoCache}
 	type cell struct {
 		p    float64
 		name string
@@ -122,7 +123,7 @@ func Robustness(o FigureOptions) (*Table, error) {
 	kb := SharedKnowledge(tr, 0)
 	reports := make([]metrics.Report, len(cells))
 	if err := forEachCell(len(cells), func(i int) error {
-		rep, err := RunAveraged(Setup{
+		rep, err := RunAveraged(engine.Config{
 			Trace: tr, AvgLifetime: tl, K: 8, Seed: o.Seed, DropProb: cells[i].p,
 			Knowledge: kb,
 		}, cells[i].name, o.Repeats)
@@ -163,10 +164,10 @@ func DelayBreakdown(o FigureOptions) (*Table, error) {
 	kb := SharedKnowledge(tr, 0)
 	reports := make([]metrics.Report, len(ks))
 	if err := forEachCell(len(ks), func(i int) error {
-		rep, err := RunAveraged(Setup{
+		rep, err := RunAveraged(engine.Config{
 			Trace: tr, AvgLifetime: 3 * hour, K: ks[i], Seed: o.Seed,
 			Knowledge: kb,
-		}, SchemeIntentional, o.Repeats)
+		}, engine.SchemeIntentional, o.Repeats)
 		reports[i] = rep
 		return err
 	}); err != nil {
@@ -199,7 +200,7 @@ func RoutingComparison(o FigureOptions) (*Table, error) {
 	// Whole-trace path knowledge from raw contacts, as in Sec. IV-B; the
 	// gradient relay score reads the snapshot's precomputed weight
 	// matrix (safe under the parallel strategy evaluation below).
-	metricT := DefaultMetricT(string(preset))
+	metricT := engine.DefaultMetricT(string(preset))
 	snap := knowledge.NewProvider(knowledge.Params{
 		Nodes:   tr.Nodes,
 		MetricT: metricT,
@@ -257,10 +258,10 @@ func CrossTrace(o FigureOptions) (*Table, error) {
 		{trace.MITReality, 7 * day},
 		{trace.UCSD, 7 * day},
 	}
-	names := SchemeNames()
+	names := engine.SchemeNames()
 	if o.Quick {
 		envs = envs[:2]
-		names = []string{SchemeIntentional, SchemeNoCache}
+		names = []string{engine.SchemeIntentional, engine.SchemeNoCache}
 	}
 	t := &Table{
 		ID:    "Cross-trace",
@@ -289,7 +290,7 @@ func CrossTrace(o FigureOptions) (*Table, error) {
 	reports := make([]metrics.Report, len(cells))
 	if err := forEachCell(len(cells), func(i int) error {
 		c := cells[i]
-		rep, err := RunAveraged(Setup{
+		rep, err := RunAveraged(engine.Config{
 			Trace: traces[c.env.preset], AvgLifetime: c.env.tl, K: 8,
 			Seed: o.Seed, Knowledge: shared[c.env.preset],
 		}, c.name, o.Repeats)
@@ -328,9 +329,9 @@ func RWPComparison(o FigureOptions) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	names := SchemeNames()
+	names := engine.SchemeNames()
 	if o.Quick {
-		names = []string{SchemeIntentional, SchemeNoCache}
+		names = []string{engine.SchemeIntentional, engine.SchemeNoCache}
 	}
 	t := &Table{
 		ID:    "RWP",
@@ -344,7 +345,7 @@ func RWPComparison(o FigureOptions) (*Table, error) {
 	kb := SharedKnowledge(tr, 1800)
 	reports := make([]metrics.Report, len(names))
 	if err := forEachCell(len(names), func(i int) error {
-		rep, err := RunAveraged(Setup{
+		rep, err := RunAveraged(engine.Config{
 			Trace: tr, MetricT: 1800, AvgLifetime: 6 * hour,
 			AvgSizeBits: 20e6, K: 6, Seed: o.Seed,
 			BufferMinBits: 50e6, BufferMaxBits: 150e6, Knowledge: kb,

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"dtncache/internal/engine"
 	"dtncache/internal/trace"
 )
 
@@ -12,7 +13,7 @@ var (
 	comparisonTrace *trace.Trace
 )
 
-func comparisonSetup(b *testing.B) Setup {
+func comparisonSetup(b *testing.B) engine.Config {
 	b.Helper()
 	comparisonOnce.Do(func() {
 		// A knowledge-bound cell: a large sparse population (vehicular /
@@ -40,13 +41,13 @@ func comparisonSetup(b *testing.B) Setup {
 		}
 		comparisonTrace = tr
 	})
-	return Setup{Trace: comparisonTrace, Seed: 1, MetricT: 3 * 86400}
+	return engine.Config{Trace: comparisonTrace, Seed: 1, MetricT: 3 * 86400}
 }
 
 var (
 	replayOnce      sync.Once
 	replayTrace     *trace.Trace
-	replaySetup     Setup
+	replaySetup     engine.Config
 	replayBenchErr  error
 	replayPrewarmed bool
 )
@@ -56,7 +57,7 @@ var (
 // knowledge provider prebuilt and shared, so per-iteration cost is the
 // trace replay itself: the event loop, per-node message stores, and
 // buffers.
-func replayBoundSetup(b *testing.B) Setup {
+func replayBoundSetup(b *testing.B) engine.Config {
 	b.Helper()
 	replayOnce.Do(func() {
 		tr, _, err := trace.Generate(trace.GenConfig{
@@ -77,7 +78,7 @@ func replayBoundSetup(b *testing.B) Setup {
 			return
 		}
 		replayTrace = tr
-		replaySetup = Setup{
+		replaySetup = engine.Config{
 			Trace:       tr,
 			Seed:        1,
 			MetricT:     86400,
@@ -91,7 +92,7 @@ func replayBoundSetup(b *testing.B) Setup {
 	if !replayPrewarmed {
 		// One untimed run fills the shared provider's snapshot cache, so
 		// measured iterations never pay for knowledge building.
-		if _, err := Run(replaySetup, SchemeIntentional); err != nil {
+		if _, err := Run(replaySetup, engine.SchemeIntentional); err != nil {
 			b.Fatal(err)
 		}
 		replayPrewarmed = true
@@ -105,14 +106,16 @@ func replayBoundSetup(b *testing.B) Setup {
 // PR 3 acceptance number; events/sec is the engine throughput.
 func BenchmarkReplaySingleScheme(b *testing.B) {
 	setup := replayBoundSetup(b)
+	setup.Scheme = engine.SchemeIntentional
 	b.ReportAllocs()
 	b.ResetTimer()
 	var events uint64
 	for i := 0; i < b.N; i++ {
-		env, err := BuildEnv(setup, SchemeIntentional)
+		eng, err := engine.New(setup)
 		if err != nil {
 			b.Fatal(err)
 		}
+		env := eng.Env()
 		rep := env.Run()
 		if rep.QueriesIssued == 0 {
 			b.Fatal("replay produced no queries")
@@ -128,7 +131,7 @@ func BenchmarkReplaySingleScheme(b *testing.B) {
 // built once and shared across schemes via the Provider.
 func BenchmarkRunComparison(b *testing.B) {
 	setup := comparisonSetup(b)
-	names := SchemeNames()
+	names := engine.SchemeNames()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := RunComparison(setup, names); err != nil {
@@ -143,7 +146,7 @@ func BenchmarkRunComparison(b *testing.B) {
 // BenchmarkRunComparison is the sharing.
 func BenchmarkRunComparisonIsolated(b *testing.B) {
 	setup := comparisonSetup(b)
-	names := SchemeNames()
+	names := engine.SchemeNames()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := forEachCell(len(names), func(j int) error {

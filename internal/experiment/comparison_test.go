@@ -3,6 +3,7 @@ package experiment
 import (
 	"testing"
 
+	"dtncache/internal/engine"
 	"dtncache/internal/trace"
 )
 
@@ -12,13 +13,13 @@ import (
 // their own knowledge.
 func TestRunComparisonMatchesRun(t *testing.T) {
 	tr := tinyTrace(t)
-	setup := Setup{
+	setup := engine.Config{
 		Trace:       tr,
 		AvgLifetime: 6 * 3600,
 		K:           2,
 		Seed:        3,
 	}
-	names := SchemeNames()
+	names := engine.SchemeNames()
 	shared, err := RunComparison(setup, names)
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +45,7 @@ func TestRunComparisonMatchesRun(t *testing.T) {
 // additionally exercises the pooled per-node state across the
 // comparison's concurrent scheme workers.
 func TestTableIPresetComparisonIdentical(t *testing.T) {
-	names := []string{SchemeIntentional, SchemeCacheData}
+	names := []string{engine.SchemeIntentional, engine.SchemeCacheData}
 	for _, p := range trace.Presets() {
 		t.Run(string(p), func(t *testing.T) {
 			tr, err := trace.GeneratePreset(p, 1)
@@ -56,11 +57,11 @@ func TestTableIPresetComparisonIdentical(t *testing.T) {
 			// hypoexponential path weights inside the knowledge build,
 			// which is orthogonal to the store-equivalence property under
 			// test here.
-			metricT := DefaultMetricT(string(p))
+			metricT := engine.DefaultMetricT(string(p))
 			if metricT > 6*3600 {
 				metricT = 6 * 3600
 			}
-			setup := Setup{
+			setup := engine.Config{
 				Trace:       tr,
 				MetricT:     metricT,
 				AvgLifetime: 24 * 3600,
@@ -90,14 +91,14 @@ func TestTableIPresetComparisonIdentical(t *testing.T) {
 // matches isolated runs.
 func TestRunComparisonReusesExplicitProvider(t *testing.T) {
 	tr := tinyTrace(t)
-	setup := Setup{
+	setup := engine.Config{
 		Trace:       tr,
 		AvgLifetime: 6 * 3600,
 		K:           2,
 		Seed:        3,
 		Knowledge:   SharedKnowledge(tr, 0),
 	}
-	names := []string{SchemeIntentional, SchemeBundleCache}
+	names := []string{engine.SchemeIntentional, engine.SchemeBundleCache}
 	shared, err := RunComparison(setup, names)
 	if err != nil {
 		t.Fatal(err)

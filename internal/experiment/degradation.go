@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 
+	"dtncache/internal/engine"
 	"dtncache/internal/fault"
 	"dtncache/internal/metrics"
 	"dtncache/internal/trace"
@@ -12,7 +13,7 @@ import (
 type degradationVariant struct {
 	label  string
 	scheme string
-	mutate func(*Setup)
+	mutate func(*engine.Config)
 }
 
 // Degradation sweeps fault intensity — expected node crashes per node
@@ -62,13 +63,13 @@ func Degradation(o FigureOptions) (*Table, error) {
 	}
 	retryAfter := tl / 8
 	variants := []degradationVariant{
-		{"Intentional", SchemeIntentional, func(*Setup) {}},
-		{"Intentional+failover", SchemeIntentional, func(s *Setup) {
+		{"Intentional", engine.SchemeIntentional, func(*engine.Config) {}},
+		{"Intentional+failover", engine.SchemeIntentional, func(s *engine.Config) {
 			s.NCLFailover = true
 			s.QueryRetrySec = retryAfter
 			s.PushRetryBudget = 6
 		}},
-		{"NoCache", SchemeNoCache, func(*Setup) {}},
+		{"NoCache", engine.SchemeNoCache, func(*engine.Config) {}},
 	}
 	type cell struct {
 		rate float64
@@ -84,7 +85,7 @@ func Degradation(o FigureOptions) (*Table, error) {
 	reports := make([]metrics.Report, len(cells))
 	if err := forEachCell(len(cells), func(i int) error {
 		c := cells[i]
-		setup := Setup{
+		setup := engine.Config{
 			Trace: tr, AvgLifetime: tl, K: 8, Seed: o.Seed, Knowledge: kb,
 			Fault: FaultChurn(c.rate, downtime, tr.Duration/2),
 		}

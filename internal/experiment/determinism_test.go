@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"dtncache/internal/engine"
 	"dtncache/internal/metrics"
 	"dtncache/internal/trace"
 )
@@ -35,17 +36,17 @@ func reportString(rep metrics.Report) string {
 }
 
 // TestRunIsDeterministic is the determinism regression test: the same
-// Setup with the same seed must produce byte-identical metrics output,
+// config with the same seed must produce byte-identical metrics output,
 // which is the invariant the dtnlint analyzers guard statically.
 func TestRunIsDeterministic(t *testing.T) {
 	tr := tinyTrace(t)
-	setup := Setup{
+	setup := engine.Config{
 		Trace:       tr,
 		AvgLifetime: 6 * 3600,
 		K:           2,
 		Seed:        3,
 	}
-	for _, name := range []string{SchemeIntentional, SchemeCacheData} {
+	for _, name := range []string{engine.SchemeIntentional, engine.SchemeCacheData} {
 		first, err := Run(setup, name)
 		if err != nil {
 			t.Fatalf("%s run 1: %v", name, err)
@@ -71,15 +72,15 @@ func TestParallelSweepIsDeterministic(t *testing.T) {
 		name string
 		seed int64
 	}{
-		{SchemeIntentional, 3},
-		{SchemeNoCache, 3},
-		{SchemeIntentional, 4},
-		{SchemeNoCache, 4},
+		{engine.SchemeIntentional, 3},
+		{engine.SchemeNoCache, 3},
+		{engine.SchemeIntentional, 4},
+		{engine.SchemeNoCache, 4},
 	}
 	sweep := func() (string, error) {
 		out := make([]string, len(cells))
 		err := forEachCell(len(cells), func(i int) error {
-			rep, err := Run(Setup{
+			rep, err := Run(engine.Config{
 				Trace:       tr,
 				AvgLifetime: 6 * 3600,
 				K:           2,

@@ -18,19 +18,8 @@ import (
 	"dtncache/internal/engine"
 	"dtncache/internal/knowledge"
 	"dtncache/internal/metrics"
-	"dtncache/internal/scheme"
 	"dtncache/internal/trace"
 )
-
-// Setup describes one simulation run: a trace, workload parameters
-// (Sec. VI-A) and protocol configuration. It is the engine
-// configuration under its historical name — the figure/table sweeps
-// and the public dtncache API build Setups and hand them to Run.
-type Setup = engine.Config
-
-// DefaultMetricT returns the path-weight horizon T for a trace,
-// following Sec. IV-B's per-trace values and its adaptivity rule.
-func DefaultMetricT(name string) float64 { return engine.DefaultMetricT(name) }
 
 // cellHookFn observes one completed simulation cell (see SetCellHook).
 type cellHookFn func(schemeName string, wallNs int64)
@@ -47,7 +36,7 @@ func SetCellHook(fn func(schemeName string, wallNs int64)) {
 
 // Run executes one simulation of the named scheme through the engine
 // and returns its metric report.
-func Run(s Setup, schemeName string) (metrics.Report, error) {
+func Run(s engine.Config, schemeName string) (metrics.Report, error) {
 	s.Scheme = schemeName
 	eng, err := engine.New(s)
 	if err != nil {
@@ -70,26 +59,12 @@ func Run(s Setup, schemeName string) (metrics.Report, error) {
 	return rep, nil
 }
 
-// BuildEnv constructs the fully wired simulation environment Run
-// executes, without running it. It exists so benchmarks and diagnostics
-// can reach the underlying simulator (e.g. the processed-event counter
-// behind the events/sec metric) while sharing the exact Setup
-// normalization and workload generation of Run.
-func BuildEnv(s Setup, schemeName string) (*scheme.Env, error) {
-	s.Scheme = schemeName
-	eng, err := engine.New(s)
-	if err != nil {
-		return nil, err
-	}
-	return eng.Env(), nil
-}
-
 // SharedKnowledge builds a knowledge provider for tr that concurrent
-// Run cells share via Setup.Knowledge: one contact-rate → paths →
+// Run cells share via Config.Knowledge: one contact-rate → paths →
 // NCL-metric pipeline per trace instead of one per environment. The
 // provider is exact (Epsilon 0), so shared results are bit-identical to
 // isolated ones. metricT = 0 picks the trace's default horizon, the
-// same rule Setup normalization applies.
+// same rule Config normalization applies.
 func SharedKnowledge(tr *trace.Trace, metricT float64) *knowledge.Provider {
 	return engine.SharedKnowledge(tr, metricT)
 }
@@ -99,7 +74,7 @@ func SharedKnowledge(tr *trace.Trace, metricT float64) *knowledge.Provider {
 // when s.Knowledge is nil), and returns the reports in name order. The
 // shared pipeline is exact, so each report is bit-identical to what an
 // isolated Run of that scheme produces.
-func RunComparison(s Setup, names []string) ([]metrics.Report, error) {
+func RunComparison(s engine.Config, names []string) ([]metrics.Report, error) {
 	s, err := s.Normalized()
 	if err != nil {
 		return nil, err
@@ -121,7 +96,7 @@ func RunComparison(s Setup, names []string) ([]metrics.Report, error) {
 // RunAveraged repeats Run with seeds seed, seed+1, ... and averages the
 // headline metrics (the paper repeats each simulation "multiple times
 // ... for statistical convergence").
-func RunAveraged(s Setup, schemeName string, repeats int) (metrics.Report, error) {
+func RunAveraged(s engine.Config, schemeName string, repeats int) (metrics.Report, error) {
 	if repeats < 1 {
 		repeats = 1
 	}
@@ -167,26 +142,3 @@ func RunAveraged(s Setup, schemeName string, repeats int) (metrics.Report, error
 	}
 	return agg, nil
 }
-
-// Scheme names accepted by Factory (canonical definitions live in the
-// engine; the historical spellings stay importable from here).
-const (
-	SchemeIntentional     = engine.SchemeIntentional
-	SchemeNoCache         = engine.SchemeNoCache
-	SchemeRandomCache     = engine.SchemeRandomCache
-	SchemeCacheData       = engine.SchemeCacheData
-	SchemeBundleCache     = engine.SchemeBundleCache
-	SchemeEpidemic        = engine.SchemeEpidemic
-	SchemeIntentionalFIFO = engine.SchemeIntentionalFIFO
-	SchemeIntentionalLRU  = engine.SchemeIntentionalLRU
-	SchemeIntentionalGDS  = engine.SchemeIntentionalGDS
-)
-
-// SchemeNames lists every runnable scheme, comparison order of Fig. 10.
-func SchemeNames() []string { return engine.SchemeNames() }
-
-// ReplacementNames lists the Fig. 12 replacement comparison.
-func ReplacementNames() []string { return engine.ReplacementNames() }
-
-// Factory returns a constructor for the named scheme.
-func Factory(name string) (func() scheme.Scheme, error) { return engine.Factory(name) }

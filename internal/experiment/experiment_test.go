@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"dtncache/internal/engine"
 	"dtncache/internal/trace"
 )
 
@@ -17,8 +18,8 @@ func smallTrace(t *testing.T) *trace.Trace {
 	return tr
 }
 
-func smallSetup(t *testing.T) Setup {
-	return Setup{
+func smallSetup(t *testing.T) engine.Config {
+	return engine.Config{
 		Trace:       smallTrace(t),
 		AvgLifetime: 3 * hour,
 		AvgSizeBits: 100e6,
@@ -28,9 +29,9 @@ func smallSetup(t *testing.T) Setup {
 }
 
 func TestFactoryKnownSchemes(t *testing.T) {
-	names := append(append([]string{}, SchemeNames()...), ReplacementNames()...)
+	names := append(append([]string{}, engine.SchemeNames()...), engine.ReplacementNames()...)
 	for _, name := range names {
-		f, err := Factory(name)
+		f, err := engine.Factory(name)
 		if err != nil {
 			t.Errorf("Factory(%q): %v", name, err)
 			continue
@@ -44,13 +45,13 @@ func TestFactoryKnownSchemes(t *testing.T) {
 }
 
 func TestFactoryUnknownScheme(t *testing.T) {
-	if _, err := Factory("nope"); err == nil {
+	if _, err := engine.Factory("nope"); err == nil {
 		t.Error("unknown scheme accepted")
 	}
 }
 
 func TestRunRequiresTrace(t *testing.T) {
-	if _, err := Run(Setup{}, SchemeNoCache); err == nil {
+	if _, err := Run(engine.Config{}, engine.SchemeNoCache); err == nil {
 		t.Error("missing trace accepted")
 	}
 }
@@ -63,7 +64,7 @@ func TestRunUnknownScheme(t *testing.T) {
 
 func TestRunEveryScheme(t *testing.T) {
 	setup := smallSetup(t)
-	names := append(append([]string{}, SchemeNames()...), ReplacementNames()[1:]...)
+	names := append(append([]string{}, engine.SchemeNames()...), engine.ReplacementNames()[1:]...)
 	for _, name := range names {
 		name := name
 		t.Run(name, func(t *testing.T) {
@@ -83,11 +84,11 @@ func TestRunEveryScheme(t *testing.T) {
 
 func TestRunDeterministic(t *testing.T) {
 	setup := smallSetup(t)
-	a, err := Run(setup, SchemeIntentional)
+	a, err := Run(setup, engine.SchemeIntentional)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(setup, SchemeIntentional)
+	b, err := Run(setup, engine.SchemeIntentional)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,11 +99,11 @@ func TestRunDeterministic(t *testing.T) {
 
 func TestRunAveraged(t *testing.T) {
 	setup := smallSetup(t)
-	rep, err := RunAveraged(setup, SchemeNoCache, 2)
+	rep, err := RunAveraged(setup, engine.SchemeNoCache, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, err := Run(setup, SchemeNoCache)
+	one, err := Run(setup, engine.SchemeNoCache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestDefaultMetricT(t *testing.T) {
 		"custom":                 86400,
 	}
 	for name, want := range cases {
-		if got := DefaultMetricT(name); got != want {
+		if got := engine.DefaultMetricT(name); got != want {
 			t.Errorf("DefaultMetricT(%q) = %v, want %v", name, got, want)
 		}
 	}
@@ -135,11 +136,11 @@ func TestIntentionalWinsOnSmallTrace(t *testing.T) {
 	// beats every baseline on success ratio.
 	setup := smallSetup(t)
 	setup.K = 5
-	ours, err := Run(setup, SchemeIntentional)
+	ours, err := Run(setup, engine.SchemeIntentional)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range SchemeNames()[1:] {
+	for _, name := range engine.SchemeNames()[1:] {
 		rep, err := Run(setup, name)
 		if err != nil {
 			t.Fatal(err)
@@ -288,7 +289,7 @@ func TestRobustnessQuick(t *testing.T) {
 func TestSetupAblationKnobs(t *testing.T) {
 	setup := smallSetup(t)
 	setup.DisableReplacement = true
-	rep, err := Run(setup, SchemeIntentional)
+	rep, err := Run(setup, engine.SchemeIntentional)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,13 +298,13 @@ func TestSetupAblationKnobs(t *testing.T) {
 	}
 	setup2 := smallSetup(t)
 	setup2.UtilityFloor = 0.9
-	if _, err := Run(setup2, SchemeIntentional); err != nil {
+	if _, err := Run(setup2, engine.SchemeIntentional); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestEpidemicSchemeRegistered(t *testing.T) {
-	rep, err := Run(smallSetup(t), SchemeEpidemic)
+	rep, err := Run(smallSetup(t), engine.SchemeEpidemic)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"dtncache/internal/engine"
 	"strconv"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 // with buffer wipe from the trace midpoint, plus the recovery protocol
 // (NCL failover, query retry, bounded push budget) so the failure and
 // recovery paths both land in the recorded trace.
-func faultedSetup(t *testing.T) Setup {
+func faultedSetup(t *testing.T) engine.Config {
 	setup := smallSetup(t)
 	setup.Fault = FaultChurn(2, 2*hour, setup.Trace.Duration/2)
 	setup.NCLFailover = true

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"dtncache/internal/engine"
 	"dtncache/internal/knowledge"
 	"dtncache/internal/mathx"
 	"dtncache/internal/metrics"
@@ -93,7 +94,7 @@ func Fig4(o FigureOptions) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		metricsVals, err := NCLMetrics(tr, DefaultMetricT(string(p)))
+		metricsVals, err := NCLMetrics(tr, engine.DefaultMetricT(string(p)))
 		if err != nil {
 			return nil, err
 		}
@@ -104,7 +105,7 @@ func Fig4(o FigureOptions) (*Table, error) {
 		if med > 0 {
 			skew = sorted[len(sorted)-1] / med
 		}
-		t.AddRow(string(p), fmtDuration(DefaultMetricT(string(p))),
+		t.AddRow(string(p), fmtDuration(engine.DefaultMetricT(string(p))),
 			sorted[0], mathx.Percentile(sorted, 0.25), med,
 			mathx.Percentile(sorted, 0.75), mathx.Percentile(sorted, 0.9),
 			sorted[len(sorted)-1], skew)
@@ -195,9 +196,9 @@ func Fig9(o FigureOptions) (*Table, *Table, error) {
 // schemeSet picks the scheme list for comparison figures.
 func schemeSet(quick bool) []string {
 	if quick {
-		return []string{SchemeIntentional, SchemeNoCache}
+		return []string{engine.SchemeIntentional, engine.SchemeNoCache}
 	}
-	return SchemeNames()
+	return engine.SchemeNames()
 }
 
 // Fig10 regenerates Fig. 10: data access performance vs average data
@@ -234,7 +235,7 @@ func Fig10(o FigureOptions) (*Table, error) {
 	kb := SharedKnowledge(tr, 0)
 	reports := make([]metrics.Report, len(cells))
 	if err := forEachCell(len(cells), func(i int) error {
-		rep, err := RunAveraged(Setup{
+		rep, err := RunAveraged(engine.Config{
 			Trace: tr, AvgLifetime: cells[i].tl, K: 8, Seed: o.Seed,
 			Knowledge: kb,
 		}, cells[i].name, o.Repeats)
@@ -282,7 +283,7 @@ func Fig11(o FigureOptions) (*Table, error) {
 	kb := SharedKnowledge(tr, 0)
 	reports := make([]metrics.Report, len(cells))
 	if err := forEachCell(len(cells), func(i int) error {
-		rep, err := RunAveraged(Setup{
+		rep, err := RunAveraged(engine.Config{
 			Trace: tr, AvgSizeBits: cells[i].sz, K: 8, Seed: o.Seed,
 			Knowledge: kb,
 		}, cells[i].name, o.Repeats)
@@ -309,10 +310,10 @@ func Fig12(o FigureOptions) (*Table, error) {
 		return nil, err
 	}
 	sizes := []float64{20e6, 50e6, 100e6, 150e6, 200e6}
-	names := ReplacementNames()
+	names := engine.ReplacementNames()
 	if o.Quick {
 		sizes = []float64{50e6, 200e6}
-		names = []string{SchemeIntentional, SchemeIntentionalLRU}
+		names = []string{engine.SchemeIntentional, engine.SchemeIntentionalLRU}
 	}
 	t := &Table{
 		ID:    "Fig. 12",
@@ -333,7 +334,7 @@ func Fig12(o FigureOptions) (*Table, error) {
 	kb := SharedKnowledge(tr, 0)
 	reports := make([]metrics.Report, len(cells))
 	if err := forEachCell(len(cells), func(i int) error {
-		rep, err := RunAveraged(Setup{
+		rep, err := RunAveraged(engine.Config{
 			Trace: tr, AvgSizeBits: cells[i].sz, K: 8, Seed: o.Seed,
 			Knowledge: kb,
 		}, cells[i].name, o.Repeats)
@@ -411,11 +412,11 @@ func Fig13(o FigureOptions) (*Table, error) {
 	kb := SharedKnowledge(tr, 0)
 	reports := make([]metrics.Report, len(cells))
 	if err := forEachCell(len(cells), func(i int) error {
-		rep, err := RunAveraged(Setup{
+		rep, err := RunAveraged(engine.Config{
 			Trace: tr, AvgLifetime: 3 * hour, K: cells[i].k, Seed: o.Seed,
 			BufferMinBits: cells[i].min, BufferMaxBits: cells[i].max,
 			Knowledge: kb,
-		}, SchemeIntentional, o.Repeats)
+		}, engine.SchemeIntentional, o.Repeats)
 		reports[i] = rep
 		return err
 	}); err != nil {

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"dtncache/internal/engine"
 	"strings"
 	"testing"
 
@@ -10,12 +11,12 @@ import (
 
 // recordedTrace runs one Intentional simulation with a stream-recording
 // observer attached and returns the raw NDJSON bytes.
-func recordedTrace(t *testing.T, setup Setup) []byte {
+func recordedTrace(t *testing.T, setup engine.Config) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	rec := obs.NewRecorder(obs.NewStreamSink(&buf))
 	setup.Obs = rec
-	if _, err := Run(setup, SchemeIntentional); err != nil {
+	if _, err := Run(setup, engine.SchemeIntentional); err != nil {
 		t.Fatal(err)
 	}
 	if err := rec.Close(); err != nil {
@@ -48,7 +49,7 @@ func TestTraceByteIdentity(t *testing.T) {
 // instrumentation: attaching a recorder (sink, metrics and phases all
 // active) must not change a single report field.
 func TestObsDoesNotPerturbReport(t *testing.T) {
-	off, err := Run(smallSetup(t), SchemeIntentional)
+	off, err := Run(smallSetup(t), engine.SchemeIntentional)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestObsDoesNotPerturbReport(t *testing.T) {
 	var buf bytes.Buffer
 	rec := obs.NewRecorder(obs.NewStreamSink(&buf), obs.WithPhases(obs.NewPhases(nil)))
 	setup.Obs = rec
-	on, err := Run(setup, SchemeIntentional)
+	on, err := Run(setup, engine.SchemeIntentional)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestObsCountersMatchReport(t *testing.T) {
 	setup := smallSetup(t)
 	rec := obs.NewRecorder(nil)
 	setup.Obs = rec
-	rep, err := Run(setup, SchemeIntentional)
+	rep, err := Run(setup, engine.SchemeIntentional)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,17 +123,17 @@ func TestCellHookFires(t *testing.T) {
 		cells = append(cells, cell{schemeName, wallNs})
 	})
 	defer SetCellHook(nil)
-	if _, err := Run(smallSetup(t), SchemeIntentional); err != nil {
+	if _, err := Run(smallSetup(t), engine.SchemeIntentional); err != nil {
 		t.Fatal(err)
 	}
 	if len(cells) != 1 {
 		t.Fatalf("hook fired %d times, want 1", len(cells))
 	}
-	if cells[0].scheme != SchemeIntentional || cells[0].wallNs <= 0 {
+	if cells[0].scheme != engine.SchemeIntentional || cells[0].wallNs <= 0 {
 		t.Errorf("hook got %+v", cells[0])
 	}
 	SetCellHook(nil)
-	if _, err := Run(smallSetup(t), SchemeNoCache); err != nil {
+	if _, err := Run(smallSetup(t), engine.SchemeNoCache); err != nil {
 		t.Fatal(err)
 	}
 	if len(cells) != 1 {

@@ -4,7 +4,7 @@ import (
 	"sync"
 	"testing"
 
-	"dtncache/internal/experiment"
+	"dtncache/internal/engine"
 	"dtncache/internal/knowledge"
 	"dtncache/internal/trace"
 )
@@ -32,7 +32,7 @@ func benchSetup(b *testing.B) (*trace.Trace, knowledge.Params) {
 		benchTrace = tr
 		benchParams = knowledge.Params{
 			Nodes:   tr.Nodes,
-			MetricT: experiment.DefaultMetricT(tr.Name),
+			MetricT: engine.DefaultMetricT(tr.Name),
 		}
 	})
 	return benchTrace, benchParams

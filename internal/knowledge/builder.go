@@ -13,12 +13,12 @@ import (
 // build time, base snapshot) — so one Builder may serve concurrent
 // Build calls for different times.
 //
-// The contact list must be sorted by start time (trace.Validate
-// guarantees this for raw traces; sim.MergeOverlaps preserves it).
-// Whether the list is raw or merged is the caller's choice: scheme.Env
-// counts merged contacts (one Handler.ContactStart per merged session),
-// while the offline Fig. 4 analysis counts raw contacts, exactly as the
-// seed code did.
+// The contact list must be sorted by start time; Build counts every
+// contact in it, raw or merged as the caller supplies it. Build is the
+// full recompute from a contact slice: the reference the Provider's
+// incremental fold is tested against and the entry point of the
+// all-paths benchmarks. A Provider builds through the same
+// buildFromCounts with counts from its contact feed.
 //
 //dtn:shared one Builder serves every scheme and sweep cell
 type Builder struct {
@@ -75,8 +75,8 @@ func (b *Builder) Build(t float64, base *Snapshot, version int) *Snapshot {
 var scratchPool = sync.Pool{New: func() any { return new(graph.PathScratch) }}
 
 // buildFromCounts is Build with the contact counting already done —
-// the streaming Provider supplies counts from its online fold instead
-// of a materialized contact list. counts may be nil when t <= 0.
+// the Provider supplies counts from its contact feed instead of a
+// contact slice. counts may be nil when t <= 0.
 //
 // The weight matrix is built in two passes so its CSR slabs can be
 // sized exactly: pass 1 computes each dirty source's paths, its Eq. (3)

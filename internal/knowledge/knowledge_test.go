@@ -5,7 +5,7 @@ import (
 	"sync"
 	"testing"
 
-	"dtncache/internal/experiment"
+	"dtncache/internal/engine"
 	"dtncache/internal/graph"
 	"dtncache/internal/knowledge"
 	"dtncache/internal/trace"
@@ -39,7 +39,7 @@ func TestSnapshotMatchesSeedPipeline(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			metricT := experiment.DefaultMetricT(tr.Name)
+			metricT := engine.DefaultMetricT(tr.Name)
 			params := knowledge.Params{Nodes: tr.Nodes, MetricT: metricT}
 			builder := knowledge.NewBuilder(params, tr.Contacts)
 			provider := knowledge.NewProvider(params, tr.Contacts)
@@ -221,7 +221,7 @@ func TestSnapshotSharingConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	metricT := experiment.DefaultMetricT(tr.Name)
+	metricT := engine.DefaultMetricT(tr.Name)
 	pr := knowledge.NewProvider(knowledge.Params{Nodes: tr.Nodes, MetricT: metricT}, tr.Contacts)
 	grid := []float64{0.2, 0.4, 0.6, 0.8, 1.0}
 	const consumers = 8

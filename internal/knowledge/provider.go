@@ -19,7 +19,7 @@ import (
 // a rebuild is bit-identical, so eviction never changes results.
 const maxCached = 128
 
-// Provider builds and caches snapshots for one (contact list, Params)
+// Provider builds and caches snapshots for one (contact source, Params)
 // pipeline. It is safe for concurrent use: schemes in a comparison
 // share a provider, and whichever requests a refresh time first builds
 // it (incrementally, against the newest earlier snapshot) while the
@@ -41,9 +41,8 @@ type Provider struct {
 	version int
 	empty   *Snapshot
 
-	// Streaming mode (NewStreamProvider): counts come from an online
-	// fold over a contact source instead of a materialized list. A
-	// source failure is sticky in streamErr.
+	// feed folds the provider's contact source into the counts each
+	// build starts from. A source failure is sticky in streamErr.
 	feed      *contactFeed
 	streamErr error
 
@@ -53,12 +52,43 @@ type Provider struct {
 	gaCached *obs.Gauge
 }
 
-// NewProvider creates a provider over the given sorted contact list
-// (see Builder for the raw-vs-merged contract).
+// NewProvider creates a provider that counts every contact of the given
+// list, which must be sorted by start time. The contacts are counted
+// raw, unmerged, as the offline Fig. 4 analysis, nclstat and the NCL
+// ablations expect; NewStreamProvider counts merged contacts instead.
 func NewProvider(p Params, contacts []trace.Contact) *Provider {
+	return newProvider(p, func() (trace.ContactSource, error) {
+		return trace.NewSliceSource(contacts), nil
+	})
+}
+
+// NewStreamProvider creates a provider that counts the merged contacts
+// (trace.MergeSource) of a contact source — one per session the
+// simulator driver opens, which is what a scheme's rate estimator
+// observes. Knowledge builds never need the whole trace in memory.
+// open must return a fresh source positioned at the start each call:
+// the provider reopens to rewind when snapshots are requested out of
+// time order.
+//
+// A source error makes the affected snapshot see only the prefix read
+// so far and is reported by StreamErr; runs observing a non-nil
+// StreamErr must be discarded.
+func NewStreamProvider(p Params, open func() (trace.ContactSource, error)) *Provider {
+	return newProvider(p, func() (trace.ContactSource, error) {
+		src, err := open()
+		if err != nil {
+			return nil, err
+		}
+		return trace.NewMergeSource(src), nil
+	})
+}
+
+func newProvider(p Params, open func() (trace.ContactSource, error)) *Provider {
+	b := NewBuilder(p, nil)
 	return &Provider{
-		builder: NewBuilder(p, contacts),
+		builder: b,
 		byTime:  make(map[float64]*Snapshot),
+		feed:    &contactFeed{open: open, nodes: b.Params().Nodes},
 	}
 }
 
@@ -66,8 +96,8 @@ func NewProvider(p Params, contacts []trace.Contact) *Provider {
 // compatibility checks when a provider is shared.
 func (pr *Provider) Params() Params { return pr.builder.Params() }
 
-// StreamErr returns the sticky error, if any, a streaming provider's
-// contact source reported. Always nil for a materialized provider.
+// StreamErr returns the sticky error, if any, the provider's contact
+// source reported. Always nil for a provider over a contact slice.
 func (pr *Provider) StreamErr() error {
 	pr.mu.Lock()
 	defer pr.mu.Unlock()
@@ -121,16 +151,11 @@ func (pr *Provider) At(t float64) *Snapshot {
 	}
 	pr.version++
 	done := pr.rec.Phase("knowledge-build")
-	var s *Snapshot
-	if pr.feed != nil {
-		counts, err := pr.feed.countsAt(t)
-		if err != nil && pr.streamErr == nil {
-			pr.streamErr = err
-		}
-		s = pr.builder.buildFromCounts(counts, t, base, pr.version)
-	} else {
-		s = pr.builder.Build(t, base, pr.version)
+	counts, err := pr.feed.countsAt(t)
+	if err != nil && pr.streamErr == nil {
+		pr.streamErr = err
 	}
+	s := pr.builder.buildFromCounts(counts, t, base, pr.version)
 	done()
 	pr.cBuilds.Inc()
 	pr.byTime[t] = s

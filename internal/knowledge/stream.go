@@ -6,42 +6,27 @@ import (
 	"dtncache/internal/trace"
 )
 
-// contactFeed folds a streaming contact source into the same pairwise
-// prefix counts Builder.counts computes from a materialized merged
-// contact list, without holding more than one contact in memory.
-//
-// The materialized pipeline counts merged contacts: one per
-// overlap-window, identified by the window's start (the first raw
-// contact's start). The feed reproduces that online — a raw contact is
-// counted only when it opens a new window for its pair (its start lies
-// beyond the pair's current window end); later raw contacts that fall
-// inside the window only extend its end. Window membership of a contact
-// depends only on earlier contacts, so the online fold at time t equals
-// the offline count over the merged prefix exactly.
+// contactFeed folds a contact source into the symmetric pairwise counts
+// of every contact with Start <= t, the prefix Builder.counts counts
+// from a slice. It counts every contact its source yields and holds no
+// more than one of them in memory; merging, where wanted, is the
+// source's job.
 type contactFeed struct {
 	open    func() (trace.ContactSource, error)
 	nodes   int
 	src     trace.ContactSource
 	counts  []int
-	winEnd  map[[2]trace.NodeID]float64
 	pend    trace.Contact
 	pendOK  bool
 	srcDone bool
 	t       float64
 }
 
-func feedKey(a, b trace.NodeID) [2]trace.NodeID {
-	if a > b {
-		a, b = b, a
-	}
-	return [2]trace.NodeID{a, b}
-}
-
 // countsAt advances the feed to time t and returns the pairwise counts
-// of the merged-contact prefix with start <= t. Asking for an earlier
-// time than a previous call rewinds by reopening the source. The
-// returned slice is reused across calls; callers must consume it before
-// the next countsAt.
+// of the contact prefix with start <= t. Asking for an earlier time
+// than a previous call rewinds by reopening the source. The returned
+// slice is reused across calls; callers must consume it before the
+// next countsAt.
 func (f *contactFeed) countsAt(t float64) ([]int, error) {
 	n := f.nodes
 	if f.src == nil || t < f.t {
@@ -57,7 +42,6 @@ func (f *contactFeed) countsAt(t float64) ([]int, error) {
 				f.counts[i] = 0
 			}
 		}
-		f.winEnd = make(map[[2]trace.NodeID]float64)
 		f.pendOK, f.srcDone = false, false
 	}
 	f.t = t
@@ -81,41 +65,13 @@ func (f *contactFeed) countsAt(t float64) ([]int, error) {
 			break
 		}
 		f.pendOK = false
-		// Same guard as Builder.counts; validated traces have no such
-		// records, so skipping them before the fold changes nothing.
+		// Validated traces have no such records; skipping them keeps an
+		// unvalidated list from indexing out of range.
 		if c.A == c.B || c.A < 0 || c.B < 0 || int(c.A) >= n || int(c.B) >= n {
 			continue
 		}
-		key := feedKey(c.A, c.B)
-		if e, ok := f.winEnd[key]; ok && c.Start <= e {
-			if c.End > e {
-				f.winEnd[key] = c.End
-			}
-			continue
-		}
-		f.winEnd[key] = c.End
 		f.counts[int(c.A)*n+int(c.B)]++
 		f.counts[int(c.B)*n+int(c.A)]++
 	}
 	return f.counts, nil
-}
-
-// NewStreamProvider creates a provider that derives contact counts from
-// a streaming source instead of a materialized list, so knowledge
-// builds never require the whole trace in memory. open must return a
-// fresh source positioned at the start each call — the provider reopens
-// to rewind when snapshots are requested out of time order. Snapshots
-// are bit-identical to a materialized NewProvider over the same merged
-// contacts (Builder.rates are a pure function of the counts).
-//
-// A source error makes the affected snapshot see only the prefix read
-// so far and is reported by StreamErr; runs observing a non-nil
-// StreamErr must be discarded.
-func NewStreamProvider(p Params, open func() (trace.ContactSource, error)) *Provider {
-	pr := &Provider{
-		builder: NewBuilder(p, nil),
-		byTime:  make(map[float64]*Snapshot),
-	}
-	pr.feed = &contactFeed{open: open, nodes: pr.builder.Params().Nodes}
-	return pr
 }

@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"dtncache/internal/knowledge"
-	"dtncache/internal/sim"
 	"dtncache/internal/trace"
+	"dtncache/internal/trace/tracetest"
 )
 
 // compareSnapshots asserts bitwise equality of everything schemes read.
@@ -33,31 +33,50 @@ func compareSnapshots(t *testing.T, want, got *knowledge.Snapshot, n int, label 
 	}
 }
 
-// TestStreamProviderMatchesMaterialized: a streaming provider fed the
-// raw contact source must produce snapshots bit-identical to a
-// materialized provider over the merged contact list, including when a
-// rewind forces the source to reopen.
+// TestStreamProviderMatchesMaterialized: every provider snapshot must
+// be bit-identical to Builder.Build's full recompute over the contacts
+// it counts — the reference merge of the raw list for a stream
+// provider, the raw list itself for NewProvider — including when an
+// out-of-order time forces the provider's fold to reopen its source.
 func TestStreamProviderMatchesMaterialized(t *testing.T) {
 	tr, err := trace.GeneratePreset(trace.Infocom05, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := knowledge.Params{Nodes: tr.Nodes, MetricT: 86400}
-
-	mat := knowledge.NewProvider(params, sim.MergeOverlaps(tr.Contacts))
-	str := knowledge.NewStreamProvider(params, func() (trace.ContactSource, error) {
-		return trace.NewSliceSource(tr.Contacts), nil
-	})
-
-	// Forward walk, then a rewind to an earlier (uncached on the stream
-	// side only via reopen) time, then forward again.
-	times := []float64{tr.Duration / 4, tr.Duration / 2, tr.Duration / 3, tr.Duration * 0.9}
-	for _, at := range times {
-		compareSnapshots(t, mat.At(at), str.At(at), tr.Nodes, "at")
+	// The preset has no same-pair overlaps; add one to every third
+	// contact so merged and raw counts differ.
+	for i, n := 0, len(tr.Contacts); i < n; i += 3 {
+		c := tr.Contacts[i]
+		tr.Contacts = append(tr.Contacts, trace.Contact{A: c.A, B: c.B, Start: (c.Start + c.End) / 2, End: c.End + 60})
 	}
-	compareSnapshots(t, mat.Empty(), str.Empty(), tr.Nodes, "empty")
-	if err := str.StreamErr(); err != nil {
-		t.Fatal(err)
+	tr.SortContacts()
+	params := knowledge.Params{Nodes: tr.Nodes, MetricT: 86400}
+	merged := tracetest.ReferenceMerge(tr.Contacts)
+	if len(merged) == len(tr.Contacts) {
+		t.Fatal("degenerate fixture: no overlapping contacts to merge")
+	}
+
+	for _, tc := range []struct {
+		name     string
+		pr       *knowledge.Provider
+		contacts []trace.Contact
+	}{
+		{"stream", knowledge.NewStreamProvider(params, func() (trace.ContactSource, error) {
+			return trace.NewSliceSource(tr.Contacts), nil
+		}), merged},
+		{"raw", knowledge.NewProvider(params, tr.Contacts), tr.Contacts},
+	} {
+		ref := knowledge.NewBuilder(params, tc.contacts)
+		// Forward walk, then a rewind to an earlier uncached time, then
+		// forward again.
+		times := []float64{tr.Duration / 4, tr.Duration / 2, tr.Duration / 3, tr.Duration * 0.9}
+		for i, at := range times {
+			compareSnapshots(t, ref.Build(at, nil, i+1), tc.pr.At(at), tr.Nodes, tc.name)
+		}
+		compareSnapshots(t, ref.Build(0, nil, 0), tc.pr.Empty(), tr.Nodes, tc.name+" empty")
+		if err := tc.pr.StreamErr(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

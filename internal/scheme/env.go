@@ -298,8 +298,8 @@ type Env struct {
 	dupResponses int
 	violations   []fault.Violation
 
-	// knowledge: a provider (owned, or shared across schemes via
-	// NewEnvShared) and the immutable snapshot of the latest refresh.
+	// knowledge: a provider (owned, or shared across schemes through
+	// NewEnv's kb) and the immutable snapshot of the latest refresh.
 	kb   *knowledge.Provider
 	snap *knowledge.Snapshot
 	ncls []trace.NodeID
@@ -311,14 +311,6 @@ type Env struct {
 	// ownData[n] holds items generated by node n (sources always retain
 	// their own live data, outside the caching buffer).
 	ownData []map[workload.DataID]workload.DataItem
-}
-
-// NewEnv wires a full simulation: trace replay, workload schedule,
-// knowledge refresh, housekeeping, and the scheme's hooks. The
-// environment owns a private knowledge provider; use NewEnvShared to
-// share one across schemes.
-func NewEnv(tr *trace.Trace, w *workload.Workload, cfg Config, s Scheme) (*Env, error) {
-	return NewEnvShared(tr, w, cfg, s, nil)
 }
 
 // KnowledgeParams returns the knowledge pipeline configuration an Env
@@ -333,33 +325,25 @@ func (c Config) KnowledgeParams(nodes int) knowledge.Params {
 	}
 }
 
-// NewEnvShared is NewEnv with an externally owned knowledge provider,
-// letting every scheme of a comparison share one contact-rate → paths →
-// metric pipeline instead of rebuilding it per environment. kb may be
-// nil (a private provider is created); otherwise its Params must match
-// the config, and the caller must have built it over
-// sim.MergeOverlaps(tr.Contacts) so its counts equal what this Env's
-// rate estimator observes.
-func NewEnvShared(tr *trace.Trace, w *workload.Workload, cfg Config, s Scheme, kb *knowledge.Provider) (*Env, error) {
-	return newEnv(tr, w, cfg, s, kb, nil)
-}
-
-// NewEnvStream wires a streaming replay: contacts come from the opener
-// instead of tr.Contacts, which may be empty — tr then only carries the
-// metadata (Name, Nodes, Duration). The opener is called once for the
-// driver's replay feed and once for the knowledge provider's counting
-// feed (plus once more per out-of-order knowledge rewind), and must
-// return a fresh source positioned at the start each call. Results are
-// byte-identical to a materialized run over the same contacts; after
-// Run, check ReplayErr before trusting them.
-func NewEnvStream(tr *trace.Trace, w *workload.Workload, cfg Config, s Scheme, kb *knowledge.Provider, open func() (trace.ContactSource, error)) (*Env, error) {
-	if open == nil {
-		return nil, errors.New("scheme: NewEnvStream requires a contact source opener")
-	}
-	return newEnv(tr, w, cfg, s, kb, open)
-}
-
-func newEnv(tr *trace.Trace, w *workload.Workload, cfg Config, s Scheme, kb *knowledge.Provider, open func() (trace.ContactSource, error)) (*Env, error) {
+// NewEnv wires a full simulation: trace replay, workload schedule,
+// knowledge refresh, housekeeping, and the scheme's hooks.
+//
+// Contacts come from open, which must return a fresh source positioned
+// at the start on every call: it is called once for the driver's
+// replay feed and once for the private knowledge provider's counting
+// feed (plus once more per out-of-order knowledge rewind). A nil open
+// replays tr.Contacts; otherwise tr.Contacts may be empty and tr only
+// carries the metadata (Name, Nodes, Duration). After Run, check
+// ReplayErr before trusting the results.
+//
+// kb optionally shares a knowledge provider across environments, so
+// every scheme of a comparison reads one contact-rate → paths → metric
+// pipeline instead of rebuilding it. A nil kb gives the environment a
+// private provider. A shared kb must have Params equal to the config's
+// and count the same contacts this Env's rate estimator observes: the
+// merged contacts of the replayed source, as
+// knowledge.NewStreamProvider over the same opener counts them.
+func NewEnv(tr *trace.Trace, w *workload.Workload, cfg Config, s Scheme, kb *knowledge.Provider, open func() (trace.ContactSource, error)) (*Env, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -410,8 +394,8 @@ func newEnv(tr *trace.Trace, w *workload.Workload, cfg Config, s Scheme, kb *kno
 		// Legacy knob: route the scheme-level drop probability through
 		// the fault engine as its degenerate transfer-kill injector. The
 		// engine derives the same "faults" RNG stream at the same point
-		// the old sim.WithDropProb wiring did, so seeded results are
-		// unchanged.
+		// the former driver-level drop option did, so seeded results
+		// are unchanged.
 		fc.KillProb = cfg.DropProb
 	}
 	if !fc.Zero() {
@@ -432,23 +416,18 @@ func newEnv(tr *trace.Trace, w *workload.Workload, cfg Config, s Scheme, kb *kno
 		e.faults.OnUp = e.nodeUp
 		e.faults.RankedNodes = e.rankedNodes
 	}
-	if open != nil {
-		src, err := open()
-		if err != nil {
-			return nil, err
-		}
-		if err := e.Driver.LoadStream(src); err != nil {
-			return nil, err
-		}
-	} else if err := e.Driver.Load(tr); err != nil {
+	if open == nil {
+		open = func() (trace.ContactSource, error) { return trace.NewSliceSource(tr.Contacts), nil }
+	}
+	src, err := open()
+	if err != nil {
+		return nil, err
+	}
+	if err := e.Driver.LoadStream(src); err != nil {
 		return nil, err
 	}
 	if kb == nil {
-		if open != nil {
-			kb = knowledge.NewStreamProvider(cfg.KnowledgeParams(e.N), open)
-		} else {
-			kb = knowledge.NewProvider(cfg.KnowledgeParams(e.N), sim.MergeOverlaps(tr.Contacts))
-		}
+		kb = knowledge.NewStreamProvider(cfg.KnowledgeParams(e.N), open)
 		// The provider is private to this Env, so its metrics belong to
 		// this run; shared providers stay recorder-free (see
 		// Provider.SetRecorder).
@@ -490,7 +469,7 @@ var QueryDelayBounds = []float64{60, 300, 900, 3600, 4 * 3600, 12 * 3600, 86400,
 
 // ReplayErr returns the sticky streaming error, if any: a truncated or
 // corrupt contact source seen by the replay feed or the knowledge feed.
-// Always nil for a materialized run. A run with a non-nil ReplayErr
+// Always nil for a run over tr.Contacts. A run with a non-nil ReplayErr
 // replayed only a prefix of the trace; discard its results.
 func (e *Env) ReplayErr() error {
 	if err := e.Driver.FeedErr(); err != nil {

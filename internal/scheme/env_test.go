@@ -100,7 +100,7 @@ func TestNewEnvRejectsMismatchedNodes(t *testing.T) {
 	tr := lineTrace(1000, 40000)
 	w := manualWorkload(tr, 21000, 39000, 22000, 30000)
 	w.Config.Nodes = 99
-	if _, err := NewEnv(tr, w, testConfig(tr), NewNoCache()); err == nil {
+	if _, err := NewEnv(tr, w, testConfig(tr), NewNoCache(), nil, nil); err == nil {
 		t.Error("mismatched node counts accepted")
 	}
 }
@@ -108,7 +108,7 @@ func TestNewEnvRejectsMismatchedNodes(t *testing.T) {
 func TestNewEnvRejectsInvalidTrace(t *testing.T) {
 	tr := &trace.Trace{Nodes: 0}
 	w := &workload.Workload{Config: workload.Config{Nodes: 0}}
-	if _, err := NewEnv(tr, w, DefaultConfig(100), NewNoCache()); err == nil {
+	if _, err := NewEnv(tr, w, DefaultConfig(100), NewNoCache(), nil, nil); err == nil {
 		t.Error("invalid trace accepted")
 	}
 }
@@ -119,7 +119,7 @@ func TestNoCacheEndToEnd(t *testing.T) {
 	// generous deadline. The query must travel 2->1->0 and the reply
 	// 0->1->2 over the periodic contacts.
 	w := manualWorkload(tr, 21000, 39000, 22000, 38000)
-	env, err := NewEnv(tr, w, testConfig(tr), NewNoCache())
+	env, err := NewEnv(tr, w, testConfig(tr), NewNoCache(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestQuerySuppressedWhenLocallyCached(t *testing.T) {
 	tr := lineTrace(1000, 40000)
 	w := manualWorkload(tr, 21000, 39000, 22000, 38000)
 	s := NewRandomCache()
-	env, err := NewEnv(tr, w, testConfig(tr), s)
+	env, err := NewEnv(tr, w, testConfig(tr), s, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestDeterministicRuns(t *testing.T) {
 		cfg := DefaultConfig(tr.Duration)
 		cfg.MetricT = 3600
 		cfg.NCLCount = 3
-		env, err := NewEnv(tr, w, cfg, NewCacheData())
+		env, err := NewEnv(tr, w, cfg, NewCacheData(), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +211,7 @@ func TestAllBaselinesProduceSaneReports(t *testing.T) {
 			cfg := DefaultConfig(tr.Duration)
 			cfg.MetricT = 3600
 			cfg.NCLCount = 3
-			env, err := NewEnv(tr, w, cfg, s)
+			env, err := NewEnv(tr, w, cfg, s, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -239,7 +239,7 @@ func TestResponseProbModes(t *testing.T) {
 	for _, mode := range []ResponseMode{ResponseGlobal, ResponseSigmoid, ResponseAlways} {
 		cfg := testConfig(tr)
 		cfg.Response = mode
-		env, err := NewEnv(tr, w, cfg, NewNoCache())
+		env, err := NewEnv(tr, w, cfg, NewNoCache(), nil, nil)
 		if err != nil {
 			t.Fatalf("mode %v: %v", mode, err)
 		}
@@ -264,7 +264,7 @@ func TestResponseProbModes(t *testing.T) {
 func TestEnvHelpers(t *testing.T) {
 	tr := lineTrace(1000, 40000)
 	w := manualWorkload(tr, 21000, 39000, 22000, 38000)
-	env, err := NewEnv(tr, w, testConfig(tr), NewNoCache())
+	env, err := NewEnv(tr, w, testConfig(tr), NewNoCache(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestEnvHelpers(t *testing.T) {
 func TestNCLSelectionPicksHub(t *testing.T) {
 	tr := lineTrace(1000, 40000)
 	w := manualWorkload(tr, 21000, 39000, 22000, 38000)
-	env, err := NewEnv(tr, w, testConfig(tr), NewNoCache())
+	env, err := NewEnv(tr, w, testConfig(tr), NewNoCache(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func (*initError) Error() string { return "boom" }
 func TestNewEnvPropagatesInitError(t *testing.T) {
 	tr := lineTrace(1000, 40000)
 	w := manualWorkload(tr, 21000, 39000, 22000, 38000)
-	if _, err := NewEnv(tr, w, testConfig(tr), &failingScheme{}); err == nil {
+	if _, err := NewEnv(tr, w, testConfig(tr), &failingScheme{}, nil, nil); err == nil {
 		t.Error("init error not propagated")
 	}
 }
@@ -341,7 +341,7 @@ func TestNCLSelectionStrategies(t *testing.T) {
 	for _, strat := range []NCLStrategy{NCLByMetric, NCLByDegree, NCLByContacts, NCLRandom} {
 		cfg := testConfig(tr)
 		cfg.NCLSelection = strat
-		env, err := NewEnv(tr, w, cfg, NewNoCache())
+		env, err := NewEnv(tr, w, cfg, NewNoCache(), nil, nil)
 		if err != nil {
 			t.Fatalf("strategy %v: %v", strat, err)
 		}
@@ -362,7 +362,7 @@ func TestCachePassByEvictionRules(t *testing.T) {
 	tr := lineTrace(1000, 40000)
 	w := manualWorkload(tr, 21000, 39000, 22000, 38000)
 	cd := NewCacheData()
-	env, err := NewEnv(tr, w, testConfig(tr), cd)
+	env, err := NewEnv(tr, w, testConfig(tr), cd, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

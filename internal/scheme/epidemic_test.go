@@ -11,7 +11,7 @@ import (
 func TestEpidemicEndToEnd(t *testing.T) {
 	tr := lineTrace(1000, 40000)
 	w := manualWorkload(tr, 21000, 39000, 22000, 38000)
-	env, err := NewEnv(tr, w, testConfig(tr), NewEpidemic())
+	env, err := NewEnv(tr, w, testConfig(tr), NewEpidemic(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestEpidemicBeatsNoCacheDelay(t *testing.T) {
 		cfg := DefaultConfig(tr.Duration)
 		cfg.MetricT = 3600
 		cfg.NCLCount = 3
-		env, err := NewEnv(tr, w, cfg, s)
+		env, err := NewEnv(tr, w, cfg, s, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,7 +5,6 @@ import (
 	"io"
 	"sort"
 
-	"dtncache/internal/mathx"
 	"dtncache/internal/obs"
 	"dtncache/internal/trace"
 )
@@ -126,10 +125,7 @@ func (s *Session) startNext() {
 		s.queue = s.queue[:0]
 		s.head = 0
 	}
-	s.curDropped = d.dropProb > 0 && d.rng.Bernoulli(d.dropProb)
-	if d.faults != nil && d.faults.KillTransfer(s.cur.From, s.cur.To, s.cur.Bits, s.cur.Label) {
-		s.curDropped = true
-	}
+	s.curDropped = d.faults != nil && d.faults.KillTransfer(s.cur.From, s.cur.To, s.cur.Bits, s.cur.Label)
 	s.busy = true
 	// Scheduling relative to now never fails.
 	_ = d.sim.Schedule(done, s.onDone)
@@ -229,15 +225,6 @@ func WithBandwidth(bitsPerSec float64) DriverOption {
 // transfer durations match the simulated ones bitwise.
 func (d *Driver) Bandwidth() float64 { return d.bandwidth }
 
-// WithDropProb enables failure injection: each transfer independently
-// fails with probability p even if it fits in the contact. The driver
-// takes ownership of the stream and draws from it on every transfer.
-//
-//dtn:rngboundary pass a freshly derived stream, never a shared alias
-func WithDropProb(p float64, rng *mathx.Rand) DriverOption {
-	return func(d *Driver) { d.dropProb = p; d.rng = rng }
-}
-
 // FaultProbe is the driver's view of a fault-injection engine
 // (internal/fault). All methods are consulted on the contact hot path;
 // a nil probe keeps every site at a single branch.
@@ -286,31 +273,28 @@ type Driver struct {
 	sim       *Simulator
 	handler   Handler
 	bandwidth float64
-	dropProb  float64
-	rng       *mathx.Rand
 	faults    FaultProbe
 
 	active map[[2]trace.NodeID]*Session
 
 	// Contact feeder. The driver keeps exactly one pending contact-begin
 	// event in the heap at any time, pulled lazily from feed; the heap
-	// stays O(active sessions) instead of O(trace) whether the source is
-	// a materialized slice or a streaming reader. feedFn is a method
-	// value created once; feedSeq is the 1-based emission index used as
-	// the begin event's explicit sequence number (see ReservedSeqBase).
-	feed     trace.ContactSource
+	// stays O(active sessions) instead of O(trace) whether the raw
+	// source is a materialized slice or a streaming reader. feed is the
+	// merge of that source; feedFn is a method value created once;
+	// feedSeq is the 1-based emission index used as the begin event's
+	// explicit sequence number (see ReservedSeqBase).
+	feed     *trace.MergeSource
 	feedNext trace.Contact
 	feedSeq  uint64
 	feedFn   func()
 	feedErr  error
-	mergeSrc *trace.MergeSource
 
 	// free is the session pool; see Session's pooling fields.
 	free []*Session
 
 	deliveredTransfers int
 	droppedTransfers   int
-	mergedContacts     int
 	skippedContacts    int
 	injectedContacts   int
 	injectedCoalesced  int
@@ -340,14 +324,12 @@ func NewDriver(s *Simulator, h Handler, opts ...DriverOption) *Driver {
 }
 
 // Stats returns delivered/dropped transfer counts and the number of
-// overlapping same-pair contacts merged. For a materialized Load the
-// merge count is known up front; for a LoadStream it reflects the
-// contacts folded so far (equal to the materialized count once the
-// replay has consumed the source).
+// overlapping same-pair contacts merged. The merge count covers the
+// contacts the feed has read so far, which is every contact once the
+// replay has consumed the source.
 func (d *Driver) Stats() (delivered, dropped, merged int) {
-	merged = d.mergedContacts
-	if d.mergeSrc != nil {
-		merged = d.mergeSrc.MergedCount()
+	if d.feed != nil {
+		merged = d.feed.MergedCount()
 	}
 	return d.deliveredTransfers, d.droppedTransfers, merged
 }
@@ -390,41 +372,29 @@ func (d *Driver) ActivePeers(n trace.NodeID) []trace.NodeID {
 // ErrBadTrace reports a trace that fails validation at load time.
 var ErrBadTrace = errors.New("sim: invalid trace")
 
-// Load replays the trace's contacts. Overlapping contacts of the same
-// pair are merged into a single longer contact. Load (or LoadStream)
-// may be called once per driver, before Run. Contact-begin events are
-// fed into the simulator lazily, one pending at a time, under explicit
-// sequence numbers that reproduce the dispatch order of a bulk preload
-// exactly (see ReservedSeqBase).
+// Load validates the trace and replays its contacts through LoadStream.
 func (d *Driver) Load(tr *trace.Trace) error {
 	if err := tr.Validate(); err != nil {
 		return errors.Join(ErrBadTrace, err)
 	}
-	merged := MergeOverlaps(tr.Contacts)
-	d.mergedContacts = len(tr.Contacts) - len(merged)
-	return d.startFeed(trace.NewSliceSource(merged))
+	return d.LoadStream(trace.NewSliceSource(tr.Contacts))
 }
 
-// LoadStream replays contacts from a streaming source instead of a
-// materialized trace, keeping memory O(active sessions). The source
-// must yield valid contacts in nondecreasing start order (a
-// trace.StreamReader enforces both); overlapping same-pair contacts are
-// folded online into exactly the merged sequence Load produces. A
-// source error mid-replay stops the simulation; check FeedErr after the
-// run.
+// LoadStream replays contacts from a source, keeping memory O(active
+// sessions). The source must yield valid contacts in nondecreasing
+// start order (Trace.Validate and trace.StreamReader enforce both);
+// overlapping or touching same-pair contacts are merged online into a
+// single longer contact (trace.MergeSource). Load or LoadStream may be
+// called once per driver, before Run. Contact-begin events are fed into
+// the simulator lazily, one pending at a time, under explicit sequence
+// numbers that reproduce the dispatch order of a bulk preload exactly
+// (see ReservedSeqBase). A source error mid-replay stops the
+// simulation; check FeedErr after the run.
 func (d *Driver) LoadStream(src trace.ContactSource) error {
-	ms := trace.NewMergeSource(src)
-	d.mergeSrc = ms
-	return d.startFeed(ms)
-}
-
-// startFeed installs the merged contact source and primes the feeder
-// with its first contact.
-func (d *Driver) startFeed(src trace.ContactSource) error {
 	if d.feed != nil {
 		return errors.New("sim: driver already loaded")
 	}
-	d.feed = src
+	d.feed = trace.NewMergeSource(src)
 	d.feedFn = d.feedStep
 	d.sim.ReserveSeqs(ReservedSeqBase)
 	return d.scheduleNextContact()
@@ -642,27 +612,4 @@ func pairKey(a, b trace.NodeID) [2]trace.NodeID {
 		a, b = b, a
 	}
 	return [2]trace.NodeID{a, b}
-}
-
-// MergeOverlaps coalesces overlapping or touching contacts of the same
-// pair, exactly as Load does before scheduling sessions. Input must be
-// sorted by start time; output is too. It is exported so the knowledge
-// layer can count the same merged contacts the driver delivers to
-// Handler.ContactStart (one Est.Observe per merged contact).
-func MergeOverlaps(contacts []trace.Contact) []trace.Contact {
-	last := make(map[[2]trace.NodeID]int) // pair -> index in out
-	out := make([]trace.Contact, 0, len(contacts))
-	for _, c := range contacts {
-		key := pairKey(c.A, c.B)
-		if i, ok := last[key]; ok && c.Start <= out[i].End {
-			if c.End > out[i].End {
-				out[i].End = c.End
-			}
-			continue
-		}
-		out = append(out, c)
-		last[key] = len(out) - 1
-	}
-	// Merging can only extend ends; starts remain sorted.
-	return out
 }

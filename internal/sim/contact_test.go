@@ -3,7 +3,6 @@ package sim
 import (
 	"testing"
 
-	"dtncache/internal/mathx"
 	"dtncache/internal/trace"
 )
 
@@ -255,15 +254,22 @@ func TestOverlappingContactsMerged(t *testing.T) {
 	}
 }
 
+// killProbe is a FaultProbe that kills every transfer and nothing else.
+type killProbe struct{}
+
+func (killProbe) NodeDown(trace.NodeID) bool                                    { return false }
+func (killProbe) TruncateContact(c trace.Contact) Time                          { return c.End }
+func (killProbe) KillTransfer(trace.NodeID, trace.NodeID, float64, string) bool { return true }
+
 func TestFailureInjection(t *testing.T) {
-	// With drop probability 1 every transfer must be dropped.
+	// A probe that kills every transfer must drop it even though it fits.
 	s := New()
 	var dropped int
 	rec := &recorder{onStart: func(sess *Session) {
 		sess.Enqueue(Transfer{From: 0, To: 1, Bits: 1000,
 			OnDropped: func(Time) { dropped++ }})
 	}}
-	d := NewDriver(s, rec, WithDropProb(1, mathx.NewRand(1)))
+	d := NewDriver(s, rec, WithFaults(killProbe{}))
 	if err := d.Load(twoNodeTrace(10, 50)); err != nil {
 		t.Fatal(err)
 	}

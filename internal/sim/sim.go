@@ -164,8 +164,8 @@ func (s *Simulator) Schedule(at Time, fn func()) error {
 // it, while every Schedule call after ReserveSeqs draws numbers above
 // it. The (at, seq) dispatch order then matches a bulk preload exactly
 // — contact begins first among equal timestamps, everything else in
-// scheduling order — which keeps streamed replays byte-identical to
-// materialized ones. 1<<40 leaves room for a trillion contacts.
+// scheduling order — however far ahead of the clock the source is
+// read. 1<<40 leaves room for a trillion contacts.
 const ReservedSeqBase uint64 = 1 << 40
 
 // ScheduleSeq runs fn at virtual time at with an explicit sequence

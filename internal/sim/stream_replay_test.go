@@ -8,6 +8,7 @@ import (
 
 	"dtncache/internal/mathx"
 	"dtncache/internal/trace"
+	"dtncache/internal/trace/tracetest"
 )
 
 // randomContacts builds a sorted contact list with plenty of same-pair
@@ -28,13 +29,12 @@ func randomContacts(n, nodes int, seed int64) []trace.Contact {
 	return cs
 }
 
-// TestMergeSourceMatchesMergeOverlaps is the cross-package pin: the
-// online fold in trace.MergeSource must emit exactly the sequence the
-// driver's offline MergeOverlaps produces, because LoadStream relies on
-// the two being interchangeable.
+// TestMergeSourceMatchesMergeOverlaps pins the merge the driver feeds
+// sessions from: trace.MergeSource must emit exactly the sequence the
+// reference materialized merge produces on a replay-shaped fixture.
 func TestMergeSourceMatchesMergeOverlaps(t *testing.T) {
 	raw := randomContacts(5000, 8, 99)
-	want := MergeOverlaps(raw)
+	want := tracetest.ReferenceMerge(raw)
 
 	src := trace.NewMergeSource(trace.NewSliceSource(raw))
 	var got []trace.Contact
@@ -82,9 +82,11 @@ func runReplay(t *testing.T, nodes int, duration float64, load func(*Driver) err
 	return rec.startCopies, delivered, dropped, merged, s.Processed()
 }
 
-// TestLoadStreamMatchesLoad: a streamed replay must be event-for-event
-// identical to a materialized one — same contact sequence, same
-// transfer outcomes, same event count.
+// TestLoadStreamMatchesLoad: replaying a raw trace (Load, and
+// LoadStream over its contacts) must be event-for-event identical to
+// replaying the reference merge of those contacts, which the driver's
+// own merge leaves unchanged — same contact sequence, same transfer
+// outcomes, same event count.
 func TestLoadStreamMatchesLoad(t *testing.T) {
 	raw := randomContacts(4000, 10, 7)
 	duration := raw[len(raw)-1].End + 100
@@ -92,28 +94,47 @@ func TestLoadStreamMatchesLoad(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	ref := tracetest.ReferenceMerge(raw)
 
-	mStarts, mDel, mDrop, mMerged, mEvents := runReplay(t, 10, duration,
-		func(d *Driver) error { return d.Load(tr) })
-	sStarts, sDel, sDrop, sMerged, sEvents := runReplay(t, 10, duration,
-		func(d *Driver) error { return d.LoadStream(trace.NewSliceSource(raw)) })
-
-	if mDel != sDel || mDrop != sDrop || mMerged != sMerged || mEvents != sEvents {
-		t.Fatalf("materialized (del=%d drop=%d merged=%d events=%d) != streamed (del=%d drop=%d merged=%d events=%d)",
-			mDel, mDrop, mMerged, mEvents, sDel, sDrop, sMerged, sEvents)
+	rStarts, rDel, rDrop, rMerged, rEvents := runReplay(t, 10, duration,
+		func(d *Driver) error { return d.LoadStream(trace.NewSliceSource(ref)) })
+	if rMerged != 0 {
+		t.Fatalf("driver merged %d contacts of an already merged list", rMerged)
 	}
-	if len(mStarts) != len(sStarts) {
-		t.Fatalf("contact count %d != %d", len(mStarts), len(sStarts))
+	if len(rStarts) != len(ref) {
+		t.Fatalf("reference replay opened %d contacts, want %d", len(rStarts), len(ref))
 	}
-	for i := range mStarts {
-		m, s := mStarts[i], sStarts[i]
-		if m.A != s.A || m.B != s.B || m.Start != s.Start || m.End != s.End {
-			t.Fatalf("contact %d: materialized %v-%v [%g,%g] != streamed %v-%v [%g,%g]",
-				i, m.A, m.B, m.Start, m.End, s.A, s.B, s.Start, s.End)
+	for i, c := range ref {
+		if s := rStarts[i]; s.A != c.A || s.B != c.B || s.Start != c.Start || s.End != c.End {
+			t.Fatalf("reference contact %d: session %v-%v [%g,%g], want %+v", i, s.A, s.B, s.Start, s.End, c)
 		}
 	}
-	if mDel == 0 || mMerged == 0 {
-		t.Fatalf("degenerate fixture: delivered=%d merged=%d", mDel, mMerged)
+	if rDel == 0 || len(ref) == len(raw) {
+		t.Fatalf("degenerate fixture: delivered=%d merged=%d", rDel, len(raw)-len(ref))
+	}
+
+	for _, leg := range []struct {
+		name string
+		load func(*Driver) error
+	}{
+		{"Load", func(d *Driver) error { return d.Load(tr) }},
+		{"LoadStream", func(d *Driver) error { return d.LoadStream(trace.NewSliceSource(raw)) }},
+	} {
+		starts, del, drop, merged, events := runReplay(t, 10, duration, leg.load)
+		if del != rDel || drop != rDrop || merged != len(raw)-len(ref) || events != rEvents {
+			t.Fatalf("%s (del=%d drop=%d merged=%d events=%d) != reference (del=%d drop=%d merged=%d events=%d)",
+				leg.name, del, drop, merged, events, rDel, rDrop, len(raw)-len(ref), rEvents)
+		}
+		if len(starts) != len(rStarts) {
+			t.Fatalf("%s: contact count %d != %d", leg.name, len(starts), len(rStarts))
+		}
+		for i := range rStarts {
+			r, s := rStarts[i], starts[i]
+			if r.A != s.A || r.B != s.B || r.Start != s.Start || r.End != s.End {
+				t.Fatalf("%s contact %d: %v-%v [%g,%g] != reference %v-%v [%g,%g]",
+					leg.name, i, s.A, s.B, s.Start, s.End, r.A, r.B, r.Start, r.End)
+			}
+		}
 	}
 }
 

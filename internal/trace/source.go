@@ -36,15 +36,17 @@ func (s *SliceSource) NextContact() (Contact, error) {
 }
 
 // MergeSource coalesces overlapping or touching same-pair contacts
-// online, emitting exactly the sequence sim.MergeOverlaps produces for
-// the materialized slice (same order, same merged intervals) while
-// holding only the open merge window in memory.
+// online: a contact that starts at or before the end of its pair's
+// last merged contact extends that contact instead of opening a new
+// one. Only the open merge window is held in memory. It is the one
+// merge every replay uses — the simulator driver's session feed and
+// the knowledge layer's contact counts both read through it.
 //
 // A merged contact is final once the raw read position's start time has
 // passed its end: raw contacts arrive sorted by start, so no later raw
 // contact can begin inside it and extend it. Finalized contacts are
-// emitted in creation order, which is first-contact start order — the
-// order MergeOverlaps preserves.
+// emitted in creation order, which is first-contact start order, so
+// the output stays sorted by start.
 type MergeSource struct {
 	src       ContactSource
 	q         []Contact           // open window, creation order; q[0] is abs index base
@@ -63,8 +65,7 @@ func NewMergeSource(src ContactSource) *MergeSource {
 }
 
 // MergedCount returns how many raw contacts have been folded into an
-// earlier overlapping contact so far — the streaming equivalent of
-// len(raw) - len(MergeOverlaps(raw)).
+// earlier overlapping contact so far.
 func (m *MergeSource) MergedCount() int { return m.merged }
 
 // NextContact implements ContactSource, emitting merged contacts.
@@ -115,9 +116,9 @@ func (m *MergeSource) NextContact() (Contact, error) {
 	return c, nil
 }
 
-// fold merges one raw contact into the open window, mirroring
-// MergeOverlaps: extend the pair's last merged contact when the new one
-// starts at or before its end, append otherwise.
+// fold merges one raw contact into the open window: extend the pair's
+// last merged contact when the new one starts at or before its end,
+// append otherwise.
 func (m *MergeSource) fold(c Contact) {
 	key := mergeKey(c.A, c.B)
 	if abs, ok := m.last[key]; ok {

@@ -5,31 +5,7 @@ import (
 	"io"
 	"strings"
 	"testing"
-
-	"dtncache/internal/mathx"
 )
-
-// referenceMergeOverlaps is the materialized merge the simulator driver
-// applies (sim.MergeOverlaps): fold a contact into the pair's last
-// merged contact when it starts at or before its end, preserving
-// first-appearance order. Duplicated here because trace cannot import
-// sim; the cross-package equivalence pin lives in internal/sim.
-func referenceMergeOverlaps(contacts []Contact) []Contact {
-	out := make([]Contact, 0, len(contacts))
-	last := make(map[[2]NodeID]int)
-	for _, c := range contacts {
-		key := mergeKey(c.A, c.B)
-		if i, ok := last[key]; ok && c.Start <= out[i].End {
-			if c.End > out[i].End {
-				out[i].End = c.End
-			}
-			continue
-		}
-		out = append(out, c)
-		last[key] = len(out) - 1
-	}
-	return out
-}
 
 func drainSource(t *testing.T, src ContactSource) []Contact {
 	t.Helper()
@@ -58,62 +34,6 @@ func TestSliceSource(t *testing.T) {
 	}
 }
 
-func TestMergeSourceMatchesReference(t *testing.T) {
-	// Random same-pair-heavy traffic so overlaps, touches, and chains of
-	// extensions all occur.
-	rng := mathx.NewRand(42)
-	var raw []Contact
-	start := 0.0
-	for i := 0; i < 20000; i++ {
-		start += rng.Float64() * 2
-		a := NodeID(rng.Intn(6))
-		b := NodeID(rng.Intn(6))
-		if a == b {
-			continue
-		}
-		raw = append(raw, Contact{A: a, B: b, Start: start, End: start + 1 + rng.Float64()*5})
-	}
-	want := referenceMergeOverlaps(raw)
-	ms := NewMergeSource(NewSliceSource(raw))
-	got := drainSource(t, ms)
-	if len(got) != len(want) {
-		t.Fatalf("merged count %d vs %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("merged contact %d: %+v vs %+v", i, got[i], want[i])
-		}
-	}
-	if ms.MergedCount() != len(raw)-len(want) {
-		t.Fatalf("MergedCount() = %d, want %d", ms.MergedCount(), len(raw)-len(want))
-	}
-}
-
-// TestMergeSourceCompaction forces the shift-compaction path (head
-// large and past half the window) and checks emission is unaffected.
-func TestMergeSourceCompaction(t *testing.T) {
-	// One pair keeps a long-lived open window while thousands of other
-	// pairs pass through, so the window grows and the head advances far
-	// behind the tail.
-	var raw []Contact
-	raw = append(raw, Contact{A: 0, B: 1, Start: 0, End: 1e6})
-	for i := 0; i < 5000; i++ {
-		s := 1 + float64(i)
-		raw = append(raw, Contact{A: 2, B: NodeID(3 + i%7), Start: s, End: s + 0.5})
-	}
-	raw = append(raw, Contact{A: 0, B: 1, Start: 6000, End: 2e6}) // extends the open window
-	want := referenceMergeOverlaps(raw)
-	got := drainSource(t, NewMergeSource(NewSliceSource(raw)))
-	if len(got) != len(want) {
-		t.Fatalf("merged count %d vs %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("merged contact %d: %+v vs %+v", i, got[i], want[i])
-		}
-	}
-}
-
 func TestMergeSourceRejectsUnsorted(t *testing.T) {
 	raw := []Contact{{A: 0, B: 1, Start: 5, End: 6}, {A: 0, B: 2, Start: 1, End: 2}}
 	ms := NewMergeSource(NewSliceSource(raw))
@@ -136,7 +56,7 @@ func (f *failSource) NextContact() (Contact, error) {
 		return Contact{}, f.err
 	}
 	f.n--
-	return Contact{A: 0, B: 1, Start: float64(10 - f.n), End: float64(20 - f.n) + 10}, nil
+	return Contact{A: 0, B: 1, Start: float64(10 - f.n), End: float64(20-f.n) + 10}, nil
 }
 
 func TestMergeSourcePropagatesError(t *testing.T) {

@@ -73,9 +73,10 @@ if [[ -z "${CHECK_SKIP_TRACE_ID:-}" ]]; then
     tmpdir=$(mktemp -d)
     trap 'rm -rf "$tmpdir"' EXIT
     go run ./cmd/dtnsim -trace Infocom05 -scheme Intentional -tl 12h \
-        -trace-out "$tmpdir/t1.ndjson" >/dev/null
+        -report-json -trace-out "$tmpdir/t1.ndjson" > "$tmpdir/t1.json"
     go run ./cmd/dtnsim -trace Infocom05 -scheme Intentional -tl 12h \
-        -trace-out "$tmpdir/t2.ndjson" >/dev/null
+        -report-json -trace-out "$tmpdir/t2.ndjson" > "$tmpdir/t2.json"
+    cmp "$tmpdir/t1.json" "$tmpdir/t2.json"
     cmp "$tmpdir/t1.ndjson" "$tmpdir/t2.ndjson"
     grep -q '"k":"span"' "$tmpdir/t1.ndjson" || {
         echo "check: no span events in the Infocom05 run-trace" >&2; exit 1; }
@@ -93,22 +94,18 @@ if [[ -z "${CHECK_SKIP_TRACE_ID:-}" ]]; then
     cmp "$tmpdir/f1.ndjson" "$tmpdir/f2.ndjson"
     echo "faulted trace byte identity: OK ($(wc -l < "$tmpdir/f1.ndjson") lines)"
 
-    # Streaming replay byte identity: the same preset replayed once
-    # materialized and once through the chunked streaming reader
-    # (-stream feeds both the contact driver and the knowledge build
-    # from the file) must produce identical reports AND identical
-    # run-traces — the PR 8 tentpole contract. T_L=12h so Infocom05
-    # actually issues queries.
-    echo "== streamed replay byte identity (Infocom05 chunked vs materialized)"
+    # Streaming replay byte identity: the same preset replayed through
+    # the chunked file reader (-stream feeds both the contact driver and
+    # the knowledge build from the file) must produce the report and
+    # run-trace of the in-memory replay above (t1) byte for byte.
+    echo "== streamed replay byte identity (Infocom05 chunked vs in-memory)"
     go run ./cmd/tracegen -preset Infocom05 -format chunked \
         -o "$tmpdir/infocom05.dtnc" 2>/dev/null
-    go run ./cmd/dtnsim -trace Infocom05 -scheme Intentional -tl 12h \
-        -report-json -trace-out "$tmpdir/mat.ndjson" > "$tmpdir/mat.json"
     go run ./cmd/dtnsim -tracefile "$tmpdir/infocom05.dtnc" -format chunked -stream \
         -scheme Intentional -tl 12h \
         -report-json -trace-out "$tmpdir/str.ndjson" > "$tmpdir/str.json"
-    cmp "$tmpdir/mat.json" "$tmpdir/str.json"
-    cmp "$tmpdir/mat.ndjson" "$tmpdir/str.ndjson"
+    cmp "$tmpdir/t1.json" "$tmpdir/str.json"
+    cmp "$tmpdir/t1.ndjson" "$tmpdir/str.ndjson"
     echo "streamed replay byte identity: OK ($(wc -l < "$tmpdir/str.ndjson") lines)"
 fi
 
