@@ -51,8 +51,8 @@ func run(args []string) error {
 		outDir     = fs.String("outdir", "", "also write each table as CSV into this directory")
 		cpuProf    = fs.String("cpuprofile", "", "write a CPU profile to this `file`")
 		memProf    = fs.String("memprofile", "", "write a heap profile to this `file` after the run")
-		progress = fs.Bool("progress", false, "print a completion line per sweep cell to stderr")
-		of       = cli.AddObsFlags(fs)
+		progress   = fs.Bool("progress", false, "print a completion line per sweep cell to stderr")
+		of         = cli.AddObsFlags(fs)
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

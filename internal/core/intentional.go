@@ -125,6 +125,12 @@ type Intentional struct {
 
 	stats PushStats
 
+	// bcastFree pools broadcast-query transfer records (bcastXfer).
+	bcastFree []*bcastXfer
+	// onReply is the replyDelivered method value, bound once in Init so
+	// per-contact reply forwarding does not allocate it.
+	onReply scheme.ReplyDelivered
+
 	// obs counters, nil when observability is off.
 	cPushes       *obs.Counter
 	cReplaceDrops *obs.Counter
@@ -190,6 +196,7 @@ func (s *Intentional) Init(e *scheme.Env) error {
 	s.inflightPush = make(map[pushTransfer]bool)
 	s.reachedNCL = make(map[workload.QueryID]float64)
 	s.respondedAt = make(map[workload.QueryID]float64)
+	s.onReply = s.replyDelivered
 	s.cPushes = e.Obs.Counter("core", "pushes")
 	s.cReplaceDrops = e.Obs.Counter("core", "replacement_drops")
 	return nil
@@ -269,7 +276,7 @@ func (s *Intentional) OnContactStart(sess *sim.Session) {
 			if at == qc.Target {
 				s.queryAtCenter(at, qc)
 				// A fresh reply may leave on this same contact.
-				s.base.ForwardReplies(sess, at, s.replyDelivered, nil)
+				s.base.ForwardReplies(sess, at, s.onReply, nil)
 				return
 			}
 			// An en-route relay that happens to be a caching node for the
@@ -278,11 +285,11 @@ func (s *Intentional) OnContactStart(sess *sim.Session) {
 			if s.env.Buffers[at].Get(qc.Q.Data) != nil && s.base.Respond(at, qc, false) {
 				s.markResponded(qc.Q.ID)
 				s.touch(at, qc.Q.Data)
-				s.base.ForwardReplies(sess, at, s.replyDelivered, nil)
+				s.base.ForwardReplies(sess, at, s.onReply, nil)
 			}
 		})
 		s.broadcastQueries(sess, from)
-		s.base.ForwardReplies(sess, from, s.replyDelivered, nil)
+		s.base.ForwardReplies(sess, from, s.onReply, nil)
 		s.pushFromSource(sess, from)
 		s.pushFromRelay(sess, from)
 	}
@@ -312,6 +319,8 @@ func (s *Intentional) queryAtCenter(center trace.NodeID, qc *scheme.QueryCarry) 
 // broadcastQueries spreads broadcast-mode query copies from `from` to
 // the session peer when the peer belongs to the same NCL's caching
 // subgraph. Unlike gradient forwarding, broadcast copies replicate.
+// Each transfer rides a pooled bcastXfer record instead of a fresh
+// copy and closure: broadcast copies are the bulk of all transfers.
 func (s *Intentional) broadcastQueries(sess *sim.Session, from trace.NodeID) {
 	to := sess.Peer(from)
 	now := s.env.Sim.Now()
@@ -322,27 +331,80 @@ func (s *Intentional) broadcastQueries(sess *sim.Session, from trace.NodeID) {
 		if !s.isCachingNode(to, qc.NCL) {
 			return
 		}
-		copyQC := &scheme.QueryCarry{Q: qc.Q, Target: qc.Target, NCL: qc.NCL, Broadcast: true}
-		sess.Enqueue(sim.Transfer{
+		x := s.getBcast()
+		x.qc, x.sess, x.from, x.to, x.sent = qc, sess, from, to, now
+		if !sess.Enqueue(sim.Transfer{
 			From: from, To: to, Bits: s.env.Cfg.QueryBits, Label: "bcast-query",
-			OnDelivered: func(at float64) {
-				s.env.M.ControlTransferred(s.env.Cfg.QueryBits)
-				if copyQC.Q.Deadline <= at {
-					return
-				}
-				s.base.CarryQuery(to, copyQC)
-				s.env.Prov.QueryHop(copyQC.Q.ID, copyQC.Target, from, to,
-					now, at, s.env.XferSec(s.env.Cfg.QueryBits), provenance.OpQueryBcast, false)
-				s.base.Observe(to, copyQC.Q.Data, at)
-				// Caching nodes answer probabilistically (Sec. V-C).
-				if s.base.Respond(to, copyQC, false) {
-					s.markResponded(copyQC.Q.ID)
-					s.touch(to, copyQC.Q.Data)
-					s.base.ForwardReplies(sess, to, s.replyDelivered, nil)
-				}
-			},
-		})
+			OnDelivered: x.onDelivered, OnDropped: x.onDropped,
+		}) {
+			x.release()
+		}
 	})
+}
+
+// bcastXfer is one in-flight broadcast query copy. Records are pooled
+// on Intentional (bcastFree) and return to the pool from whichever
+// completion callback fires — the driver fires exactly one per accepted
+// transfer — or at once when Enqueue refuses the transfer. The
+// callbacks are method values bound once per record, like
+// sim.Session's onDone.
+type bcastXfer struct {
+	s *Intentional
+	// qc is the sender's copy. Its Q, Target and NCL never change after
+	// creation, and they are all the receiving side reads.
+	qc       *scheme.QueryCarry
+	sess     *sim.Session
+	from, to trace.NodeID
+	sent     float64
+
+	onDelivered, onDropped func(at float64)
+}
+
+// getBcast pops a record from the pool or allocates one.
+func (s *Intentional) getBcast() *bcastXfer {
+	if n := len(s.bcastFree); n > 0 {
+		x := s.bcastFree[n-1]
+		s.bcastFree[n-1] = nil
+		s.bcastFree = s.bcastFree[:n-1]
+		return x
+	}
+	x := &bcastXfer{s: s}
+	x.onDelivered, x.onDropped = x.delivered, x.dropped
+	return x
+}
+
+// release clears the record's references and returns it to the pool.
+func (x *bcastXfer) release() {
+	x.qc, x.sess = nil, nil
+	x.s.bcastFree = append(x.s.bcastFree, x)
+}
+
+// dropped is the record's OnDropped callback: the copy never arrived.
+func (x *bcastXfer) dropped(float64) { x.release() }
+
+// delivered is the record's OnDelivered callback. The receiver gets
+// its own carry only when it holds no copy of the same (query, target)
+// yet; the hop, the request observation and the probabilistic answer
+// (Sec. V-C) read the sender's copy.
+func (x *bcastXfer) delivered(at float64) {
+	s, qc, sess, from, to, sent := x.s, x.qc, x.sess, x.from, x.to, x.sent
+	x.release()
+	e := s.env
+	e.M.ControlTransferred(e.Cfg.QueryBits)
+	if qc.Q.Deadline <= at {
+		return
+	}
+	if !s.base.CarriesQueryKey(to, qc) {
+		s.base.CarryQuery(to, &scheme.QueryCarry{Q: qc.Q, Target: qc.Target, NCL: qc.NCL, Broadcast: true})
+	}
+	e.Prov.QueryHop(qc.Q.ID, qc.Target, from, to,
+		sent, at, e.XferSec(e.Cfg.QueryBits), provenance.OpQueryBcast, false)
+	s.base.Observe(to, qc.Q.Data, at)
+	if s.base.Respond(to, qc, false) {
+		s.markResponded(qc.Q.ID)
+		s.touch(to, qc.Q.Data)
+		s.base.ForwardReplies(sess, to, s.onReply, nil)
+	}
 }
 
 // isCachingNode reports whether n belongs to NCL k's caching subgraph:

@@ -331,3 +331,50 @@ func TestCoreHelpers(t *testing.T) {
 		t.Error("requester claims caching-node status without a copy")
 	}
 }
+
+// TestBroadcastDeliveryCarries pins the pooled broadcast transfer's
+// carry rule: a delivery to a node without the copy's (query, target)
+// key adds exactly one fresh broadcast carry (no spray budget), a
+// delivery to a node that already carries the key adds none, and the
+// record returns to the pool either way.
+func TestBroadcastDeliveryCarries(t *testing.T) {
+	tr := lineTrace(1000, 40000)
+	w := manualWorkload(tr)
+	s := New()
+	env, err := scheme.NewEnv(tr, w, lineConfig(tr), s, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.Sim.RunUntil(22000) // warm-up done; the query is not issued yet
+	const to = trace.NodeID(2)
+	deliver := func(qc *scheme.QueryCarry) *bcastXfer {
+		x := s.getBcast()
+		x.qc, x.from, x.to, x.sent = qc, 1, to, env.Sim.Now()
+		x.delivered(env.Sim.Now())
+		if n := len(s.bcastFree); n == 0 || s.bcastFree[n-1] != x {
+			t.Fatal("delivered record not returned to the pool")
+		}
+		return x
+	}
+	sender := &scheme.QueryCarry{Q: w.Queries[0], Target: 1, NCL: 0, Broadcast: true, Copies: 3}
+	if s.base.CarriesQueryKey(to, sender) {
+		t.Fatal("fixture: node 2 already carries the query")
+	}
+	first := deliver(sender)
+	got := s.base.Queries(to)
+	if len(got) != 1 {
+		t.Fatalf("fresh node carries %d copies, want 1", len(got))
+	}
+	want := scheme.QueryCarry{Q: sender.Q, Target: sender.Target, NCL: sender.NCL, Broadcast: true}
+	if got[0] == sender || *got[0] != want {
+		t.Fatalf("fresh carry = %+v (shared with sender: %v), want a new %+v", *got[0], got[0] == sender, want)
+	}
+
+	again := &scheme.QueryCarry{Q: w.Queries[0], Target: 1, NCL: 0, Broadcast: true}
+	if deliver(again) != first {
+		t.Error("second delivery did not reuse the pooled record")
+	}
+	if after := s.base.Queries(to); len(after) != 1 || after[0] != got[0] {
+		t.Errorf("repeat delivery changed node 2's carries: %v", after)
+	}
+}

@@ -53,8 +53,9 @@ func greedyBound(items []Item, capacity int) float64 {
 
 // FuzzSolve checks the DP solver's invariants on random instances: the
 // selection must fit the capacity, the reported value must equal the
-// selection's value, and the optimum must dominate the greedy bound.
-// It mirrors internal/trace/fuzz_test.go: properties, not goldens.
+// selection's value, the optimum must dominate the greedy bound, and
+// selection and value bits must equal the full-table DP oracle's. It
+// mirrors internal/trace/fuzz_test.go: properties, not goldens.
 func FuzzSolve(f *testing.F) {
 	f.Add(int64(1), uint8(5), uint8(10), uint16(20))
 	f.Add(int64(2), uint8(0), uint8(1), uint16(0))
@@ -89,6 +90,9 @@ func FuzzSolve(f *testing.F) {
 		}
 		if bound := greedyBound(items, capacity); val+eps < bound {
 			t.Fatalf("DP value %g below greedy bound %g", val, bound)
+		}
+		if d := matchesTable(items, capacity); d != "" {
+			t.Fatalf("table oracle: %s", d)
 		}
 		// The solver must be deterministic: same instance, same answer.
 		sel2, val2, err2 := Solve(items, capacity)

@@ -14,8 +14,11 @@
 package knapsack
 
 import (
+	"cmp"
 	"errors"
+	"slices"
 	"sort"
+	"sync"
 )
 
 // Item is one candidate data item.
@@ -41,7 +44,20 @@ var (
 // total size is at most capacity, along with the achieved value. It runs
 // the standard O(n*capacity) dynamic program; ties prefer
 // lexicographically smaller index sets so results are deterministic.
+//
+// The DP keeps one value row, updated in place from the top capacity
+// down so every read still sees the previous item's row, plus one
+// "took" bit per (item, capacity) cell for selection recovery. Both are
+// pooled scratch, so a steady stream of solves allocates only the
+// returned selection.
 func Solve(items []Item, capacity int) ([]int, float64, error) {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	return sc.solve(nil, items, capacity)
+}
+
+// solve is Solve on sc's DP buffers; it appends the selection to dst.
+func (sc *scratch) solve(dst []int, items []Item, capacity int) ([]int, float64, error) {
 	if capacity < 0 {
 		return nil, 0, ErrBadCapacity
 	}
@@ -52,37 +68,63 @@ func Solve(items []Item, capacity int) ([]int, float64, error) {
 	}
 	n := len(items)
 	if n == 0 || capacity == 0 {
-		return nil, 0, nil
+		return dst, 0, nil
 	}
-	// Textbook table-per-item DP with selection recovery; strict
-	// improvement on the take-branch makes ties prefer not taking later
-	// items, so the selected index set is deterministic.
-	rows := make([][]float64, n+1)
-	rows[0] = make([]float64, capacity+1)
-	for i := 1; i <= n; i++ {
-		rows[i] = make([]float64, capacity+1)
-		it := items[i-1]
-		prev := rows[i-1]
-		cur := rows[i]
-		for w := 0; w <= capacity; w++ {
-			cur[w] = prev[w]
-			if it.Size <= w {
-				if cand := prev[w-it.Size] + it.Value; cand > cur[w] {
-					cur[w] = cand
-				}
+	width := capacity + 1
+	sc.vals = zeroed(sc.vals, width)
+	sc.took = zeroed(sc.took, (n*width+63)>>6)
+	row, took := sc.vals, sc.took
+	// Strict improvement on the take-branch makes ties prefer not taking
+	// later items, so the selected index set is deterministic. A took bit
+	// is set exactly where a full (n+1)×(capacity+1) table would have
+	// rows[i][w] != rows[i-1][w].
+	for i, it := range items {
+		base := i * width
+		for w := capacity; w >= it.Size; w-- {
+			if cand := row[w-it.Size] + it.Value; cand > row[w] {
+				row[w] = cand
+				bit := base + w
+				took[bit>>6] |= 1 << (bit & 63)
 			}
 		}
 	}
-	var sel []int
+	first := len(dst)
 	w := capacity
-	for i := n; i >= 1; i-- {
-		if rows[i][w] != rows[i-1][w] {
-			sel = append(sel, i-1)
-			w -= items[i-1].Size
+	for i := n - 1; i >= 0; i-- {
+		if bit := i*width + w; took[bit>>6]&(1<<(bit&63)) != 0 {
+			dst = append(dst, i)
+			w -= items[i].Size
 		}
 	}
-	sort.Ints(sel)
-	return sel, rows[n][capacity], nil
+	slices.Reverse(dst[first:])
+	return dst, row[capacity], nil
+}
+
+// scratch is the reusable state of Solve's DP (vals, took) and of
+// ProbabilisticSelect's rounds (the rest).
+type scratch struct {
+	vals []float64
+	took []uint64
+
+	remaining []int  // indices into items still in the pool, ascending
+	pool      []Item // the round's pool; ID = index into items
+	sel       []int  // the round's DP selection, indices into pool
+	order     []int  // the round's offer order, indices into pool
+	accepted  []bool // per index into items
+}
+
+// scratchPool recycles scratch across calls; concurrent calls (parallel
+// sweep cells) each take their own.
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// zeroed returns s resized to n zero elements.
+func zeroed[T float64 | uint64 | bool](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // Acceptor decides whether a DP-selected item is actually cached; the
@@ -115,10 +157,13 @@ func ProbabilisticSelect(items []Item, capacity int, accept Acceptor) ([]int, er
 	if capacity < 0 {
 		return nil, ErrBadCapacity
 	}
-	remaining := make([]int, len(items)) // indices into items still in pool
-	for i := range remaining {
-		remaining[i] = i
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	remaining := sc.remaining[:0]
+	for i := range items {
+		remaining = append(remaining, i)
 	}
+	sc.accepted = zeroed(sc.accepted, len(items))
 	var chosen []int
 	rounds := 0
 	for len(remaining) > 0 && capacity >= minSize(items, remaining) {
@@ -126,15 +171,18 @@ func ProbabilisticSelect(items []Item, capacity int, accept Acceptor) ([]int, er
 		if rounds > maxRounds*len(items)+1 {
 			break
 		}
-		pool := make([]Item, len(remaining))
-		for i, idx := range remaining {
-			pool[i] = items[idx]
-			pool[i].ID = idx // track original index through the DP
+		pool := sc.pool[:0]
+		for _, idx := range remaining {
+			it := items[idx]
+			it.ID = idx // track original index through the DP
+			pool = append(pool, it)
 		}
-		sel, _, err := Solve(pool, capacity)
+		sc.pool = pool
+		sel, _, err := sc.solve(sc.sel[:0], pool, capacity)
 		if err != nil {
 			return nil, err
 		}
+		sc.sel = sel
 		if len(sel) == 0 {
 			break
 		}
@@ -144,17 +192,21 @@ func ProbabilisticSelect(items []Item, capacity int, accept Acceptor) ([]int, er
 		}
 		// Offer the whole pool in descending utility (ties: ascending
 		// original index).
-		order := make([]int, len(pool))
-		for i := range order {
-			order[i] = i
+		order := sc.order[:0]
+		for i := range pool {
+			order = append(order, i)
 		}
-		sort.Slice(order, func(a, b int) bool {
-			if pool[order[a]].Value != pool[order[b]].Value {
-				return pool[order[a]].Value > pool[order[b]].Value
+		sc.order = order
+		slices.SortFunc(order, func(a, b int) int {
+			if pool[a].Value != pool[b].Value {
+				if pool[a].Value > pool[b].Value {
+					return -1
+				}
+				return 1
 			}
-			return pool[order[a]].ID < pool[order[b]].ID
+			return cmp.Compare(pool[a].ID, pool[b].ID)
 		})
-		accepted := make(map[int]bool)
+		nAccepted := 0
 		for _, pi := range order {
 			it := pool[pi]
 			if it.Size > capacity || it.Size > budget {
@@ -164,20 +216,22 @@ func ProbabilisticSelect(items []Item, capacity int, accept Acceptor) ([]int, er
 				chosen = append(chosen, it.ID)
 				capacity -= it.Size
 				budget -= it.Size
-				accepted[it.ID] = true
+				sc.accepted[it.ID] = true
+				nAccepted++
 			}
 		}
-		if len(accepted) == 0 {
+		if nAccepted == 0 {
 			continue // all Bernoulli-rejected this round; retry
 		}
 		next := remaining[:0]
 		for _, idx := range remaining {
-			if !accepted[idx] {
+			if !sc.accepted[idx] {
 				next = append(next, idx)
 			}
 		}
 		remaining = next
 	}
+	sc.remaining = remaining
 	sort.Ints(chosen)
 	return chosen, nil
 }

@@ -1,7 +1,10 @@
 package knapsack
 
 import (
+	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -118,6 +121,191 @@ func TestSolveMatchesBruteForceProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
+	}
+}
+
+// solveTable is the textbook full-table DP Solve replaced: one
+// (n+1)×(capacity+1) value table, selection recovered by walking back
+// through cells that differ from the row above. It is the oracle that
+// pins the rolling-row solver bit for bit.
+func solveTable(items []Item, capacity int) ([]int, float64) {
+	n := len(items)
+	if n == 0 || capacity == 0 {
+		return nil, 0
+	}
+	rows := make([][]float64, n+1)
+	rows[0] = make([]float64, capacity+1)
+	for i := 1; i <= n; i++ {
+		rows[i] = make([]float64, capacity+1)
+		it := items[i-1]
+		prev := rows[i-1]
+		cur := rows[i]
+		for w := 0; w <= capacity; w++ {
+			cur[w] = prev[w]
+			if it.Size <= w {
+				if cand := prev[w-it.Size] + it.Value; cand > cur[w] {
+					cur[w] = cand
+				}
+			}
+		}
+	}
+	var sel []int
+	w := capacity
+	for i := n; i >= 1; i-- {
+		if rows[i][w] != rows[i-1][w] {
+			sel = append(sel, i-1)
+			w -= items[i-1].Size
+		}
+	}
+	sort.Ints(sel)
+	return sel, rows[n][capacity]
+}
+
+// matchesTable reports how Solve's answer differs from the table
+// oracle's, or "" when selection and value bits are identical.
+func matchesTable(items []Item, capacity int) string {
+	sel, val, err := Solve(items, capacity)
+	if err != nil {
+		return fmt.Sprintf("valid instance rejected: %v", err)
+	}
+	want, wantVal := solveTable(items, capacity)
+	if math.Float64bits(val) != math.Float64bits(wantVal) {
+		return fmt.Sprintf("value %v (bits %x), table %v (bits %x)",
+			val, math.Float64bits(val), wantVal, math.Float64bits(wantVal))
+	}
+	if !slices.Equal(sel, want) {
+		return fmt.Sprintf("selection %v, table %v", sel, want)
+	}
+	return ""
+}
+
+// TestSolveMatchesTableOracle checks the rolling-row solver against the
+// full-table DP on random instances drawn from few sizes and values, so
+// equal-value packings (ties) are common, interleaved across sizes so
+// the pooled scratch is reused at every shape.
+func TestSolveMatchesTableOracle(t *testing.T) {
+	rng := mathx.NewRand(11)
+	for trial := 0; trial < 2000; trial++ {
+		items := make([]Item, rng.Intn(16))
+		for i := range items {
+			items[i] = Item{
+				ID:    i,
+				Size:  1 + rng.Intn(6),
+				Value: float64(rng.Intn(4)) / 4,
+			}
+			if rng.Intn(8) == 0 {
+				items[i].Value = rng.Float64() // an irrational-ish sum
+			}
+		}
+		capacity := rng.Intn(40)
+		if d := matchesTable(items, capacity); d != "" {
+			t.Fatalf("trial %d (cap %d, items %v): %s", trial, capacity, items, d)
+		}
+	}
+}
+
+// probabilisticSelectRef is Algorithm 1 as ProbabilisticSelect ran it
+// before its rounds reused scratch: fresh pool, order and accepted set
+// every round, solved by the table oracle. It pins the pooled version's
+// selections and acceptor call sequence.
+func probabilisticSelectRef(items []Item, capacity int, accept Acceptor) []int {
+	remaining := make([]int, len(items))
+	for i := range remaining {
+		remaining[i] = i
+	}
+	var chosen []int
+	rounds := 0
+	for len(remaining) > 0 && capacity >= minSize(items, remaining) {
+		rounds++
+		if rounds > maxRounds*len(items)+1 {
+			break
+		}
+		pool := make([]Item, len(remaining))
+		for i, idx := range remaining {
+			pool[i] = items[idx]
+			pool[i].ID = idx
+		}
+		sel, _ := solveTable(pool, capacity)
+		if len(sel) == 0 {
+			break
+		}
+		budget := 0
+		for _, pi := range sel {
+			budget += pool[pi].Size
+		}
+		order := make([]int, len(pool))
+		for i := range order {
+			order[i] = i
+		}
+		sort.Slice(order, func(a, b int) bool {
+			if pool[order[a]].Value != pool[order[b]].Value {
+				return pool[order[a]].Value > pool[order[b]].Value
+			}
+			return pool[order[a]].ID < pool[order[b]].ID
+		})
+		accepted := make(map[int]bool)
+		for _, pi := range order {
+			it := pool[pi]
+			if it.Size > capacity || it.Size > budget {
+				continue
+			}
+			if accept(items[it.ID]) {
+				chosen = append(chosen, it.ID)
+				capacity -= it.Size
+				budget -= it.Size
+				accepted[it.ID] = true
+			}
+		}
+		if len(accepted) == 0 {
+			continue
+		}
+		next := remaining[:0]
+		for _, idx := range remaining {
+			if !accepted[idx] {
+				next = append(next, idx)
+			}
+		}
+		remaining = next
+	}
+	sort.Ints(chosen)
+	return chosen
+}
+
+// TestProbabilisticSelectMatchesReference runs Algorithm 1 and its
+// reference with identically seeded Bernoulli acceptors (probability =
+// utility, as the intentional scheme uses) on random instances with
+// frequent utility ties, and requires the same selection and the same
+// sequence of acceptor calls.
+func TestProbabilisticSelectMatchesReference(t *testing.T) {
+	gen := mathx.NewRand(23)
+	for trial := 0; trial < 1000; trial++ {
+		items := make([]Item, gen.Intn(14))
+		for i := range items {
+			items[i] = Item{ID: i, Size: 1 + gen.Intn(8), Value: float64(gen.Intn(5)) / 4}
+		}
+		capacity := gen.Intn(30)
+		seed := gen.Int63()
+		run := func(sel func(Acceptor) []int) ([]int, []int) {
+			rng := mathx.NewRand(seed)
+			var offered []int
+			got := sel(func(it Item) bool {
+				offered = append(offered, it.ID)
+				return rng.Bernoulli(min(it.Value, 1))
+			})
+			return got, offered
+		}
+		got, gotOffers := run(func(a Acceptor) []int {
+			sel, err := ProbabilisticSelect(items, capacity, a)
+			if err != nil {
+				t.Fatalf("trial %d: %v", trial, err)
+			}
+			return sel
+		})
+		want, wantOffers := run(func(a Acceptor) []int { return probabilisticSelectRef(items, capacity, a) })
+		if !slices.Equal(got, want) || !slices.Equal(gotOffers, wantOffers) {
+			t.Fatalf("trial %d (cap %d, items %v): selected %v offers %v, reference %v offers %v",
+				trial, capacity, items, got, gotOffers, want, wantOffers)
+		}
 	}
 }
 

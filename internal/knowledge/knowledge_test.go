@@ -74,8 +74,9 @@ func TestSnapshotMatchesSeedPipeline(t *testing.T) {
 							}
 						}
 					}
-					// Off-horizon weights go through the memo path; spot-check
-					// a diagonal stride both cold and warm.
+					// Off-horizon weights evaluate the materialized paths
+					// directly; spot-check a diagonal stride, twice, since
+					// a repeated read must not drift.
 					other := 0.37 * metricT
 					for i := 0; i < tr.Nodes; i++ {
 						j := (i + 7) % tr.Nodes
@@ -88,7 +89,7 @@ func TestSnapshotMatchesSeedPipeline(t *testing.T) {
 							t.Fatalf("t=%.0f: Weight(%d,%d,%.0f) = %v, seed %v", bt, i, j, other, got, want)
 						}
 						if got := snap.Weight(a, b, other); got != want {
-							t.Fatalf("t=%.0f: memoized Weight(%d,%d,%.0f) = %v, seed %v", bt, i, j, other, got, want)
+							t.Fatalf("t=%.0f: repeated Weight(%d,%d,%.0f) = %v, seed %v", bt, i, j, other, got, want)
 						}
 					}
 				}
@@ -214,8 +215,8 @@ func TestProviderCachesAndVersions(t *testing.T) {
 // goroutines walking the same refresh grid — the cross-scheme sharing
 // pattern of experiment.RunComparison — and checks every consumer
 // observes identical knowledge. Run under -race (scripts/check.sh) this
-// also proves the parallel build fan-out and the Weight memo are
-// data-race free.
+// also proves the parallel build fan-out and the off-horizon Weight
+// reads of the materialized paths are data-race free.
 func TestSnapshotSharingConcurrent(t *testing.T) {
 	tr, err := trace.GeneratePreset(trace.Infocom05, 1)
 	if err != nil {
@@ -238,7 +239,7 @@ func TestSnapshotSharingConcurrent(t *testing.T) {
 					j := (i + c + 1) % tr.Nodes
 					a, b := trace.NodeID(i), trace.NodeID(j)
 					sum += snap.MetricWeight(a, b)
-					sum += snap.Weight(a, b, 0.41*metricT) // memo path
+					sum += snap.Weight(a, b, 0.41*metricT) // off-horizon Paths read
 					sum += snap.Metrics()[i]
 				}
 			}

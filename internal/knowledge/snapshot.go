@@ -1,18 +1,9 @@
 package knowledge
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"dtncache/internal/graph"
 	"dtncache/internal/trace"
 )
-
-// memoLimit bounds the per-snapshot cache of off-horizon Weight calls.
-// Beyond it, Weight still answers correctly from the paths; it just
-// stops adding entries (remaining-time horizons are unbounded in
-// principle, and an unbounded map would leak across a long run).
-const memoLimit = 1 << 16
 
 // Snapshot is one immutable, versioned view of the network knowledge at
 // a build time: the contact-rate graph, shortest opportunistic paths
@@ -46,15 +37,6 @@ type Snapshot struct {
 	cols    []int32   // ascending column indices of non-zero weights
 	vals    []float64 // weights at MetricT, parallel to cols
 	metrics []float64 // C_i of Eq. (3) per node
-
-	memo     sync.Map // weightKey -> float64, off-horizon Weight cache
-	memoSize atomic.Int64
-}
-
-// weightKey identifies one memoized off-horizon weight evaluation.
-type weightKey struct {
-	src, dst trace.NodeID
-	t        float64
 }
 
 // Params returns the pipeline configuration the snapshot was built for
@@ -133,8 +115,11 @@ func (s *Snapshot) csrLookup(a, b trace.NodeID) float64 {
 func (s *Snapshot) WeightNNZ() int { return len(s.cols) }
 
 // Weight returns the opportunistic path weight p_ab(t): 1 for a == b, a
-// sparse-matrix lookup at the metric horizon, and a memoized Paths
-// evaluation for any other horizon.
+// sparse-matrix lookup at the metric horizon, and a direct Paths
+// evaluation for any other horizon. Every Paths is materialized at build
+// time, so the evaluation is a pure read, safe for concurrent use.
+//
+//dtn:allocfree response-probability hot path (Sec. V-C)
 func (s *Snapshot) Weight(a, b trace.NodeID, t float64) float64 {
 	if a == b {
 		return 1
@@ -146,14 +131,5 @@ func (s *Snapshot) Weight(a, b trace.NodeID, t float64) float64 {
 	if t == s.params.MetricT {
 		return s.csrLookup(a, b)
 	}
-	k := weightKey{src: a, dst: b, t: t}
-	if v, ok := s.memo.Load(k); ok {
-		return v.(float64)
-	}
-	w := s.paths[a].Weight(b, t)
-	if s.memoSize.Load() < memoLimit {
-		s.memoSize.Add(1)
-		s.memo.Store(k, w)
-	}
-	return w
+	return s.paths[a].Weight(b, t)
 }

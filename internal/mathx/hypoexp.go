@@ -115,6 +115,10 @@ func (h *Hypoexp) cdfClosedForm(t float64) float64 {
 	return p
 }
 
+// uniformizedStackHops is the longest path whose phase vectors
+// cdfUniformized keeps on the stack; longer paths allocate them.
+const uniformizedStackHops = 8
+
 // cdfUniformized evaluates the CDF by uniformizing the absorbing chain
 // 1 -> 2 -> ... -> r -> absorbed. With q = max rate, the jump matrix moves
 // phase k to k+1 with probability rates[k]/q and stays with 1-rates[k]/q.
@@ -129,8 +133,13 @@ func (h *Hypoexp) cdfUniformized(t float64) float64 {
 	}
 	qt := q * t
 	// phase occupancy vector after n jumps of the uniformized chain
-	occ := make([]float64, r)
-	next := make([]float64, r)
+	var occ, next []float64
+	if r <= uniformizedStackHops {
+		var occBuf, nextBuf [uniformizedStackHops]float64
+		occ, next = occBuf[:r], nextBuf[:r]
+	} else {
+		occ, next = make([]float64, r), make([]float64, r)
+	}
 	occ[0] = 1
 	// Poisson(qt) weights accumulated until the tail is negligible.
 	logw := -qt // log of e^{-qt} (qt)^0 / 0!

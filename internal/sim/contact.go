@@ -16,13 +16,17 @@ type Transfer struct {
 	From, To trace.NodeID
 	// Bits is the message size; zero-size transfers complete immediately.
 	Bits float64
-	// Label tags the transfer for diagnostics and metrics ("data", "query", ...).
+	// Label tags the transfer for diagnostics and fault probes ("push",
+	// "query", ...).
 	Label string
 	// OnDelivered fires when the transfer completes. It may enqueue
 	// further transfers on the same (or another active) session.
 	OnDelivered func(at Time)
 	// OnDropped fires if the contact ends (or failure injection strikes)
-	// before the transfer completes. Optional.
+	// before the transfer completes. Optional. For every transfer
+	// Enqueue accepts, exactly one of OnDelivered and OnDropped fires
+	// once the simulation runs past the contact's end, so callers may
+	// recycle per-transfer state in either.
 	OnDropped func(at Time)
 }
 
@@ -157,8 +161,6 @@ func (s *Session) finishTransfer() {
 		s.sentBits += t.Bits
 		d.deliveredTransfers++
 		d.cDelivered.Inc()
-		d.deliveredByLabel[t.Label]++
-		d.bitsByLabel[t.Label] += t.Bits
 		if t.OnDelivered != nil {
 			t.OnDelivered(d.sim.Now())
 		}
@@ -298,8 +300,6 @@ type Driver struct {
 	skippedContacts    int
 	injectedContacts   int
 	injectedCoalesced  int
-	deliveredByLabel   map[string]int
-	bitsByLabel        map[string]float64
 
 	rec        *obs.Recorder
 	cDelivered *obs.Counter
@@ -310,12 +310,10 @@ type Driver struct {
 // NewDriver creates a driver bound to the simulator and handler.
 func NewDriver(s *Simulator, h Handler, opts ...DriverOption) *Driver {
 	d := &Driver{
-		sim:              s,
-		handler:          h,
-		bandwidth:        DefaultBandwidth,
-		active:           make(map[[2]trace.NodeID]*Session),
-		deliveredByLabel: make(map[string]int),
-		bitsByLabel:      make(map[string]float64),
+		sim:       s,
+		handler:   h,
+		bandwidth: DefaultBandwidth,
+		active:    make(map[[2]trace.NodeID]*Session),
 	}
 	for _, opt := range opts {
 		opt(d)
@@ -338,13 +336,6 @@ func (d *Driver) Stats() (delivered, dropped, merged int) {
 // mid-replay. A non-nil value means the run was stopped on a truncated
 // or corrupt stream and its results must be discarded.
 func (d *Driver) FeedErr() error { return d.feedErr }
-
-// LabelStats returns the delivered transfer count and total bits for a
-// transfer label ("push", "query", "reply", ...), letting experiments
-// break traffic down by protocol function.
-func (d *Driver) LabelStats(label string) (delivered int, bits float64) {
-	return d.deliveredByLabel[label], d.bitsByLabel[label]
-}
 
 // Session returns the active session between a and b, or nil.
 func (d *Driver) Session(a, b trace.NodeID) *Session {

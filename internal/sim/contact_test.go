@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
 	"dtncache/internal/trace"
@@ -327,25 +328,153 @@ func TestMidContactEnqueueFromOutside(t *testing.T) {
 	}
 }
 
-func TestLabelStats(t *testing.T) {
-	s := New()
-	rec := &recorder{onStart: func(sess *Session) {
-		sess.Enqueue(Transfer{From: 0, To: 1, Bits: 1000, Label: "push"})
-		sess.Enqueue(Transfer{From: 0, To: 1, Bits: 500, Label: "push"})
-		sess.Enqueue(Transfer{From: 1, To: 0, Bits: 80, Label: "query"})
-	}}
-	d := NewDriver(s, rec)
-	if err := d.Load(twoNodeTrace(10, 50)); err != nil {
-		t.Fatal(err)
+// callbackTally tracks, per transfer, how often each completion
+// callback fired.
+type callbackTally struct {
+	delivered, dropped []int
+	accepted           []bool
+	// afterDelivery, when set, runs after a delivery is counted.
+	afterDelivery func(id int)
+}
+
+// enqueue offers a transfer of the given service time (seconds at the
+// default bandwidth) and records whether the session accepted it.
+func (c *callbackTally) enqueue(sess *Session, from, to trace.NodeID, secs float64, label string) int {
+	id := len(c.accepted)
+	c.delivered = append(c.delivered, 0)
+	c.dropped = append(c.dropped, 0)
+	ok := sess.Enqueue(Transfer{From: from, To: to, Bits: secs * DefaultBandwidth, Label: label,
+		OnDelivered: func(Time) {
+			c.delivered[id]++
+			if c.afterDelivery != nil {
+				c.afterDelivery(id)
+			}
+		},
+		OnDropped: func(Time) { c.dropped[id]++ }})
+	c.accepted = append(c.accepted, ok)
+	return id
+}
+
+// labelKillProbe is a FaultProbe that kills only transfers carrying
+// its label.
+type labelKillProbe string
+
+func (labelKillProbe) NodeDown(trace.NodeID) bool           { return false }
+func (labelKillProbe) TruncateContact(c trace.Contact) Time { return c.End }
+func (p labelKillProbe) KillTransfer(_, _ trace.NodeID, _ float64, label string) bool {
+	return label == string(p)
+}
+
+// TestEnqueuedTransferFiresExactlyOnce pins the completion contract
+// pooled transfer records rely on: every transfer Enqueue accepted
+// fires exactly one of OnDelivered/OnDropped, whatever ends it, and a
+// rejected transfer fires neither.
+func TestEnqueuedTransferFiresExactlyOnce(t *testing.T) {
+	cases := []struct {
+		name       string
+		start, end float64
+		opts       []DriverOption
+		// run enqueues on the opening session; it may schedule further
+		// events on the simulator.
+		run            func(c *callbackTally, s *Simulator, d *Driver, sess *Session)
+		wantDelivered  int
+		wantDroppedIDs []int
+	}{
+		{
+			name: "delivered, chained from a callback", start: 10, end: 50,
+			run: func(c *callbackTally, _ *Simulator, _ *Driver, sess *Session) {
+				a := c.enqueue(sess, 0, 1, 1, "a")
+				c.enqueue(sess, 1, 0, 1, "b")
+				c.afterDelivery = func(id int) {
+					if id == a {
+						c.enqueue(sess, 0, 1, 1, "c")
+					}
+				}
+			},
+			wantDelivered: 3,
+		},
+		{
+			name: "contact ends with a queue", start: 10, end: 12.5,
+			run: func(c *callbackTally, _ *Simulator, _ *Driver, sess *Session) {
+				for i := 0; i < 4; i++ {
+					c.enqueue(sess, 0, 1, 1, "q")
+				}
+			},
+			wantDelivered: 2, wantDroppedIDs: []int{2, 3},
+		},
+		{
+			name: "unfitting head", start: 10, end: 12,
+			run: func(c *callbackTally, _ *Simulator, _ *Driver, sess *Session) {
+				c.enqueue(sess, 0, 1, 5, "big")
+				c.enqueue(sess, 1, 0, 0.5, "small")
+			},
+			wantDroppedIDs: []int{0, 1},
+		},
+		{
+			name: "fault KillTransfer", start: 10, end: 50, opts: []DriverOption{WithFaults(labelKillProbe("kill"))},
+			run: func(c *callbackTally, _ *Simulator, _ *Driver, sess *Session) {
+				c.enqueue(sess, 0, 1, 1, "ok")
+				c.enqueue(sess, 0, 1, 1, "kill")
+				c.enqueue(sess, 1, 0, 1, "ok")
+			},
+			wantDelivered: 2, wantDroppedIDs: []int{1},
+		},
+		{
+			name: "CloseNode mid-transfer", start: 10, end: 50,
+			run: func(c *callbackTally, s *Simulator, d *Driver, sess *Session) {
+				c.enqueue(sess, 0, 1, 1, "inflight")
+				c.enqueue(sess, 1, 0, 1, "queued")
+				c.enqueue(sess, 0, 1, 1, "queued")
+				_ = s.Schedule(10.5, func() {
+					if n := d.CloseNode(0); n != 1 {
+						t.Errorf("CloseNode closed %d sessions, want 1", n)
+					}
+					// The closed session rejects further transfers.
+					c.enqueue(sess, 0, 1, 1, "late")
+				})
+			},
+			wantDroppedIDs: []int{0, 1, 2},
+		},
+		{
+			name: "rejected endpoints", start: 10, end: 50,
+			run: func(c *callbackTally, _ *Simulator, _ *Driver, sess *Session) {
+				c.enqueue(sess, 0, 0, 1, "loop")
+			},
+		},
 	}
-	s.Run()
-	if n, bits := d.LabelStats("push"); n != 2 || bits != 1500 {
-		t.Errorf("push stats = %d, %v", n, bits)
-	}
-	if n, bits := d.LabelStats("query"); n != 1 || bits != 80 {
-		t.Errorf("query stats = %d, %v", n, bits)
-	}
-	if n, _ := d.LabelStats("nope"); n != 0 {
-		t.Errorf("unknown label = %d", n)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New()
+			c := &callbackTally{}
+			var d *Driver
+			rec := &recorder{onStart: func(sess *Session) { tc.run(c, s, d, sess) }}
+			d = NewDriver(s, rec, tc.opts...)
+			if err := d.Load(twoNodeTrace(tc.start, tc.end)); err != nil {
+				t.Fatal(err)
+			}
+			s.Run()
+			delivered := 0
+			var dropped []int
+			for id, ok := range c.accepted {
+				fired := c.delivered[id] + c.dropped[id]
+				switch {
+				case ok && fired != 1:
+					t.Errorf("transfer %d: delivered %d + dropped %d callbacks, want exactly 1",
+						id, c.delivered[id], c.dropped[id])
+				case !ok && fired != 0:
+					t.Errorf("rejected transfer %d fired %d callbacks", id, fired)
+				}
+				delivered += c.delivered[id]
+				if c.dropped[id] > 0 {
+					dropped = append(dropped, id)
+				}
+			}
+			if delivered != tc.wantDelivered {
+				t.Errorf("delivered %d, want %d", delivered, tc.wantDelivered)
+			}
+			if !slices.Equal(dropped, tc.wantDroppedIDs) {
+				t.Errorf("dropped %v, want %v", dropped, tc.wantDroppedIDs)
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@
 # Tier-2 pre-merge gate: everything the determinism contract depends on.
 #
 #   go vet            — stock correctness vet
+#   gofmt -l          — formatting of every non-generated Go file
 #   dtnlint           — the determinism + concurrency-readiness lint
 #                       suite (see DESIGN.md "Static analysis"),
 #                       including the stale //lint:allow sweep
@@ -18,6 +19,18 @@ cd "$(dirname "$0")/.."
 
 echo "== go vet ./..."
 go vet ./...
+
+# Formatting: every hand-written Go file must be gofmt-clean. Generated
+# files (the standard "// Code generated ... DO NOT EDIT." header) and
+# the benchmark's build tree are skipped.
+echo "== gofmt -l"
+mapfile -t unformatted < <(find . \( -path ./.git -o -path ./.bench_build \) -prune -o \
+    -name '*.go' -type f -print0 | xargs -0 -r grep -L '^// Code generated .* DO NOT EDIT\.$' |
+    xargs -r gofmt -l)
+if [[ ${#unformatted[@]} -gt 0 ]]; then
+    printf 'check: not gofmt-clean: %s\n' "${unformatted[@]}" >&2
+    exit 1
+fi
 
 echo "== dtnlint ./..."
 go run ./cmd/dtnlint ./...
