@@ -74,17 +74,27 @@ func (b *Builder) Build(t float64, base *Snapshot, version int) *Snapshot {
 // contract), so pooling is invisible to determinism.
 var scratchPool = sync.Pool{New: func() any { return new(graph.PathScratch) }}
 
+// weightRow is pass 1's staging area for one source's non-zero weights.
+type weightRow struct {
+	cols []int32
+	vals []float64
+}
+
+// rowPool recycles the length-n staging rows across sources and builds.
+var rowPool = sync.Pool{New: func() any { return new(weightRow) }}
+
 // buildFromCounts is Build with the contact counting already done —
 // the Provider supplies counts from its contact feed instead of a
 // contact slice. counts may be nil when t <= 0.
 //
-// The weight matrix is built in two passes so its CSR slabs can be
-// sized exactly: pass 1 computes each dirty source's paths, its Eq. (3)
-// metric (summing every off-diagonal weight, zeros included, in the
-// same order as the dense build — bit-identical by construction), and
-// its non-zero count; after a prefix sum sizes the slabs, pass 2 fills
-// each row's index-owned range. The second weight evaluation per entry
-// is a pure read of the materialized hypoexponentials.
+// Each weight is evaluated once. Pass 1 computes each dirty source's
+// paths and its Eq. (3) metric, summing every off-diagonal weight,
+// zeros included, in the same order as the dense build (bit-identical
+// by construction). The same loop stages the row's non-zero (column,
+// weight) pairs in a pooled length-n row and copies them out at exact
+// size, so no append growth is left behind. Clean rows are subslices
+// of the base's slabs. Once every row's length is known, a prefix sum
+// sizes the CSR slabs and pass 2 copies the rows into them in order.
 func (b *Builder) buildFromCounts(counts []int, t float64, base *Snapshot, version int) *Snapshot {
 	n := b.params.Nodes
 	s := &Snapshot{
@@ -121,10 +131,10 @@ func (b *Builder) buildFromCounts(counts []int, t float64, base *Snapshot, versi
 		isDirty[i] = true
 	}
 
-	rowLen := make([]int32, n)
+	// rows[i] holds source i's non-zero weights until pass 2.
+	rows := make([]weightRow, n)
 
-	// Clean sources: carry the base's artifacts over unchanged (the CSR
-	// row contents follow in pass 2, once the slabs exist).
+	// Clean sources: carry the base's artifacts over unchanged.
 	if len(dirty) < n {
 		for i := 0; i < n; i++ {
 			if isDirty[i] {
@@ -132,13 +142,14 @@ func (b *Builder) buildFromCounts(counts []int, t float64, base *Snapshot, versi
 			}
 			s.paths[i] = base.paths[i]
 			s.metrics[i] = base.metrics[i]
-			rowLen[i] = base.rowPtr[i+1] - base.rowPtr[i]
+			lo, hi := base.rowPtr[i], base.rowPtr[i+1]
+			rows[i] = weightRow{cols: base.cols[lo:hi], vals: base.vals[lo:hi]}
 			s.reused++
 		}
 	}
 
 	// Pass 1 — dirty sources: recompute paths, the Eq. (3) metric, and
-	// the row's non-zero count, in parallel across index-owned slots.
+	// the row's non-zero weights, in parallel across index-owned slots.
 	// Evaluating the full weight row also materializes every reachable
 	// hypoexponential, so the published snapshot is never mutated again.
 	forEachSource(len(dirty), func(k int) {
@@ -148,8 +159,12 @@ func (b *Builder) buildFromCounts(counts []int, t float64, base *Snapshot, versi
 		scratchPool.Put(scratch)
 		p.Materialize()
 		s.paths[i] = p
+		stage := rowPool.Get().(*weightRow)
+		if cap(stage.cols) < n {
+			stage.cols, stage.vals = make([]int32, n), make([]float64, n)
+		}
 		var sum float64
-		var nnz int32
+		nnz := 0
 		for j := 0; j < n; j++ {
 			if j == i {
 				continue
@@ -157,50 +172,35 @@ func (b *Builder) buildFromCounts(counts []int, t float64, base *Snapshot, versi
 			w := p.Weight(trace.NodeID(j), b.params.MetricT)
 			sum += w
 			if w != 0 {
+				stage.cols[nnz] = int32(j)
+				stage.vals[nnz] = w
 				nnz++
 			}
 		}
-		rowLen[i] = nnz
+		if nnz > 0 {
+			rows[i] = weightRow{
+				cols: append(make([]int32, 0, nnz), stage.cols[:nnz]...),
+				vals: append(make([]float64, 0, nnz), stage.vals[:nnz]...),
+			}
+		}
+		rowPool.Put(stage)
 		if n > 1 {
 			s.metrics[i] = sum / float64(n-1)
 		}
 	})
 
-	// Size and fill the CSR slabs.
+	// Pass 2 — size the CSR slabs and copy every row into its range.
 	s.rowPtr = make([]int32, n+1)
-	for i := 0; i < n; i++ {
-		s.rowPtr[i+1] = s.rowPtr[i] + rowLen[i]
+	for i, row := range rows {
+		s.rowPtr[i+1] = s.rowPtr[i] + int32(len(row.cols))
 	}
 	nnz := s.rowPtr[n]
-	s.cols = make([]int32, nnz)
-	s.vals = make([]float64, nnz)
-
-	// Pass 2 — every row fills its own slab range: dirty rows from the
-	// materialized paths, clean rows copied from the base's slabs.
-	forEachSource(n, func(i int) {
-		lo, hi := s.rowPtr[i], s.rowPtr[i+1]
-		if lo == hi {
-			return
-		}
-		if !isDirty[i] {
-			blo := base.rowPtr[i]
-			copy(s.cols[lo:hi], base.cols[blo:blo+hi-lo])
-			copy(s.vals[lo:hi], base.vals[blo:blo+hi-lo])
-			return
-		}
-		p := s.paths[i]
-		k := lo
-		for j := 0; j < n; j++ {
-			if j == i {
-				continue
-			}
-			if w := p.Weight(trace.NodeID(j), b.params.MetricT); w != 0 {
-				s.cols[k] = int32(j)
-				s.vals[k] = w
-				k++
-			}
-		}
-	})
+	s.cols = make([]int32, 0, nnz)
+	s.vals = make([]float64, 0, nnz)
+	for _, row := range rows {
+		s.cols = append(s.cols, row.cols...)
+		s.vals = append(s.vals, row.vals...)
+	}
 	return s
 }
 

@@ -157,12 +157,22 @@ func TestIncrementalEpsilonReuse(t *testing.T) {
 	if s2.ReusedSources() != 4 {
 		t.Fatalf("epsilon incremental reused %d sources, want 4", s2.ReusedSources())
 	}
-	// The stale component keeps the base's artifacts verbatim.
+	// The stale component keeps the base's artifacts verbatim: metric
+	// and weight row.
 	m1, m2 := s1.Metrics(), s2.Metrics()
 	for _, i := range []int{0, 1, 2, 5} {
 		if m2[i] != m1[i] {
 			t.Errorf("metric[%d] changed on a reused source: %v -> %v", i, m1[i], m2[i])
 		}
+		for j := 0; j < params.Nodes; j++ {
+			a, bb := trace.NodeID(i), trace.NodeID(j)
+			if w1, w2 := s1.MetricWeight(a, bb), s2.MetricWeight(a, bb); w2 != w1 {
+				t.Errorf("MetricWeight(%d,%d) changed on a reused source: %v -> %v", i, j, w1, w2)
+			}
+		}
+	}
+	if s2.WeightNNZ() != s1.WeightNNZ() {
+		t.Errorf("WeightNNZ: %d -> %d", s1.WeightNNZ(), s2.WeightNNZ())
 	}
 	// The dirty component really was recomputed against the new rates.
 	fullM := b.Build(51, nil, 2).Metrics()

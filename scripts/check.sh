@@ -72,7 +72,7 @@ go test -race -count=1 ./internal/fault/...
 
 echo "== fuzz seed corpora (short mode)"
 go test -count=1 -run '^Fuzz' ./internal/trace ./internal/knapsack ./internal/sim \
-    ./internal/obs ./internal/analysis ./internal/wal
+    ./internal/obs ./internal/analysis ./internal/wal ./internal/mathx
 
 # Run-trace byte identity: record the same Infocom05 run twice and
 # require identical bytes — the determinism guarantee DESIGN.md's
@@ -161,6 +161,7 @@ if [[ -n "${CHECK_FUZZ_TIME:-}" ]]; then
         "./internal/trace FuzzReadChunked"
         "./internal/knapsack FuzzSolve"
         "./internal/knapsack FuzzProbabilisticSelect"
+        "./internal/mathx FuzzHypoexpCDF"
         "./internal/sim FuzzEventHeapOrdering"
         "./internal/obs FuzzEncodeEvent"
         "./internal/obs FuzzEncodeSpan"
