@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -143,6 +144,11 @@ func TestLivePublishQueryAdvance(t *testing.T) {
 	}
 	if _, err := eng.Query(engine.QuerySpec{Requester: 2, Data: 99}); err == nil {
 		t.Error("unknown data ID must fail")
+	}
+	for _, c := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if _, err := eng.Query(engine.QuerySpec{Requester: 2, Data: item.ID, ConstraintSec: c}); err == nil {
+			t.Errorf("time constraint %v must fail", c)
+		}
 	}
 	res, err := eng.Query(engine.QuerySpec{Requester: 2, Data: item.ID})
 	if err != nil {

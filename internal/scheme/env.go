@@ -16,6 +16,7 @@ package scheme
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"dtncache/internal/buffer"
 	"dtncache/internal/fault"
@@ -584,8 +585,8 @@ func (e *Env) InjectQuery(requester trace.NodeID, id workload.DataID, constraint
 	if id < 0 || int(id) >= len(e.W.Data) {
 		return q, false, fmt.Errorf("scheme: unknown data ID %d", id)
 	}
-	if constraintSec <= 0 {
-		return q, false, errors.New("scheme: query time constraint must be positive")
+	if !(constraintSec > 0) || math.IsInf(constraintSec, 1) {
+		return q, false, errors.New("scheme: query time constraint must be positive and finite")
 	}
 	now := e.Sim.Now()
 	q = workload.Query{
