@@ -127,6 +127,11 @@ type Intentional struct {
 
 	// bcastFree pools broadcast-query transfer records (bcastXfer).
 	bcastFree []*bcastXfer
+	// bcastMember memoizes, per NCL index, whether broadcastQueries'
+	// peer is in that NCL's caching subgraph (0 unknown, 1 yes, 2 no).
+	bcastMember []uint8
+	// repl is replace's reusable working memory.
+	repl replScratch
 	// onReply is the replyDelivered method value, bound once in Init so
 	// per-contact reply forwarding does not allocate it.
 	onReply scheme.ReplyDelivered
@@ -321,14 +326,16 @@ func (s *Intentional) queryAtCenter(center trace.NodeID, qc *scheme.QueryCarry) 
 // subgraph. Unlike gradient forwarding, broadcast copies replicate.
 // Each transfer rides a pooled bcastXfer record instead of a fresh
 // copy and closure: broadcast copies are the bulk of all transfers.
+//
+// The peer's subgraph membership is resolved once per NCL, not once per
+// copy: the loop only enqueues transfers, so the peer's buffer cannot
+// change inside it.
 func (s *Intentional) broadcastQueries(sess *sim.Session, from trace.NodeID) {
 	to := sess.Peer(from)
 	now := s.env.Sim.Now()
+	cleared(&s.bcastMember, len(s.env.NCLs()))
 	s.base.ForEachQuery(from, func(qc *scheme.QueryCarry) {
-		if !qc.Broadcast || qc.Q.Deadline <= now {
-			return
-		}
-		if !s.isCachingNode(to, qc.NCL) {
+		if !qc.Broadcast || qc.Q.Deadline <= now || !s.peerCaches(to, qc.NCL) {
 			return
 		}
 		x := s.getBcast()
@@ -340,6 +347,22 @@ func (s *Intentional) broadcastQueries(sess *sim.Session, from trace.NodeID) {
 			x.release()
 		}
 	})
+}
+
+// peerCaches is isCachingNode(to, k) for broadcastQueries' peer,
+// memoized per NCL in bcastMember for the duration of one call.
+func (s *Intentional) peerCaches(to trace.NodeID, k int) bool {
+	m := s.bcastMember
+	if k < 0 || k >= len(m) {
+		return s.isCachingNode(to, k)
+	}
+	if m[k] == 0 {
+		m[k] = 2
+		if s.isCachingNode(to, k) {
+			m[k] = 1
+		}
+	}
+	return m[k] == 1
 }
 
 // bcastXfer is one in-flight broadcast query copy. Records are pooled

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"dtncache/internal/buffer"
@@ -47,31 +48,31 @@ func (s *Intentional) replace(sess *sim.Session) {
 		return
 	}
 
+	sc := &s.repl
 	quant := e.Cfg.QuantBits
-	items := make([]knapsack.Item, len(pool))
+	items := sc.items[:0]
 	for i, p := range pool {
-		items[i] = knapsack.Item{
+		items = append(items, knapsack.Item{
 			ID:    i,
 			Size:  int(math.Ceil(p.item.SizeBits / quant)),
 			Value: p.utility,
-		}
+		})
 	}
+	sc.items = items
+	inA, inB := cleared(&sc.inA, len(pool)), cleared(&sc.inB, len(pool))
 	capA, capB := s.replCapacity(a, pinnedA, quant), s.replCapacity(b, pinnedB, quant)
-	selA := s.selectFor(items, capA)
-	inA := make(map[int]bool, len(selA))
-	for _, i := range selA {
+	for _, i := range s.selectFor(items, capA) {
 		inA[i] = true
 		capA -= items[i].Size
 	}
-	var rest []knapsack.Item
+	rest := sc.rest[:0]
 	for i := range items {
 		if !inA[i] {
 			rest = append(rest, items[i])
 		}
 	}
-	selB := s.selectFor(rest, capB)
-	inB := make(map[int]bool, len(selB))
-	for _, ri := range selB {
+	sc.rest = rest
+	for _, ri := range s.selectFor(rest, capB) {
 		inB[rest[ri].ID] = true
 		capB -= rest[ri].Size
 	}
@@ -79,12 +80,13 @@ func (s *Intentional) replace(sess *sim.Session) {
 	// not discard it: data is dropped only when neither buffer has room
 	// (the d6 case of Fig. 8). Greedily place leftovers, most useful
 	// first, preferring the lower-priority node B.
-	leftovers := make([]int, 0, len(items))
+	leftovers := sc.leftovers[:0]
 	for i := range items {
 		if !inA[i] && !inB[i] {
 			leftovers = append(leftovers, i)
 		}
 	}
+	sc.leftovers = leftovers
 	sort.Slice(leftovers, func(x, y int) bool {
 		ix, iy := leftovers[x], leftovers[y]
 		if items[ix].Value != items[iy].Value {
@@ -111,6 +113,28 @@ func (s *Intentional) replace(sess *sim.Session) {
 	s.applyPlan(sess, a, b, pool, inA, inB)
 }
 
+// replScratch is replace's working memory, reused across contacts.
+// replace never re-enters itself (transfers complete through the event
+// heap), so one scratch per scheme suffices.
+type replScratch struct {
+	pool      []poolItem
+	items     []knapsack.Item
+	rest      []knapsack.Item
+	leftovers []int
+	inA, inB  []bool
+}
+
+// cleared resizes *buf to n zero values, reusing its array.
+func cleared[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	b := (*buf)[:n]
+	clear(b)
+	*buf = b
+	return b
+}
+
 // nclWeight is node n's closeness to the NCLs: its best opportunistic
 // weight toward any central node, read from the knowledge snapshot's
 // precomputed weight matrix.
@@ -131,51 +155,45 @@ func (s *Intentional) nclWeight(n trace.NodeID) float64 {
 // unrequested data is not dropped outright (footnote 3). It also returns
 // the buffer space at each node pinned by copies excluded from the pool
 // (same item homed at different NCLs on both sides).
+//
+// The pool is a merge of the two buffers, both sorted by ascending data
+// ID, so it comes out in ascending-ID order with no map or sort, and
+// pinnedA/pinnedB are summed in that fixed order (float addition in
+// map-iteration order would make them run-dependent in the last ulps).
+// The returned slice is scratch, valid until the next call.
+//
+//dtn:allocfree steady state reuses the pool's backing array (TestBuildPoolZeroAlloc)
 func (s *Intentional) buildPool(a, b trace.NodeID, now float64) (pool []poolItem, pinnedA, pinnedB float64) {
 	e := s.env
-	byID := make(map[workload.DataID]*poolItem)
-	collect := func(n trace.NodeID, isA bool) {
-		for _, en := range e.Buffers[n].Entries() {
-			if en.Data.Expired(now) {
-				continue
-			}
-			// Copies with an outstanding push/migration transfer keep
-			// single-copy custody; leave them out of this exchange.
-			if s.inflightPush[pushTransfer{holder: n, data: en.Data.ID, ncl: en.Home}] {
-				continue
-			}
-			p, ok := byID[en.Data.ID]
-			if !ok {
-				p = &poolItem{item: en.Data, homeA: -1, homeB: -1}
-				byID[en.Data.ID] = p
-			}
-			if isA {
-				p.atA = true
-				p.homeA = en.Home
-				p.transitA = en.InTransit
-			} else {
-				p.atB = true
-				p.homeB = en.Home
-				p.transitB = en.InTransit
-			}
+	ea, eb := e.Buffers[a].Entries(), e.Buffers[b].Entries()
+	// Grow once to the bound len(ea)+len(eb), so the merge below only
+	// reslices within capacity.
+	pool = slices.Grow(s.repl.pool[:0], len(ea)+len(eb))
+	for i, j := 0, 0; ; {
+		for i < len(ea) && !s.poolable(a, ea[i], now) {
+			i++
 		}
-	}
-	collect(a, true)
-	collect(b, false)
-	if len(byID) == 0 {
-		return nil, 0, 0
-	}
-	// Iterate the pool in sorted data-ID order: pinnedA/pinnedB are
-	// floating-point sums, and float addition in map-iteration order
-	// would make the result run-dependent in the last ulps.
-	ids := make([]workload.DataID, 0, len(byID))
-	for id := range byID {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	pool = make([]poolItem, 0, len(byID))
-	for _, id := range ids {
-		p := byID[id]
+		for j < len(eb) && !s.poolable(b, eb[j], now) {
+			j++
+		}
+		var p poolItem
+		switch {
+		case i < len(ea) && (j == len(eb) || ea[i].Data.ID <= eb[j].Data.ID):
+			en := ea[i]
+			i++
+			p = poolItem{item: en.Data, atA: true, homeA: en.Home, transitA: en.InTransit, homeB: -1}
+			if j < len(eb) && eb[j].Data.ID == en.Data.ID {
+				p.atB, p.homeB, p.transitB = true, eb[j].Home, eb[j].InTransit
+				j++
+			}
+		case j < len(eb):
+			en := eb[j]
+			j++
+			p = poolItem{item: en.Data, atB: true, homeA: -1, homeB: en.Home, transitB: en.InTransit}
+		default:
+			s.repl.pool = pool
+			return pool, pinnedA, pinnedB
+		}
 		if p.atA && p.atB && p.homeA != p.homeB {
 			// Copies of the same item belonging to different NCLs are
 			// intentional redundancy ("one copy of data is cached at
@@ -189,10 +207,18 @@ func (s *Intentional) buildPool(a, b trace.NodeID, now float64) (pool []poolItem
 		sb := s.base.Stats(b, p.item.ID)
 		u := math.Max(e.Popularity(&sa, p.item.Expires), e.Popularity(&sb, p.item.Expires))
 		p.utility = math.Max(u, s.utilityFloor)
-		pool = append(pool, *p)
+		pool = pool[:len(pool)+1]
+		pool[len(pool)-1] = p
 	}
-	// pool is already in ascending item-ID order because ids is sorted.
-	return pool, pinnedA, pinnedB
+}
+
+// poolable reports whether node n's entry joins the replacement pool:
+// it is live, and no push or migration transfer of it is outstanding
+// (such copies keep single-copy custody and sit this exchange out).
+//
+//dtn:allocfree
+func (s *Intentional) poolable(n trace.NodeID, en *buffer.Entry, now float64) bool {
+	return !en.Data.Expired(now) && !s.inflightPush[pushTransfer{holder: n, data: en.Data.ID, ncl: en.Home}]
 }
 
 // replCapacity is the knapsack capacity of node n in quanta: total
@@ -244,7 +270,7 @@ func (s *Intentional) selectFor(items []knapsack.Item, capacity int) []int {
 // collapse to the selected node, unselected items are dropped, and items
 // selected at the node not holding them migrate over the contact.
 func (s *Intentional) applyPlan(sess *sim.Session, a, b trace.NodeID,
-	pool []poolItem, inA, inB map[int]bool) {
+	pool []poolItem, inA, inB []bool) {
 	e := s.env
 	now := e.Sim.Now()
 	for i, p := range pool {

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"math"
+	"sort"
 	"testing"
 
+	"dtncache/internal/mathx"
 	"dtncache/internal/scheme"
 	"dtncache/internal/trace"
 	"dtncache/internal/workload"
@@ -152,5 +155,131 @@ func TestSelectForDeterministicWithoutBernoulli(t *testing.T) {
 	pool, _, _ := s.buildPool(0, 1, now)
 	if len(pool) != 1 {
 		t.Fatalf("pool = %d", len(pool))
+	}
+}
+
+// referencePool is the map-and-sort buildPool the merge replaced: group
+// both buffers' eligible entries by data ID, then walk the IDs in
+// ascending order. The merged pool must equal it field for field, with
+// bit-identical pinned sums.
+func referencePool(s *Intentional, a, b trace.NodeID, now float64) (pool []poolItem, pinnedA, pinnedB float64) {
+	byID := make(map[workload.DataID]*poolItem)
+	for _, side := range []struct {
+		n   trace.NodeID
+		isA bool
+	}{{a, true}, {b, false}} {
+		for _, en := range s.env.Buffers[side.n].Entries() {
+			if !s.poolable(side.n, en, now) {
+				continue
+			}
+			p, ok := byID[en.Data.ID]
+			if !ok {
+				p = &poolItem{item: en.Data, homeA: -1, homeB: -1}
+				byID[en.Data.ID] = p
+			}
+			if side.isA {
+				p.atA, p.homeA, p.transitA = true, en.Home, en.InTransit
+			} else {
+				p.atB, p.homeB, p.transitB = true, en.Home, en.InTransit
+			}
+		}
+	}
+	ids := make([]workload.DataID, 0, len(byID))
+	for id := range byID {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	for _, id := range ids {
+		p := byID[id]
+		if p.atA && p.atB && p.homeA != p.homeB {
+			pinnedA += p.item.SizeBits
+			pinnedB += p.item.SizeBits
+			continue
+		}
+		sa, sb := s.base.Stats(a, id), s.base.Stats(b, id)
+		u := math.Max(s.env.Popularity(&sa, p.item.Expires), s.env.Popularity(&sb, p.item.Expires))
+		p.utility = math.Max(u, s.utilityFloor)
+		pool = append(pool, *p)
+	}
+	return pool, pinnedA, pinnedB
+}
+
+// fillBuffers stages random contents on nodes 0 and 1: overlapping
+// item sets, mixed NCL homes and transit flags, some expired items,
+// some copies mid-transfer, and request histories for the utilities.
+func fillBuffers(t *testing.T, env *scheme.Env, s *Intentional, rng *mathx.Rand, now float64) {
+	t.Helper()
+	for _, n := range []trace.NodeID{0, 1} {
+		for env.Buffers[n].Len() > 0 {
+			env.Buffers[n].Remove(env.Buffers[n].Entries()[0].Data.ID)
+		}
+	}
+	clear(s.inflightPush)
+	for id := 0; id < 40; id++ {
+		item := workload.DataItem{ID: workload.DataID(id), Source: 2,
+			SizeBits: float64(1+rng.Intn(7)) * 1.1e6, Created: now - 100, Expires: now + 5000}
+		if rng.Bernoulli(0.1) {
+			item.Expires = now - 1
+		}
+		for _, n := range []trace.NodeID{0, 1} {
+			if !rng.Bernoulli(0.5) {
+				continue
+			}
+			en, err := env.Buffers[n].Put(item, now)
+			if err != nil {
+				t.Fatal(err)
+			}
+			en.Home = rng.Intn(2)
+			en.InTransit = rng.Bernoulli(0.3)
+			if rng.Bernoulli(0.1) {
+				s.inflightPush[pushTransfer{holder: n, data: item.ID, ncl: en.Home}] = true
+			}
+			if rng.Bernoulli(0.5) {
+				s.base.Observe(n, item.ID, now-float64(rng.Intn(90)))
+			}
+		}
+	}
+}
+
+func TestBuildPoolMatchesMapReference(t *testing.T) {
+	env, s, _ := replacementFixture(t)
+	now := env.Sim.Now()
+	rng := mathx.NewRand(3)
+	for trial := 0; trial < 50; trial++ {
+		fillBuffers(t, env, s, rng, now)
+		for _, ab := range [][2]trace.NodeID{{0, 1}, {1, 0}} {
+			want, wantA, wantB := referencePool(s, ab[0], ab[1], now)
+			got, gotA, gotB := s.buildPool(ab[0], ab[1], now)
+			if len(got) != len(want) {
+				t.Fatalf("trial %d: pool has %d items, reference %d", trial, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d: pool[%d] = %+v, reference %+v", trial, i, got[i], want[i])
+				}
+			}
+			if math.Float64bits(gotA) != math.Float64bits(wantA) || math.Float64bits(gotB) != math.Float64bits(wantB) {
+				t.Fatalf("trial %d: pinned %v/%v, reference %v/%v", trial, gotA, gotB, wantA, wantB)
+			}
+		}
+	}
+}
+
+// TestBuildPoolZeroAlloc: once the pool's array has grown to the
+// largest exchange seen, building a pool allocates nothing.
+//
+//dtn:allocfree the measured closure may not allocate
+func TestBuildPoolZeroAlloc(t *testing.T) {
+	env, s, _ := replacementFixture(t)
+	now := env.Sim.Now()
+	fillBuffers(t, env, s, mathx.NewRand(4), now)
+	if pool, _, _ := s.buildPool(0, 1, now); len(pool) == 0 {
+		t.Fatal("empty pool: the fixture staged nothing")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		s.buildPool(0, 1, now)
+	})
+	if allocs != 0 {
+		t.Errorf("buildPool: %.1f allocs/op, want 0", allocs)
 	}
 }

@@ -127,11 +127,12 @@ func (e *Engine) Now() float64 {
 // horizon).
 func (e *Engine) Duration() float64 { return e.cfg.Trace.Duration }
 
-// Pending returns the number of queued simulation events.
+// Pending returns the number of queued simulation events, counting
+// each batch workload item not yet fed to the event heap as one.
 func (e *Engine) Pending() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.env.Sim.Pending()
+	return e.env.Pending()
 }
 
 // Processed returns the cumulative number of dispatched events.

@@ -388,3 +388,54 @@ func TestConcurrentCloseDuringOps(t *testing.T) {
 		t.Errorf("IngestContacts after close: %v", err)
 	}
 }
+
+// TestBatchEngineLiveInjection drives Publish and Query into a batch
+// (non-live) engine mid-run. The injected item and query append to the
+// workload while the batch schedule is still being fed, so they must
+// neither be dispatched a second time nor displace batch items. The
+// expected values were computed with the workload preloaded into the
+// event heap, one event per data item and query.
+func TestBatchEngineLiveInjection(t *testing.T) {
+	tr := infocom(t)
+	eng, err := engine.New(engine.Config{Trace: tr, AvgLifetime: 12 * 3600})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := eng.Pending(), pinnedPendingStart; got != want {
+		t.Errorf("Pending() at t=0 = %d, want %d", got, want)
+	}
+	if _, err := eng.Advance(0.55 * tr.Duration); err != nil {
+		t.Fatal(err)
+	}
+	item, err := eng.Publish(engine.PublishSpec{Source: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Query(engine.QuerySpec{Requester: 7, Data: item.ID})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Issued {
+		t.Fatalf("injected query not issued: %+v", res)
+	}
+	if got, want := eng.Pending(), pinnedPendingMid; got != want {
+		t.Errorf("Pending() mid-run = %d, want %d", got, want)
+	}
+	rep, err := eng.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%+v", rep); got != pinnedInjectedReport {
+		t.Errorf("report\n got %s\nwant %s", got, pinnedInjectedReport)
+	}
+}
+
+const (
+	pinnedPendingStart   = 220
+	pinnedPendingMid     = 242
+	pinnedInjectedReport = "{QueriesIssued:168 QueriesSatisfied:161 SuccessRatio:0.9583333333333334 " +
+		"MeanDelaySec:3268.9894179391895 MedianDelaySec:1837.4442388137977 P90DelaySec:7386.549523623486 " +
+		"MeanCopies:5.492473207348208 MeanBufferUse:0.3019739852489886 RedundantDeliveries:529 " +
+		"ReplacementMoves:1817 DataBits:6.875899651516996e+11 ControlBits:2.258144e+10 " +
+		"MeanPhaseSec:[673.1748095636324 638.4067496909393 1957.4078586846176] PhaseSamples:161}"
+)

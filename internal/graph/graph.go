@@ -101,6 +101,42 @@ func (e *RateEstimator) Snapshot(now float64) *Graph {
 type Graph struct {
 	n     int
 	rates []float64 // n*n symmetric
+	// adj is the neighbour-list view of rates that path search walks,
+	// built by BuildAdjacency and dropped by SetRate; nil when absent.
+	adj *adjacency
+}
+
+// adjacency lists, for each node u, its neighbours in ascending order
+// as (to[k], inv[k]) pairs with inv = 1/rate — the expected delay of
+// the hop — for k in [off[u], off[u+1]).
+type adjacency struct {
+	off []int32
+	to  []int32
+	inv []float64
+}
+
+// BuildAdjacency precomputes the neighbour lists path search walks, so
+// each Paths call skips the dense rate rows. Call it once the rates are
+// final and before fanning out concurrent PathsInto calls: PathsInto
+// only reads it, and on a graph without one builds a private copy per
+// call. SetRate discards it.
+func (g *Graph) BuildAdjacency() {
+	g.adj = g.newAdjacency()
+}
+
+func (g *Graph) newAdjacency() *adjacency {
+	n := g.n
+	a := &adjacency{off: make([]int32, 1, n+1)}
+	for u := 0; u < n; u++ {
+		for v, r := range g.rates[u*n : u*n+n] {
+			if r > 0 {
+				a.to = append(a.to, int32(v))
+				a.inv = append(a.inv, 1/r)
+			}
+		}
+		a.off = append(a.off, int32(len(a.to)))
+	}
+	return a
 }
 
 // NewGraph creates an empty graph over n nodes.
@@ -150,6 +186,7 @@ func (g *Graph) SetRate(a, b trace.NodeID, rate float64) {
 	}
 	g.rates[int(a)*g.n+int(b)] = rate
 	g.rates[int(b)*g.n+int(a)] = rate
+	g.adj = nil
 }
 
 // Neighbors returns the nodes with a positive contact rate to v, in
@@ -193,6 +230,9 @@ type Paths struct {
 type PathScratch struct {
 	dist   [][]float64
 	choice [][]trace.NodeID
+	// changed[h&1][v] == h+1 marks v as improved at layer h; two
+	// arrays, so marking layer h never erases layer h-1's frontier.
+	changed [2][]int32
 }
 
 // layers resizes the scratch to hold maxHops+1 layers of width n and
@@ -214,12 +254,19 @@ func (ps *PathScratch) layers(maxHops, n int) ([][]float64, [][]trace.NodeID) {
 		ps.dist[i] = ps.dist[i][:n]
 		ps.choice[i] = ps.choice[i][:n]
 	}
+	for i := range ps.changed {
+		if cap(ps.changed[i]) < n {
+			ps.changed[i] = make([]int32, n)
+		}
+		ps.changed[i] = ps.changed[i][:n]
+		clear(ps.changed[i])
+	}
 	return ps.dist, ps.choice
 }
 
 // Paths computes shortest opportunistic paths from src with at most
-// maxHops hops (DefaultMaxHops if maxHops <= 0) using layered relaxation
-// (Bellman-Ford over hop counts), which is exact for hop-capped minimum
+// maxHops hops (DefaultMaxHops if maxHops <= 0) using layered frontier
+// relaxation over hop counts, which is exact for hop-capped minimum
 // expected delay.
 func (g *Graph) Paths(src trace.NodeID, maxHops int) *Paths {
 	return g.PathsInto(src, maxHops, nil)
@@ -238,9 +285,21 @@ func (g *Graph) PathsInto(src trace.NodeID, maxHops int, scratch *PathScratch) *
 	}
 	n := g.n
 	const inf = 1e300
+	adj := g.adj
+	if adj == nil {
+		adj = g.newAdjacency()
+	}
 	// Layered DP: dist[h][v] is the minimum expected delay from src to v
 	// using at most h hops; choice[h][v] is the last hop's upstream node,
 	// or -1 when the h-hop value is carried over from h-1 hops.
+	//
+	// Layer h relaxes only the frontier: the nodes whose value changed
+	// at layer h-1. Any other node u has dist[h-1][u] == dist[h-2][u],
+	// so every value it could propose was already proposed at layer h-1
+	// and dist[h-1] holds it or better; with the strict < below it can
+	// change neither dist nor choice. The frontier is relaxed in
+	// ascending node order, so among equal proposals the lowest
+	// upstream node wins, exactly as in a scan over all nodes.
 	dist, choice := scratch.layers(maxHops, n)
 	for h := range dist {
 		for v := range dist[h] {
@@ -249,23 +308,22 @@ func (g *Graph) PathsInto(src trace.NodeID, maxHops int, scratch *PathScratch) *
 		}
 	}
 	dist[0][src] = 0
+	scratch.changed[0][src] = 1
 	for h := 1; h <= maxHops; h++ {
 		copy(dist[h], dist[h-1])
+		frontier, marks := scratch.changed[(h-1)&1], scratch.changed[h&1]
 		improved := false
 		for u := 0; u < n; u++ {
-			du := dist[h-1][u]
-			if du >= inf {
+			if frontier[u] != int32(h) {
 				continue
 			}
-			row := g.rates[u*n : u*n+n]
-			for v := 0; v < n; v++ {
-				r := row[v]
-				if r <= 0 {
-					continue
-				}
-				if nd := du + 1/r; nd < dist[h][v] {
+			du := dist[h-1][u]
+			for k := adj.off[u]; k < adj.off[u+1]; k++ {
+				v := adj.to[k]
+				if nd := du + adj.inv[k]; nd < dist[h][v] {
 					dist[h][v] = nd
 					choice[h][v] = trace.NodeID(u)
+					marks[v] = int32(h + 1)
 					improved = true
 				}
 			}
@@ -425,6 +483,7 @@ func (p *Paths) Materialize() {
 // AllPaths computes Paths from every node. The graph is undirected, so
 // result[i].Weight(j, T) == result[j].Weight(i, T) up to tie-breaking.
 func (g *Graph) AllPaths(maxHops int) []*Paths {
+	g.BuildAdjacency()
 	out := make([]*Paths, g.n)
 	for i := 0; i < g.n; i++ {
 		out[i] = g.Paths(trace.NodeID(i), maxHops)
@@ -452,6 +511,7 @@ func (g *Graph) Metric(i trace.NodeID, t float64, maxHops int) float64 {
 
 // Metrics computes C_i for every node.
 func (g *Graph) Metrics(t float64, maxHops int) []float64 {
+	g.BuildAdjacency()
 	out := make([]float64, g.n)
 	for i := 0; i < g.n; i++ {
 		out[i] = g.Metric(trace.NodeID(i), t, maxHops)

@@ -152,6 +152,11 @@ func (b *Builder) buildFromCounts(counts []int, t float64, base *Snapshot, versi
 	// the row's non-zero weights, in parallel across index-owned slots.
 	// Evaluating the full weight row also materializes every reachable
 	// hypoexponential, so the published snapshot is never mutated again.
+	// The neighbour lists are built once here, before the fan-out, and
+	// only read by the workers.
+	if len(dirty) > 0 {
+		s.g.BuildAdjacency()
+	}
 	forEachSource(len(dirty), func(k int) {
 		i := dirty[k]
 		scratch := scratchPool.Get().(*graph.PathScratch)

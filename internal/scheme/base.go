@@ -2,6 +2,7 @@ package scheme
 
 import (
 	"math/bits"
+	"slices"
 
 	"dtncache/internal/buffer"
 	"dtncache/internal/provenance"
@@ -52,7 +53,9 @@ type ReplyCarry struct {
 // All per-node stores are slice-backed (QueryID/DataID are dense small
 // integers, see workload): carried copies live in slices sorted by
 // (query ID, target) so per-contact iteration needs no map walk, no
-// re-sort, and no allocation; request histories are dense arrays
+// re-sort, and no allocation, with their keys inline in a parallel
+// slice so a custody lookup searches one flat array; request histories
+// are dense arrays
 // indexed by DataID; responded flags are bitsets indexed by QueryID.
 // This is the difference between the map-backed seed (a sort per
 // ForwardQueries call) and the zero-allocation replay loop — see
@@ -60,8 +63,10 @@ type ReplyCarry struct {
 type Base struct {
 	E *Env
 	// queries[n] holds the query copies node n is carrying, sorted by
-	// (Q.ID, Target).
+	// (Q.ID, Target); qkeys[n][i] is queries[n][i].key(), kept in step
+	// by every store mutation.
 	queries [][]*QueryCarry
+	qkeys   [][]queryKey
 	// replies[n] holds the reply copies node n is carrying, sorted by
 	// Q.ID.
 	replies [][]*ReplyCarry
@@ -90,6 +95,7 @@ func NewBase(e *Env) *Base {
 	return &Base{
 		E:         e,
 		queries:   make([][]*QueryCarry, e.N),
+		qkeys:     make([][]queryKey, e.N),
 		replies:   make([][]*ReplyCarry, e.N),
 		history:   make([][]buffer.RequestStats, e.N),
 		responded: make([][]uint64, e.N),
@@ -117,14 +123,14 @@ func (b *Base) Stats(n trace.NodeID, id workload.DataID) buffer.RequestStats {
 	return buffer.RequestStats{}
 }
 
-// searchQueryKey returns the insertion index of key k in qs.
+// searchQueryKey returns the insertion index of key k in ks.
 //
 //dtn:allocfree hand-rolled binary search, no sort.Search closure
-func searchQueryKey(qs []*QueryCarry, k queryKey) int {
-	lo, hi := 0, len(qs)
+func searchQueryKey(ks []queryKey, k queryKey) int {
+	lo, hi := 0, len(ks)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if qs[mid].Q.ID < k.ID || (qs[mid].Q.ID == k.ID && qs[mid].Target < k.Target) {
+		if ks[mid].ID < k.ID || (ks[mid].ID == k.ID && ks[mid].Target < k.Target) {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -133,14 +139,14 @@ func searchQueryKey(qs []*QueryCarry, k queryKey) int {
 	return lo
 }
 
-// searchQueryID returns the index of the first copy with Q.ID >= id.
+// searchQueryID returns the index of the first key with ID >= id.
 //
 //dtn:allocfree
-func searchQueryID(qs []*QueryCarry, id workload.QueryID) int {
-	lo, hi := 0, len(qs)
+func searchQueryID(ks []queryKey, id workload.QueryID) int {
+	lo, hi := 0, len(ks)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if qs[mid].Q.ID < id {
+		if ks[mid].ID < id {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -171,28 +177,25 @@ func (b *Base) CarryQuery(n trace.NodeID, qc *QueryCarry) {
 	if qc.Q.Deadline <= b.E.Sim.Now() {
 		return
 	}
-	qs := b.queries[n]
-	i := searchQueryKey(qs, qc.key())
-	if i < len(qs) && qs[i].key() == qc.key() {
+	ks, k := b.qkeys[n], qc.key()
+	i := searchQueryKey(ks, k)
+	if i < len(ks) && ks[i] == k {
 		return
 	}
-	qs = append(qs, nil)
-	copy(qs[i+1:], qs[i:])
-	qs[i] = qc
-	b.queries[n] = qs
+	b.qkeys[n] = slices.Insert(ks, i, k)
+	b.queries[n] = slices.Insert(b.queries[n], i, qc)
 }
 
 // DropQuery removes a query copy from node n.
 func (b *Base) DropQuery(n trace.NodeID, qc *QueryCarry) {
-	qs := b.queries[n]
-	i := searchQueryKey(qs, qc.key())
-	if i >= len(qs) || qs[i].key() != qc.key() {
+	ks, k := b.qkeys[n], qc.key()
+	i := searchQueryKey(ks, k)
+	if i >= len(ks) || ks[i] != k {
 		return
 	}
-	last := len(qs) - 1
-	copy(qs[i:], qs[i+1:])
-	qs[last] = nil
-	b.queries[n] = qs[:last]
+	// slices.Delete nils the vacated pointer slot.
+	b.qkeys[n] = slices.Delete(ks, i, i+1)
+	b.queries[n] = slices.Delete(b.queries[n], i, i+1)
 }
 
 // CarriesQueryKey reports whether node n carries this exact copy
@@ -200,9 +203,9 @@ func (b *Base) DropQuery(n trace.NodeID, qc *QueryCarry) {
 //
 //dtn:allocfree
 func (b *Base) CarriesQueryKey(n trace.NodeID, qc *QueryCarry) bool {
-	qs := b.queries[n]
-	i := searchQueryKey(qs, qc.key())
-	return i < len(qs) && qs[i].key() == qc.key()
+	ks, k := b.qkeys[n], qc.key()
+	i := searchQueryKey(ks, k)
+	return i < len(ks) && ks[i] == k
 }
 
 // CarriesQueryID reports whether node n carries any copy of the query,
@@ -210,9 +213,9 @@ func (b *Base) CarriesQueryKey(n trace.NodeID, qc *QueryCarry) bool {
 //
 //dtn:allocfree
 func (b *Base) CarriesQueryID(n trace.NodeID, id workload.QueryID) bool {
-	qs := b.queries[n]
-	i := searchQueryID(qs, id)
-	return i < len(qs) && qs[i].Q.ID == id
+	ks := b.qkeys[n]
+	i := searchQueryID(ks, id)
+	return i < len(ks) && ks[i].ID == id
 }
 
 // Queries returns a copy of the query copies node n carries, in
@@ -316,22 +319,33 @@ func (b *Base) MarkResponded(n trace.NodeID, id workload.QueryID) bool {
 	return true
 }
 
+// hasResponded reports whether node n has already made its one-shot
+// response decision for the query.
+//
+//dtn:allocfree
+func (b *Base) hasResponded(n trace.NodeID, id workload.QueryID) bool {
+	w := int(id) >> 6
+	r := b.responded[n]
+	return w < len(r) && r[w]&(1<<(uint(id)&63)) != 0
+}
+
 // SweepExpired drops expired query and reply copies everywhere, along
 // with the one-shot response decisions of expired queries. Schemes call
 // it from OnSweep.
 func (b *Base) SweepExpired(now float64) {
 	for n := 0; n < b.E.N; n++ {
-		qs := b.queries[n]
-		kept := qs[:0]
-		for _, qc := range qs {
+		qs, ks := b.queries[n], b.qkeys[n]
+		kept := 0
+		for i, qc := range qs {
 			if qc.Q.Deadline > now {
-				kept = append(kept, qc)
+				qs[kept], ks[kept] = qc, ks[i]
+				kept++
 			}
 		}
-		for i := len(kept); i < len(qs); i++ {
+		for i := kept; i < len(qs); i++ {
 			qs[i] = nil
 		}
-		b.queries[n] = kept
+		b.queries[n], b.qkeys[n] = qs[:kept], ks[:kept]
 
 		rs := b.replies[n]
 		keptR := rs[:0]
@@ -527,12 +541,13 @@ func (b *Base) ForwardReplies(s *sim.Session, from trace.NodeID, onDelivered Rep
 func (b *Base) Respond(n trace.NodeID, qc *QueryCarry, force bool) bool {
 	e := b.E
 	now := e.Sim.Now()
-	if qc.Q.Deadline <= now || !e.HasData(n, qc.Q.Data) {
+	// The responded bit is read first: a node that has already decided
+	// returns false either way, and on a redundant broadcast delivery
+	// that skips the buffer lookup.
+	if qc.Q.Deadline <= now || b.hasResponded(n, qc.Q.ID) || !e.HasData(n, qc.Q.Data) {
 		return false
 	}
-	if !b.MarkResponded(n, qc.Q.ID) {
-		return false
-	}
+	b.MarkResponded(n, qc.Q.ID)
 	if !force {
 		p := e.ResponseProb(n, qc.Q.Requester, qc.Q)
 		if !e.Rng.Bernoulli(p) {
@@ -568,7 +583,7 @@ func (b *Base) DropNodeState(n trace.NodeID) {
 	for i := range qs {
 		qs[i] = nil
 	}
-	b.queries[n] = qs[:0]
+	b.queries[n], b.qkeys[n] = qs[:0], b.qkeys[n][:0]
 	rs := b.replies[n]
 	for i := range rs {
 		rs[i] = nil

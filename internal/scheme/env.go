@@ -312,6 +312,9 @@ type Env struct {
 	// ownData[n] holds items generated by node n (sources always retain
 	// their own live data, outside the caching buffer).
 	ownData []map[workload.DataID]workload.DataItem
+
+	// feed is the lazy batch-workload feeder.
+	feed workloadFeed
 }
 
 // KnowledgeParams returns the knowledge pipeline configuration an Env
@@ -505,20 +508,79 @@ func (e *Env) ContactEnd(s *sim.Session) { e.scheme.OnContactEnd(s) }
 
 // --- workload & maintenance scheduling ---
 
+// workloadFeed feeds the batch workload into the event heap lazily,
+// the way sim.Driver.LoadStream feeds contacts: one workload event is
+// pending at a time, so the heap holds only the live set. Item k of
+// the preload order (data items, then queries) dispatches under the
+// sequence number base+k reserved at NewEnv, so equal-time ties
+// resolve exactly as a bulk preload did. The schedule is frozen at
+// NewEnv: live InjectData/InjectQuery extend W.Data/W.Queries and run
+// at once, and the feed never sees them.
+type workloadFeed struct {
+	e       *Env
+	data    []workload.DataItem
+	queries []workload.Query
+	// di and qi count the items pushed so far; pending is the k of the
+	// item the pending event will run.
+	di, qi  int
+	base    uint64
+	pending int
+	fn      func()
+}
+
+// scheduleWorkload reserves the batch workload's sequence numbers and
+// pushes its first event.
 func (e *Env) scheduleWorkload() error {
-	for _, item := range e.W.Data {
-		item := item
-		if err := e.Sim.Schedule(item.Created, func() { e.deliverData(item) }); err != nil {
-			return err
-		}
+	if err := e.W.SortedCheck(); err != nil {
+		return err
 	}
-	for _, q := range e.W.Queries {
-		q := q
-		if err := e.Sim.Schedule(q.Issued, func() { e.issueQuery(q) }); err != nil {
-			return err
-		}
+	f := &e.feed
+	*f = workloadFeed{e: e, data: e.W.Data, queries: e.W.Queries}
+	f.base = e.Sim.Reserve(len(f.data) + len(f.queries))
+	f.fn = f.step
+	return f.scheduleNext()
+}
+
+// scheduleNext pushes the earlier of the next data item and the next
+// query; a data item wins a tie, as its sequence number is lower.
+//
+//dtn:allocfree the workload feeder path; the event reuses the bound fn
+func (f *workloadFeed) scheduleNext() error {
+	var at float64
+	switch {
+	case f.di < len(f.data) && (f.qi == len(f.queries) || f.data[f.di].Created <= f.queries[f.qi].Issued):
+		f.pending, at = f.di, f.data[f.di].Created
+		f.di++
+	case f.qi < len(f.queries):
+		f.pending, at = len(f.data)+f.qi, f.queries[f.qi].Issued
+		f.qi++
+	default:
+		return nil
 	}
-	return nil
+	return f.e.Sim.ScheduleSeq(at, f.base+uint64(f.pending), f.fn)
+}
+
+// step is the pending workload event; like Driver.feedStep it chains
+// the next item before running the current one.
+//
+//dtn:allocfree the per-item feeder step; the handlers it calls are trusted
+func (f *workloadFeed) step() {
+	k := f.pending
+	// Sorted schedules never reach into the past, so this cannot fail.
+	_ = f.scheduleNext()
+	if k < len(f.data) {
+		f.e.deliverData(f.data[k])
+	} else {
+		f.e.issueQuery(f.queries[k-len(f.data)])
+	}
+}
+
+// Pending returns the number of queued events, counting every batch
+// workload item the lazy feed has not pushed yet as one event, as a
+// bulk preload would have.
+func (e *Env) Pending() int {
+	f := &e.feed
+	return e.Sim.Pending() + len(f.data) - f.di + len(f.queries) - f.qi
 }
 
 // deliverData registers a generated item as the source's own data and

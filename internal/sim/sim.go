@@ -31,20 +31,25 @@ type event struct {
 	fn  func()
 }
 
-// eventHeap is a typed binary min-heap of events ordered by (at, seq):
+// eventHeap is a typed 4-ary min-heap of events ordered by (at, seq):
 // earliest timestamp first, scheduling order among equal timestamps. It
 // stores events by value: no per-event allocation (the former
 // container/heap boxing and the later *event pointers were the hottest
-// allocation site of the engine), and sift moves are plain struct
-// copies within one cache-friendly array.
+// allocation site of the engine). A 4-ary tree is half as deep as a
+// binary one, and sifts move a hole instead of swapping: each level
+// costs one struct copy, and the sifted event is written once at the
+// end. (at, seq) is a total order, so the arity cannot change the pop
+// order.
 type eventHeap []event
 
+// before reports whether a dispatches ahead of b.
+//
 //dtn:allocfree
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func before(a, b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
 
 //dtn:allocfree steady state reuses the pooled backing array
@@ -52,15 +57,16 @@ func (h *eventHeap) push(e event) {
 	//lint:allow allocfree amortized growth: the backing array is the event pool
 	*h = append(*h, e)
 	q := *h
-	// Sift up.
-	for i := len(q) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) >> 2
+		if !before(&e, &q[parent]) {
 			break
 		}
-		q[i], q[parent] = q[parent], q[i]
+		q[i] = q[parent]
 		i = parent
 	}
+	q[i] = e
 }
 
 //dtn:allocfree
@@ -68,28 +74,40 @@ func (h *eventHeap) pop() event {
 	q := *h
 	n := len(q) - 1
 	top := q[0]
-	q[0] = q[n]
+	last := q[n]
 	// Clear the vacated slot so the popped callback is not retained by
 	// the pool's backing array.
 	q[n] = event{}
 	q = q[:n]
 	*h = q
-	// Sift down.
-	for i := 0; ; {
-		left := 2*i + 1
-		if left >= n {
-			break
-		}
-		next := left
-		if right := left + 1; right < n && q.less(right, left) {
-			next = right
-		}
-		if !q.less(next, i) {
-			break
-		}
-		q[i], q[next] = q[next], q[i]
-		i = next
+	if n == 0 {
+		return top
 	}
+	// Sift the hole at the root down, then drop the former last event
+	// into it.
+	i := 0
+	for {
+		first := 4*i + 1
+		if first >= n {
+			break
+		}
+		best := first
+		end := first + 4
+		if end > n {
+			end = n
+		}
+		for c := first + 1; c < end; c++ {
+			if before(&q[c], &q[best]) {
+				best = c
+			}
+		}
+		if !before(&q[best], &last) {
+			break
+		}
+		q[i] = q[best]
+		i = best
+	}
+	q[i] = last
 	return top
 }
 
@@ -169,11 +187,12 @@ func (s *Simulator) Schedule(at Time, fn func()) error {
 const ReservedSeqBase uint64 = 1 << 40
 
 // ScheduleSeq runs fn at virtual time at with an explicit sequence
-// number instead of the auto-assigned one. It is the contact feeder's
-// tool for lazy event injection: the i-th contact keeps sequence i no
+// number instead of the auto-assigned one. It is the lazy feeders'
+// tool for event injection: the i-th contact keeps sequence i no
 // matter when it is actually pushed. Callers must have reserved the
-// explicit range with ReserveSeqs; seq must be below the reserved base
-// and unique per (at, seq) pair.
+// explicit range, with ReserveSeqs (the contact feeder, below the
+// reserved base) or Reserve (the workload feeder); seq must be unique
+// per (at, seq) pair.
 //
 //dtn:allocfree the streaming feeder path; error construction is hoisted
 func (s *Simulator) ScheduleSeq(at Time, seq uint64, fn func()) error {
@@ -192,6 +211,17 @@ func (s *Simulator) ReserveSeqs(base uint64) {
 	if s.seq < base {
 		s.seq = base
 	}
+}
+
+// Reserve draws n consecutive auto sequence numbers without scheduling
+// anything and returns the first. A lazy feeder then pushes its i-th
+// event with ScheduleSeq(at, first+i, fn), and that event dispatches
+// exactly where a Schedule call made now would have put it, however
+// late it is pushed.
+func (s *Simulator) Reserve(n int) (first uint64) {
+	first = s.seq + 1
+	s.seq += uint64(n)
+	return first
 }
 
 // After runs fn d seconds from now; d must be non-negative.

@@ -72,7 +72,7 @@ go test -race -count=1 ./internal/fault/...
 
 echo "== fuzz seed corpora (short mode)"
 go test -count=1 -run '^Fuzz' ./internal/trace ./internal/knapsack ./internal/sim \
-    ./internal/obs ./internal/analysis ./internal/wal ./internal/mathx
+    ./internal/obs ./internal/analysis ./internal/wal ./internal/mathx ./internal/graph
 
 # Run-trace byte identity: record the same Infocom05 run twice and
 # require identical bytes — the determinism guarantee DESIGN.md's
@@ -163,6 +163,7 @@ if [[ -n "${CHECK_FUZZ_TIME:-}" ]]; then
         "./internal/knapsack FuzzProbabilisticSelect"
         "./internal/mathx FuzzHypoexpCDF"
         "./internal/sim FuzzEventHeapOrdering"
+        "./internal/graph FuzzPathsInto"
         "./internal/obs FuzzEncodeEvent"
         "./internal/obs FuzzEncodeSpan"
         "./internal/analysis FuzzParseMarker"
