@@ -328,18 +328,21 @@ func (s *Intentional) queryAtCenter(center trace.NodeID, qc *scheme.QueryCarry) 
 // copy and closure: broadcast copies are the bulk of all transfers.
 //
 // The peer's subgraph membership is resolved once per NCL, not once per
-// copy: the loop only enqueues transfers, so the peer's buffer cannot
-// change inside it.
+// copy, and its custody of each copy's key is read off a forward
+// cursor: the loop only enqueues transfers, so neither the peer's
+// buffer nor its query store can change inside it.
 func (s *Intentional) broadcastQueries(sess *sim.Session, from trace.NodeID) {
 	to := sess.Peer(from)
 	now := s.env.Sim.Now()
 	cleared(&s.bcastMember, len(s.env.NCLs()))
+	cur := s.base.QueryCursor(to)
 	s.base.ForEachQuery(from, func(qc *scheme.QueryCarry) {
 		if !qc.Broadcast || qc.Q.Deadline <= now || !s.peerCaches(to, qc.NCL) {
 			return
 		}
 		x := s.getBcast()
 		x.qc, x.sess, x.from, x.to, x.sent = qc, sess, from, to, now
+		x.held = cur.Custody(qc)
 		if !sess.Enqueue(sim.Transfer{
 			From: from, To: to, Bits: s.env.Cfg.QueryBits, Label: "bcast-query",
 			OnDelivered: x.onDelivered, OnDropped: x.onDropped,
@@ -379,6 +382,9 @@ type bcastXfer struct {
 	sess     *sim.Session
 	from, to trace.NodeID
 	sent     float64
+	// held is the receiver's custody of qc's key at enqueue, which
+	// usually spares delivery a search (Base.Carries).
+	held scheme.Custody
 
 	onDelivered, onDropped func(at float64)
 }
@@ -410,18 +416,20 @@ func (x *bcastXfer) dropped(float64) { x.release() }
 // yet; the hop, the request observation and the probabilistic answer
 // (Sec. V-C) read the sender's copy.
 func (x *bcastXfer) delivered(at float64) {
-	s, qc, sess, from, to, sent := x.s, x.qc, x.sess, x.from, x.to, x.sent
+	s, qc, sess, from, to, sent, held := x.s, x.qc, x.sess, x.from, x.to, x.sent, x.held
 	x.release()
 	e := s.env
 	e.M.ControlTransferred(e.Cfg.QueryBits)
 	if qc.Q.Deadline <= at {
 		return
 	}
-	if !s.base.CarriesQueryKey(to, qc) {
+	if !s.base.Carries(to, qc, held) {
 		s.base.CarryQuery(to, &scheme.QueryCarry{Q: qc.Q, Target: qc.Target, NCL: qc.NCL, Broadcast: true})
 	}
-	e.Prov.QueryHop(qc.Q.ID, qc.Target, from, to,
-		sent, at, e.XferSec(e.Cfg.QueryBits), provenance.OpQueryBcast, false)
+	if e.Prov != nil {
+		e.Prov.QueryHop(qc.Q.ID, qc.Target, from, to,
+			sent, at, e.XferSec(e.Cfg.QueryBits), provenance.OpQueryBcast, false)
+	}
 	s.base.Observe(to, qc.Q.Data, at)
 	if s.base.Respond(to, qc, false) {
 		s.markResponded(qc.Q.ID)

@@ -378,3 +378,51 @@ func TestBroadcastDeliveryCarries(t *testing.T) {
 		t.Errorf("repeat delivery changed node 2's carries: %v", after)
 	}
 }
+
+// TestBroadcastCustodyHandOff pins the enqueue-time custody answer
+// against a removal in flight: receiver R carries a gradient copy of
+// (Q, T) when a broadcast copy of the same key is enqueued to it, and
+// loses that copy — handed off on another contact, or wiped by a crash —
+// before the broadcast copy lands. The delivery must then give R a
+// fresh broadcast carry, as a search at delivery time would.
+func TestBroadcastCustodyHandOff(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		remove func(b *scheme.Base, r trace.NodeID, qc *scheme.QueryCarry)
+	}{
+		{"hand-off", func(b *scheme.Base, r trace.NodeID, qc *scheme.QueryCarry) {
+			b.DropQuery(r, qc)
+			b.CarryQuery(0, qc)
+		}},
+		{"crash", func(b *scheme.Base, r trace.NodeID, _ *scheme.QueryCarry) { b.DropNodeState(r) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := lineTrace(1000, 40000)
+			w := manualWorkload(tr)
+			s := New()
+			env, err := scheme.NewEnv(tr, w, lineConfig(tr), s, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			env.Sim.RunUntil(22000)
+			const r = trace.NodeID(2)
+			gradient := &scheme.QueryCarry{Q: w.Queries[0], Target: 1, NCL: 0}
+			s.base.CarryQuery(r, gradient)
+
+			sender := &scheme.QueryCarry{Q: w.Queries[0], Target: 1, NCL: 0, Broadcast: true}
+			cur := s.base.QueryCursor(r)
+			x := s.getBcast()
+			x.qc, x.from, x.to, x.sent, x.held = sender, 1, r, env.Sim.Now(), cur.Custody(sender)
+			if !s.base.Carries(r, sender, x.held) {
+				t.Fatal("fixture: R does not carry the key at enqueue")
+			}
+
+			tc.remove(s.base, r, gradient)
+			x.delivered(env.Sim.Now())
+			got := s.base.Queries(r)
+			if len(got) != 1 || !got[0].Broadcast || got[0].Q.ID != sender.Q.ID || got[0].Target != sender.Target {
+				t.Fatalf("R carries %v after delivery, want one broadcast copy of (Q, T)", got)
+			}
+		})
+	}
+}

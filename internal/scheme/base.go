@@ -40,6 +40,11 @@ type queryKey struct {
 	Target trace.NodeID
 }
 
+// less orders keys by (ID, Target), the order of every query store.
+func (k queryKey) less(o queryKey) bool {
+	return k.ID < o.ID || (k.ID == o.ID && k.Target < o.Target)
+}
+
 // ReplyCarry is a data copy traveling back to a requester.
 type ReplyCarry struct {
 	Q    workload.Query
@@ -60,6 +65,8 @@ type ReplyCarry struct {
 // This is the difference between the map-backed seed (a sort per
 // ForwardQueries call) and the zero-allocation replay loop — see
 // DESIGN.md "Replay performance".
+// drops[n] counts removals from node n's query store: a Custody answer
+// "n carries this key" holds while drops[n] is unchanged.
 type Base struct {
 	E *Env
 	// queries[n] holds the query copies node n is carrying, sorted by
@@ -67,6 +74,7 @@ type Base struct {
 	// by every store mutation.
 	queries [][]*QueryCarry
 	qkeys   [][]queryKey
+	drops   []uint64
 	// replies[n] holds the reply copies node n is carrying, sorted by
 	// Q.ID.
 	replies [][]*ReplyCarry
@@ -96,6 +104,7 @@ func NewBase(e *Env) *Base {
 		E:         e,
 		queries:   make([][]*QueryCarry, e.N),
 		qkeys:     make([][]queryKey, e.N),
+		drops:     make([]uint64, e.N),
 		replies:   make([][]*ReplyCarry, e.N),
 		history:   make([][]buffer.RequestStats, e.N),
 		responded: make([][]uint64, e.N),
@@ -130,7 +139,7 @@ func searchQueryKey(ks []queryKey, k queryKey) int {
 	lo, hi := 0, len(ks)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if ks[mid].ID < k.ID || (ks[mid].ID == k.ID && ks[mid].Target < k.Target) {
+		if ks[mid].less(k) {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -196,6 +205,7 @@ func (b *Base) DropQuery(n trace.NodeID, qc *QueryCarry) {
 	// slices.Delete nils the vacated pointer slot.
 	b.qkeys[n] = slices.Delete(ks, i, i+1)
 	b.queries[n] = slices.Delete(b.queries[n], i, i+1)
+	b.drops[n]++
 }
 
 // CarriesQueryKey reports whether node n carries this exact copy
@@ -206,6 +216,47 @@ func (b *Base) CarriesQueryKey(n trace.NodeID, qc *QueryCarry) bool {
 	ks, k := b.qkeys[n], qc.key()
 	i := searchQueryKey(ks, k)
 	return i < len(ks) && ks[i] == k
+}
+
+// Custody records whether a node carried a copy's key, and the node's
+// removal count then.
+type Custody struct {
+	carried bool
+	drops   uint64
+}
+
+// QueryCursor answers custody for one node, in amortized O(1), for
+// copies presented in ascending (query ID, target) order. It is valid
+// only while the node's store is unchanged.
+type QueryCursor struct {
+	ks    []queryKey
+	i     int
+	drops uint64
+}
+
+// QueryCursor returns a cursor over node n's carried keys.
+func (b *Base) QueryCursor(n trace.NodeID) QueryCursor {
+	return QueryCursor{ks: b.qkeys[n], drops: b.drops[n]}
+}
+
+// Custody reports whether the cursor's node carries qc's key. Keys must
+// not decrease from one call to the next.
+//
+//dtn:allocfree
+func (c *QueryCursor) Custody(qc *QueryCarry) Custody {
+	k := qc.key()
+	for c.i < len(c.ks) && c.ks[c.i].less(k) {
+		c.i++
+	}
+	return Custody{carried: c.i < len(c.ks) && c.ks[c.i] == k, drops: c.drops}
+}
+
+// Carries is CarriesQueryKey given an earlier Custody of the key at n:
+// only a removal can undo "carried", so with none since, no search.
+//
+//dtn:allocfree
+func (b *Base) Carries(n trace.NodeID, qc *QueryCarry, c Custody) bool {
+	return c.carried && b.drops[n] == c.drops || b.CarriesQueryKey(n, qc)
 }
 
 // CarriesQueryID reports whether node n carries any copy of the query,
@@ -342,8 +393,9 @@ func (b *Base) SweepExpired(now float64) {
 				kept++
 			}
 		}
-		for i := kept; i < len(qs); i++ {
-			qs[i] = nil
+		if kept < len(qs) {
+			clear(qs[kept:])
+			b.drops[n]++
 		}
 		b.queries[n], b.qkeys[n] = qs[:kept], ks[:kept]
 
@@ -354,9 +406,7 @@ func (b *Base) SweepExpired(now float64) {
 				keptR = append(keptR, rc)
 			}
 		}
-		for i := len(keptR); i < len(rs); i++ {
-			rs[i] = nil
-		}
+		clear(rs[len(keptR):])
 		b.replies[n] = keptR
 
 		for w, word := range b.responded[n] {
@@ -580,17 +630,10 @@ func (b *Base) Respond(n trace.NodeID, qc *QueryCarry, force bool) bool {
 // what upholds the no-duplicate-response invariant across a reboot.
 func (b *Base) DropNodeState(n trace.NodeID) {
 	qs := b.queries[n]
-	for i := range qs {
-		qs[i] = nil
-	}
+	clear(qs)
 	b.queries[n], b.qkeys[n] = qs[:0], b.qkeys[n][:0]
-	rs := b.replies[n]
-	for i := range rs {
-		rs[i] = nil
-	}
-	b.replies[n] = rs[:0]
-	h := b.history[n]
-	for i := range h {
-		h[i] = buffer.RequestStats{}
-	}
+	b.drops[n]++
+	clear(b.replies[n])
+	b.replies[n] = b.replies[n][:0]
+	clear(b.history[n])
 }

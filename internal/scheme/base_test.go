@@ -270,3 +270,50 @@ func TestSprayQueryReplication(t *testing.T) {
 		t.Error("sprayed query never reached the target")
 	}
 }
+
+// TestQueryCursorMatchesSearch checks the forward custody cursor
+// against the binary search over mixed stores, and that Carries stays
+// exact once a removal makes the cursor's answers stale.
+func TestQueryCursorMatchesSearch(t *testing.T) {
+	b, env, w := testBase(t)
+	env.Sim.RunUntil(22000)
+	const r = trace.NodeID(2)
+	copyOf := func(id, target int) *QueryCarry {
+		q := w.Queries[0]
+		q.ID = workload.QueryID(id)
+		return &QueryCarry{Q: q, Target: trace.NodeID(target)}
+	}
+	for trial := 0; trial < 6; trial++ {
+		b.DropNodeState(r)
+		for id := 0; id < 20; id++ {
+			for target := 0; target < 3; target++ {
+				if (id*5+target+trial)%3 == 0 {
+					b.CarryQuery(r, copyOf(id, target))
+				}
+			}
+		}
+		cur := b.QueryCursor(r)
+		var sent []*QueryCarry
+		var held []Custody
+		for id := 0; id < 20; id++ {
+			for target := 0; target < 3; target++ {
+				if (id+target*trial)%2 == 0 {
+					qc := copyOf(id, target)
+					c := cur.Custody(qc)
+					if c.carried != b.CarriesQueryKey(r, qc) {
+						t.Fatalf("trial %d: cursor custody of (%d, %d) = %v", trial, id, target, c.carried)
+					}
+					sent, held = append(sent, qc), append(held, c)
+				}
+			}
+		}
+		for _, victim := range []int{0, len(sent) / 2} {
+			b.DropQuery(r, sent[victim])
+			for i, qc := range sent {
+				if got, want := b.Carries(r, qc, held[i]), b.CarriesQueryKey(r, qc); got != want {
+					t.Fatalf("trial %d: Carries(%d, %d) = %v after a drop, want %v", trial, qc.Q.ID, qc.Target, got, want)
+				}
+			}
+		}
+	}
+}
