@@ -57,10 +57,17 @@ func TestEventHeapMatchesReferenceSort(t *testing.T) {
 
 // heapPlan is an interleaved heap workload: roots are scheduled before
 // the run, and when event id dispatches it schedules kids[id] — each a
-// (delay >= 0, child id) pair — from inside its callback.
+// (delay >= 0, child id) pair — from inside its callback. An event
+// with viaSeq[id] set draws its sequence number with Reserve where it
+// would have called Schedule, and is pushed with ScheduleSeq only
+// after the rest of its batch, as the lazy feeders push theirs. The
+// run advances through RunUntil at each of the ascending steps, then
+// drains with Run.
 type heapPlan struct {
-	roots []Time
-	kids  [][]heapKid
+	roots  []Time
+	kids   [][]heapKid
+	viaSeq []bool
+	steps  []Time
 }
 
 type heapKid struct {
@@ -75,6 +82,38 @@ func (p *heapPlan) spawn(parent int, delay Time) int {
 	p.kids = append(p.kids, nil)
 	p.kids[parent] = append(p.kids[parent], heapKid{delay: delay, id: id})
 	return id
+}
+
+// seqFlag reports whether event id enters through ScheduleSeq.
+func (p *heapPlan) seqFlag(id int) bool { return id < len(p.viaSeq) && p.viaSeq[id] }
+
+// pendingAt returns what Pending and NextEventAt must report once
+// RunUntil(h) returns: every event due by h has dispatched, so the
+// pending ones are those due after h whose parent (if any) was due by h.
+func (p *heapPlan) pendingAt(h Time) (n int, next Time) {
+	at := append([]Time(nil), p.roots...)
+	at = append(at, make([]Time, len(p.kids)-len(p.roots))...)
+	next = h
+	for id := range p.kids {
+		if id < len(p.roots) && at[id] > h {
+			n, next = n+1, minPending(n, next, at[id])
+		}
+		for _, k := range p.kids[id] {
+			at[k.id] = at[id] + k.delay
+			if at[id] <= h && at[k.id] > h {
+				n, next = n+1, minPending(n, next, at[k.id])
+			}
+		}
+	}
+	return n, next
+}
+
+// minPending folds at into the earliest of the n pending times so far.
+func minPending(n int, next, at Time) Time {
+	if n == 0 || at < next {
+		return at
+	}
+	return next
 }
 
 // referenceOrder replays the plan against a sorted slice: pending
@@ -115,25 +154,62 @@ func (p *heapPlan) referenceOrder() []int {
 
 // runInterleavedTrial runs the plan on a Simulator, scheduling each
 // event's children from its callback, and checks the dispatch order
-// against referenceOrder.
+// against referenceOrder and the pending count and next due time
+// against pendingAt between RunUntil steps.
 func runInterleavedTrial(t *testing.T, p *heapPlan) {
 	t.Helper()
 	s := New()
 	var got []int
 	var fire func(id int) func()
-	fire = func(id int) func() {
-		return func() {
-			got = append(got, id)
-			for _, k := range p.kids[id] {
-				if err := s.Schedule(s.Now()+k.delay, fire(k.id)); err != nil {
-					t.Fatal(err)
-				}
+	// schedule queues a batch in order; deferred ScheduleSeq pushes
+	// land after the batch, latest reservation first.
+	schedule := func(ids []int, at func(i int) Time) {
+		type held struct {
+			at  Time
+			seq uint64
+			id  int
+		}
+		var late []held
+		for i, id := range ids {
+			var err error
+			if p.seqFlag(id) {
+				late = append(late, held{at(i), s.Reserve(1), id})
+			} else {
+				err = s.Schedule(at(i), fire(id))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := len(late) - 1; i >= 0; i-- {
+			if err := s.ScheduleSeq(late[i].at, late[i].seq, fire(late[i].id)); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
-	for id, at := range p.roots {
-		if err := s.Schedule(at, fire(id)); err != nil {
-			t.Fatal(err)
+	fire = func(id int) func() {
+		return func() {
+			got = append(got, id)
+			kids := p.kids[id]
+			ids := make([]int, len(kids))
+			for i, k := range kids {
+				ids[i] = k.id
+			}
+			now := s.Now()
+			schedule(ids, func(i int) Time { return now + kids[i].delay })
+		}
+	}
+	roots := make([]int, len(p.roots))
+	for id := range roots {
+		roots[id] = id
+	}
+	schedule(roots, func(i int) Time { return p.roots[i] })
+	for _, h := range p.steps {
+		s.RunUntil(h)
+		n, next := p.pendingAt(h)
+		if s.Pending() != n || s.NextEventAt() != next {
+			t.Fatalf("after RunUntil(%v): Pending %d, NextEventAt %v; reference %d, %v",
+				h, s.Pending(), s.NextEventAt(), n, next)
 		}
 	}
 	s.Run()
@@ -152,20 +228,36 @@ func runInterleavedTrial(t *testing.T, p *heapPlan) {
 // (pop-after-push at every step) with thousands of queued events, so
 // sifts cross five and more levels of the 4-ary tree. Delays come from
 // a small universe, zero included, so many children tie with queued
-// events and with each other.
+// events and with each other. The sparse trials keep a handful of
+// events pending with long delays, so a new event often sorts ahead of
+// all of them and the front slot is busy when a RunUntil step ends.
 func TestEventHeapInterleavedMatchesReference(t *testing.T) {
 	rng := mathx.NewRand(7)
-	for trial := 0; trial < 6; trial++ {
-		roots := 1500 + rng.Intn(3000)
+	for trial := 0; trial < 12; trial++ {
+		sparse := trial >= 6
+		roots, delays, span := 1500+rng.Intn(3000), 8, 1+trial*50
+		total := roots * 3
+		if sparse {
+			roots, delays, span, total = 1+rng.Intn(8), 48, 200, 400
+		}
 		p := &heapPlan{roots: make([]Time, roots), kids: make([][]heapKid, roots)}
 		for i := range p.roots {
-			p.roots[i] = Time(rng.Intn(1 + trial*50))
+			p.roots[i] = Time(rng.Intn(span))
 		}
-		total := roots * 3
 		for id := 0; id < len(p.kids) && len(p.kids) < total; id++ {
-			for c := rng.Intn(4); c > 0; c-- {
-				p.spawn(id, Time(rng.Intn(8)))
+			c := rng.Intn(4)
+			if sparse {
+				c = 1 + rng.Intn(2)
 			}
+			for ; c > 0; c-- {
+				p.spawn(id, Time(rng.Intn(delays)))
+			}
+		}
+		for range p.kids {
+			p.viaSeq = append(p.viaSeq, rng.Intn(3) == 0)
+		}
+		for h := Time(rng.Intn(4)); h < Time(span+20*delays); h += Time(1+rng.Intn(16)) / 2 {
+			p.steps = append(p.steps, h)
 		}
 		runInterleavedTrial(t, p)
 	}
@@ -174,8 +266,11 @@ func TestEventHeapInterleavedMatchesReference(t *testing.T) {
 // FuzzEventHeapOrdering fuzzes raw byte strings into interleaved heap
 // plans: the first byte sets how many roots there are, the next bytes
 // their timestamps, and every later byte gives one event (in id order)
-// up to three children with small delays. The reference-sort property
-// must hold for pushes made during dispatch as well as before it.
+// up to three children with small delays. Bit 4 of the byte at an
+// event's id (wrapping) sends it through Reserve and ScheduleSeq, and
+// the first byte also sets the RunUntil stride. The reference-sort
+// property must hold for pushes made during dispatch as well as before
+// it, and between steps Pending and NextEventAt must match.
 func FuzzEventHeapOrdering(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 2, 1, 0})
 	f.Add([]byte{5, 4, 3, 2, 1, 0, 0, 1, 2, 3, 4, 5})
@@ -206,6 +301,12 @@ func FuzzEventHeapOrdering(f *testing.F) {
 				p.spawn(i, Time((b>>(2+2*c))&3))
 			}
 		}
+		for id := range p.kids {
+			p.viaSeq = append(p.viaSeq, raw[id%len(raw)]&0x10 != 0)
+		}
+		for h := Time(raw[0] % 3); h < 16+3*Time(len(p.kids)); h += Time(1+raw[0]%4) / 2 {
+			p.steps = append(p.steps, h)
+		}
 		runInterleavedTrial(t, p)
 	})
 }
@@ -222,6 +323,29 @@ func TestHeapPopClearsSlot(t *testing.T) {
 	for i := range backing {
 		if backing[i].fn != nil {
 			t.Fatalf("slot %d retains callback after pop", i)
+		}
+	}
+}
+
+// TestFrontSlotClearedAfterDispatch extends the pool invariant to the
+// front slot: once dispatched, neither the slot nor the heap slot of
+// the event it displaced retains a callback.
+func TestFrontSlotClearedAfterDispatch(t *testing.T) {
+	s := New()
+	fn := func() {}
+	_ = s.Schedule(2, fn)
+	_ = s.Schedule(1, fn) // displaces the slot's event into the heap
+	if s.nfront != 1 || s.front.at != 1 || len(s.queue) != 1 || s.Pending() != 2 {
+		t.Fatalf("slot holds %d at %v, heap %d, pending %d; want the t=1 event in the slot ahead of one heap event",
+			s.nfront, s.front.at, len(s.queue), s.Pending())
+	}
+	s.Run()
+	if s.nfront != 0 || s.front.fn != nil {
+		t.Fatal("front slot retains its callback after dispatch")
+	}
+	for i, e := range s.queue[:cap(s.queue)] {
+		if e.fn != nil {
+			t.Fatalf("heap slot %d retains callback after dispatch", i)
 		}
 	}
 }

@@ -112,8 +112,16 @@ func (h *eventHeap) pop() event {
 }
 
 // Simulator is the event loop. The zero value is not usable; call New.
+//
+// front is a one-slot buffer, holding nfront (0 or 1) events, that
+// dispatches before every event in queue. Most events a replay schedules (a
+// session's next transfer completion) are due before anything queued,
+// and the slot takes them without a sift. (at, seq) is a total order,
+// so the slot cannot change the dispatch order.
 type Simulator struct {
 	now       Time
+	front     event
+	nfront    int
 	queue     eventHeap
 	seq       uint64
 	stopped   bool
@@ -125,6 +133,47 @@ type Simulator struct {
 	// allocation either way (asserted by TestDispatchZeroAlloc).
 	cEvents *obs.Counter
 	cTicks  *obs.Counter
+}
+
+// push queues e. An event that sorts ahead of every pending one takes
+// the front slot, displacing the slot's event into the heap.
+//
+//dtn:allocfree
+func (s *Simulator) push(e event) {
+	if next := s.next(); next != nil && !before(&e, next) {
+		s.queue.push(e)
+		return
+	}
+	if s.nfront > 0 {
+		s.queue.push(s.front)
+	}
+	s.front, s.nfront = e, 1
+}
+
+// next returns the earliest pending event, or nil when none is.
+//
+//dtn:allocfree
+func (s *Simulator) next() *event {
+	if s.nfront > 0 {
+		return &s.front
+	}
+	if len(s.queue) > 0 {
+		return &s.queue[0]
+	}
+	return nil
+}
+
+// pop removes the earliest pending event; a vacated slot keeps no
+// callback.
+//
+//dtn:allocfree
+func (s *Simulator) pop() event {
+	if s.nfront == 0 {
+		return s.queue.pop()
+	}
+	e := s.front
+	s.front, s.nfront = event{}, 0
+	return e
 }
 
 // New creates a simulator with the clock at 0.
@@ -173,7 +222,7 @@ func (s *Simulator) Schedule(at Time, fn func()) error {
 		return s.pastErr(at)
 	}
 	s.seq++
-	s.queue.push(event{at: at, seq: s.seq, fn: fn})
+	s.push(event{at: at, seq: s.seq, fn: fn})
 	return nil
 }
 
@@ -199,7 +248,7 @@ func (s *Simulator) ScheduleSeq(at Time, seq uint64, fn func()) error {
 	if at < s.now {
 		return s.pastErr(at)
 	}
-	s.queue.push(event{at: at, seq: seq, fn: fn})
+	s.push(event{at: at, seq: seq, fn: fn})
 	return nil
 }
 
@@ -290,11 +339,11 @@ func (s *Simulator) RunUntil(t Time) int {
 //
 //dtn:allocfree the per-event dispatch loop (TestDispatchZeroAlloc)
 func (s *Simulator) run(t Time, bounded bool) (n int, stopped bool) {
-	for len(s.queue) > 0 && !s.stopped {
-		if bounded && s.queue[0].at > t {
+	for !s.stopped {
+		if next := s.next(); next == nil || bounded && next.at > t {
 			break
 		}
-		e := s.queue.pop()
+		e := s.pop()
 		s.now = e.at
 		e.fn()
 		n++
@@ -307,13 +356,13 @@ func (s *Simulator) run(t Time, bounded bool) (n int, stopped bool) {
 }
 
 // Pending returns the number of queued events (diagnostics only).
-func (s *Simulator) Pending() int { return len(s.queue) }
+func (s *Simulator) Pending() int { return len(s.queue) + s.nfront }
 
 // NextEventAt returns the timestamp of the earliest queued event, or
 // the current time when the queue is empty (the engine's Tick target).
 func (s *Simulator) NextEventAt() Time {
-	if len(s.queue) == 0 {
-		return s.now
+	if next := s.next(); next != nil {
+		return next.at
 	}
-	return s.queue[0].at
+	return s.now
 }
