@@ -148,25 +148,33 @@ func TestFrontierMatchesDenseReferenceOnTies(t *testing.T) {
 // hop cap.
 func TestFrontierMatchesDenseReferenceOnPresets(t *testing.T) {
 	for _, p := range trace.Presets() {
-		tr, err := trace.GeneratePreset(p, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		est := NewRateEstimator(tr.Nodes, 0)
-		at := tr.Duration / 2
-		for _, c := range tr.Contacts {
-			if c.Start > at {
-				break
-			}
-			est.Observe(c.A, c.B)
-		}
-		g := est.Snapshot(at)
-		g.BuildAdjacency()
+		g := presetGraph(t, p)
 		scratch := &PathScratch{}
-		for src := 0; src < tr.Nodes; src++ {
+		for src := 0; src < g.Nodes(); src++ {
 			checkFrontierMatchesReference(t, g, trace.NodeID(src), DefaultMaxHops, scratch)
 		}
 	}
+}
+
+// presetGraph returns the rate graph of a Table I preset (seed 1) at
+// mid-trace, with its neighbour lists built.
+func presetGraph(t *testing.T, p trace.Preset) *Graph {
+	t.Helper()
+	tr, err := trace.GeneratePreset(p, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	est := NewRateEstimator(tr.Nodes, 0)
+	at := tr.Duration / 2
+	for _, c := range tr.Contacts {
+		if c.Start > at {
+			break
+		}
+		est.Observe(c.A, c.B)
+	}
+	g := est.Snapshot(at)
+	g.BuildAdjacency()
+	return g
 }
 
 // TestSetRateDropsAdjacency: neighbour lists built before a rate change

@@ -212,14 +212,16 @@ func (g *Graph) Neighbors(v trace.NodeID) []trace.NodeID {
 // hypoexponential cache is indexed by the same compact index. On sparse
 // graphs (a city district reaches only its own community) this keeps a
 // Paths proportional to what the source can actually reach instead of
-// paying three full-width arrays per source.
+// paying three full-width arrays per source. Materialize builds the
+// cache in one arena: one Hypoexp slice, whose rates alias ratesSlab,
+// plus one coefficient slab parallel to it.
 type Paths struct {
 	src       trace.NodeID
-	delay     []float64 // min expected delay per node; +Inf if unreachable
-	idx       []int32   // node -> compact reachable index, or -1
-	ratesOff  []int32   // reach+1 offsets into ratesSlab, in hop order
-	ratesSlab []float64 // concatenated hop rates of every reachable path
-	dists     []*mathx.Hypoexp
+	delay     []float64       // min expected delay per node; +Inf if unreachable
+	idx       []int32         // node -> compact reachable index, or -1
+	ratesOff  []int32         // reach+1 offsets into ratesSlab, in hop order
+	ratesSlab []float64       // concatenated hop rates of every reachable path
+	dists     []mathx.Hypoexp // nil until Materialize
 }
 
 // PathScratch holds the layered-DP working arrays of Paths so repeated
@@ -383,7 +385,6 @@ func (g *Graph) PathsInto(src trace.NodeID, maxHops int, scratch *PathScratch) *
 		p.ratesSlab = append(p.ratesSlab, buf...)
 		p.ratesOff = append(p.ratesOff, int32(len(p.ratesSlab)))
 	}
-	p.dists = make([]*mathx.Hypoexp, len(p.ratesOff)-1)
 	return p
 }
 
@@ -452,31 +453,25 @@ func (p *Paths) Weight(dst trace.NodeID, t float64) float64 {
 	if k < 0 {
 		return 0
 	}
-	h := p.dists[k]
-	if h == nil {
-		var err error
-		h, err = mathx.NewHypoexp(p.ratesSlab[p.ratesOff[k]:p.ratesOff[k+1]])
-		if err != nil {
-			return 0
-		}
-		p.dists[k] = h
-	}
-	return h.CDF(t)
+	p.Materialize()
+	return p.dists[k].CDF(t)
 }
 
-// Materialize eagerly constructs the hypoexponential distribution of
-// every reachable destination. Weight normally builds them lazily,
-// mutating the receiver on first use per destination; after Materialize
-// every Weight call is read-only, so a materialized Paths is safe for
-// concurrent use (the contract knowledge snapshots rely on).
+// Materialize constructs the hypoexponential distribution of every
+// reachable destination, once. Weight materializes on first use,
+// mutating the receiver; after Materialize every Weight call is
+// read-only, so a materialized Paths is safe for concurrent use (the
+// contract knowledge snapshots rely on). A path with rates Init
+// rejects keeps the zero Hypoexp, of weight 0.
 func (p *Paths) Materialize() {
+	if p.dists != nil {
+		return
+	}
+	p.dists = make([]mathx.Hypoexp, len(p.ratesOff)-1)
+	coef := make([]float64, len(p.ratesSlab))
 	for k := range p.dists {
-		if p.dists[k] != nil {
-			continue
-		}
-		if h, err := mathx.NewHypoexp(p.ratesSlab[p.ratesOff[k]:p.ratesOff[k+1]]); err == nil {
-			p.dists[k] = h
-		}
+		lo, hi := p.ratesOff[k], p.ratesOff[k+1]
+		_ = p.dists[k].Init(p.ratesSlab[lo:hi:hi], coef[lo:hi:hi])
 	}
 }
 

@@ -87,14 +87,22 @@ func (s *Snapshot) MetricWeight(a, b trace.NodeID) float64 {
 	return s.csrLookup(a, b)
 }
 
-// csrLookup binary-searches row a for column b. The search is
-// hand-rolled: sort.Search takes a closure and would allocate on a path
-// that must stay allocation-free.
+// csrLookup finds column b in row a. A full row, one that stores every
+// off-diagonal column, keeps b at offset b below the diagonal and b-1
+// above it, so it needs no search; any other row is binary-searched.
+// The search is hand-rolled: sort.Search takes a closure and would
+// allocate on a path that must stay allocation-free.
 //
 //dtn:allocfree
 func (s *Snapshot) csrLookup(a, b trace.NodeID) float64 {
 	lo, hi := s.rowPtr[a], s.rowPtr[a+1]
 	col := int32(b)
+	if int(hi-lo) == s.params.Nodes-1 {
+		if b > a {
+			col--
+		}
+		return s.vals[lo+col]
+	}
 	for lo < hi {
 		mid := lo + (hi-lo)/2
 		if s.cols[mid] < col {

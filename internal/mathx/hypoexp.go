@@ -3,7 +3,7 @@ package mathx
 import (
 	"errors"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Hypoexp is the hypoexponential distribution of a sum of independent
@@ -36,21 +36,31 @@ const hypoexpSeparation = 1e-6
 // NewHypoexp builds the distribution of the sum of exponentials with the
 // given rates. The slice is copied; it must be non-empty and positive.
 func NewHypoexp(rates []float64) (*Hypoexp, error) {
-	if len(rates) == 0 {
-		return nil, errors.New("mathx: hypoexponential needs at least one rate")
-	}
-	h := &Hypoexp{rates: make([]float64, len(rates))}
-	copy(h.rates, rates)
-	for _, r := range h.rates {
-		if r <= 0 || math.IsNaN(r) || math.IsInf(r, 0) {
-			return nil, ErrBadRate
-		}
-	}
-	h.distinct = ratesSeparated(h.rates)
-	if h.distinct {
-		h.coef = hypoexpCoefficients(h.rates)
+	h := new(Hypoexp)
+	if err := h.Init(append([]float64(nil), rates...), make([]float64, len(rates))); err != nil {
+		return nil, err
 	}
 	return h, nil
+}
+
+// Init is NewHypoexp in place and without the copy: h aliases rates,
+// which must not change afterwards, and keeps the Eq. (2) coefficients
+// in coef, which must be at least as long. On error h is left unchanged.
+func (h *Hypoexp) Init(rates, coef []float64) error {
+	if len(rates) == 0 {
+		return errors.New("mathx: hypoexponential needs at least one rate")
+	}
+	for _, r := range rates {
+		if r <= 0 || math.IsNaN(r) || math.IsInf(r, 0) {
+			return ErrBadRate
+		}
+	}
+	*h = Hypoexp{rates: rates, distinct: ratesSeparated(rates)}
+	if h.distinct {
+		h.coef = coef[:len(rates)]
+		hypoexpCoefficients(rates, h.coef)
+	}
+	return nil
 }
 
 // Rates returns a copy of the hop rates.
@@ -70,10 +80,11 @@ func (h *Hypoexp) Mean() float64 {
 }
 
 // CDF returns P(total delay <= t). For a single hop this is the
-// exponential CDF; for multiple hops it is Eq. (2) of the paper.
+// exponential CDF; for multiple hops it is Eq. (2) of the paper. The
+// zero Hypoexp, which has no rates, returns 0.
 func (h *Hypoexp) CDF(t float64) float64 {
 	switch {
-	case t <= 0:
+	case t <= 0 || len(h.rates) == 0:
 		return 0
 	case math.IsInf(t, 1):
 		return 1
@@ -318,9 +329,8 @@ func (h *Hypoexp) squared(t float64) float64 {
 	return off[r]
 }
 
-// hypoexpCoefficients computes C_k = prod_{s!=k} lambda_s / (lambda_s - lambda_k).
-func hypoexpCoefficients(rates []float64) []float64 {
-	coef := make([]float64, len(rates))
+// hypoexpCoefficients sets coef[k] = prod_{s!=k} lambda_s / (lambda_s - lambda_k).
+func hypoexpCoefficients(rates, coef []float64) {
 	for k, rk := range rates {
 		c := 1.0
 		for s, rs := range rates {
@@ -331,15 +341,14 @@ func hypoexpCoefficients(rates []float64) []float64 {
 		}
 		coef[k] = c
 	}
-	return coef
 }
 
 // ratesSeparated reports whether all rates differ pairwise by more than a
 // relative tolerance, i.e. whether the closed form is safe.
 func ratesSeparated(rates []float64) bool {
-	sorted := make([]float64, len(rates))
-	copy(sorted, rates)
-	sort.Float64s(sorted)
+	var buf [uniformizedStackHops]float64
+	sorted := append(buf[:0], rates...)
+	slices.Sort(sorted)
 	for i := 1; i < len(sorted); i++ {
 		gap := sorted[i] - sorted[i-1]
 		if gap <= hypoexpSeparation*sorted[i] {
