@@ -17,7 +17,6 @@ import (
 // queries ("request item j with probability P_j"), matching the paper's
 // query-generation procedure.
 type Zipf struct {
-	s   float64
 	pmf []float64
 	cdf []float64
 }
@@ -30,7 +29,7 @@ func NewZipf(m int, s float64) (*Zipf, error) {
 	if s < 0 {
 		return nil, errors.New("mathx: zipf requires s >= 0")
 	}
-	z := &Zipf{s: s, pmf: make([]float64, m), cdf: make([]float64, m)}
+	z := &Zipf{pmf: make([]float64, m), cdf: make([]float64, m)}
 	var norm float64
 	for j := 1; j <= m; j++ {
 		z.pmf[j-1] = 1 / powf(float64(j), s)
@@ -48,9 +47,6 @@ func NewZipf(m int, s float64) (*Zipf, error) {
 
 // M returns the number of ranks.
 func (z *Zipf) M() int { return len(z.pmf) }
-
-// Exponent returns s.
-func (z *Zipf) Exponent() float64 { return z.s }
 
 // P returns P_j for rank j in [1, M]; 0 outside.
 func (z *Zipf) P(j int) float64 {

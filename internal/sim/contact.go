@@ -298,8 +298,6 @@ type Driver struct {
 	deliveredTransfers int
 	droppedTransfers   int
 	skippedContacts    int
-	injectedContacts   int
-	injectedCoalesced  int
 
 	rec        *obs.Recorder
 	cDelivered *obs.Counter
@@ -437,8 +435,8 @@ func (d *Driver) feedStep() {
 // begin event enters the heap at c.Start under an ordinary (non-
 // reserved) sequence number, so it dispatches after any feed contact at
 // the same instant. An injected contact whose pair already has an open
-// session when its begin event fires is dropped and counted as
-// coalesced — it does not extend the active session — which makes
+// session when its begin event fires is dropped (coalesced) — it does
+// not extend the active session — which makes
 // re-ingesting a duplicate of an in-progress contact harmless. c.Start
 // must not be in the past (the scheduler rejects it).
 func (d *Driver) InjectContact(c trace.Contact) error {
@@ -453,18 +451,9 @@ func (d *Driver) InjectContact(c trace.Contact) error {
 // already connected.
 func (d *Driver) beginInjected(c trace.Contact) {
 	if s := d.active[pairKey(c.A, c.B)]; s != nil && !s.closed {
-		d.injectedCoalesced++
 		return
 	}
-	d.injectedContacts++
 	d.beginContact(c)
-}
-
-// InjectedStats returns the number of injected contacts that opened a
-// session and the number coalesced into an already-active same-pair
-// session.
-func (d *Driver) InjectedStats() (opened, coalesced int) {
-	return d.injectedContacts, d.injectedCoalesced
 }
 
 func (d *Driver) beginContact(c trace.Contact) {

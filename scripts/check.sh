@@ -2,6 +2,8 @@
 # Tier-2 pre-merge gate: everything the determinism contract depends on.
 #
 #   go vet            — stock correctness vet
+#   bench module      — vet and short-test the nested bench/ module
+#                       (its own go.mod, so ./... above never builds it)
 #   gofmt -l          — formatting of every non-generated Go file
 #   dtnlint           — the determinism + concurrency-readiness lint
 #                       suite (see DESIGN.md "Static analysis"),
@@ -19,6 +21,13 @@ cd "$(dirname "$0")/.."
 
 echo "== go vet ./..."
 go vet ./...
+
+# bench/ is a nested module: neither ./... pattern here reaches it, so
+# an API change that breaks dtnbench would otherwise surface only when
+# the benchmark runs.
+echo "== bench module: go vet + go test -short"
+go -C bench vet ./...
+go -C bench test -short ./...
 
 # Formatting: every hand-written Go file must be gofmt-clean. Generated
 # files (the standard "// Code generated ... DO NOT EDIT." header) and
