@@ -65,8 +65,6 @@ type ReplyCarry struct {
 // This is the difference between the map-backed seed (a sort per
 // ForwardQueries call) and the zero-allocation replay loop — see
 // DESIGN.md "Replay performance".
-// drops[n] counts removals from node n's query store: a Custody answer
-// "n carries this key" holds while drops[n] is unchanged.
 type Base struct {
 	E *Env
 	// queries[n] holds the query copies node n is carrying, sorted by
@@ -74,7 +72,9 @@ type Base struct {
 	// by every store mutation.
 	queries [][]*QueryCarry
 	qkeys   [][]queryKey
-	drops   []uint64
+	// drops[n] counts removals from node n's query store: a Custody
+	// answer "n carries this key" holds while drops[n] is unchanged.
+	drops []uint64
 	// replies[n] holds the reply copies node n is carrying, sorted by
 	// Q.ID.
 	replies [][]*ReplyCarry

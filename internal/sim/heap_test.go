@@ -91,29 +91,27 @@ func (p *heapPlan) seqFlag(id int) bool { return id < len(p.viaSeq) && p.viaSeq[
 // RunUntil(h) returns: every event due by h has dispatched, so the
 // pending ones are those due after h whose parent (if any) was due by h.
 func (p *heapPlan) pendingAt(h Time) (n int, next Time) {
-	at := append([]Time(nil), p.roots...)
-	at = append(at, make([]Time, len(p.kids)-len(p.roots))...)
+	at := make([]Time, len(p.kids))
+	copy(at, p.roots)
 	next = h
+	pending := func(t Time) {
+		if n == 0 || t < next {
+			next = t
+		}
+		n++
+	}
 	for id := range p.kids {
 		if id < len(p.roots) && at[id] > h {
-			n, next = n+1, minPending(n, next, at[id])
+			pending(at[id])
 		}
 		for _, k := range p.kids[id] {
 			at[k.id] = at[id] + k.delay
 			if at[id] <= h && at[k.id] > h {
-				n, next = n+1, minPending(n, next, at[k.id])
+				pending(at[k.id])
 			}
 		}
 	}
 	return n, next
-}
-
-// minPending folds at into the earliest of the n pending times so far.
-func minPending(n int, next, at Time) Time {
-	if n == 0 || at < next {
-		return at
-	}
-	return next
 }
 
 // referenceOrder replays the plan against a sorted slice: pending
@@ -161,28 +159,20 @@ func runInterleavedTrial(t *testing.T, p *heapPlan) {
 	s := New()
 	var got []int
 	var fire func(id int) func()
-	// schedule queues a batch in order; deferred ScheduleSeq pushes
-	// land after the batch, latest reservation first.
-	schedule := func(ids []int, at func(i int) Time) {
-		type held struct {
-			at  Time
-			seq uint64
-			id  int
-		}
-		var late []held
-		for i, id := range ids {
-			var err error
-			if p.seqFlag(id) {
-				late = append(late, held{at(i), s.Reserve(1), id})
-			} else {
-				err = s.Schedule(at(i), fire(id))
-			}
-			if err != nil {
+	// schedule queues a batch at base+delay in order; deferred
+	// ScheduleSeq pushes land after the batch, latest reservation first.
+	schedule := func(batch []heapKid, base Time) {
+		var late []heapKid
+		var seqs []uint64
+		for _, k := range batch {
+			if p.seqFlag(k.id) {
+				late, seqs = append(late, k), append(seqs, s.Reserve(1))
+			} else if err := s.Schedule(base+k.delay, fire(k.id)); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for i := len(late) - 1; i >= 0; i-- {
-			if err := s.ScheduleSeq(late[i].at, late[i].seq, fire(late[i].id)); err != nil {
+			if err := s.ScheduleSeq(base+late[i].delay, seqs[i], fire(late[i].id)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -190,20 +180,14 @@ func runInterleavedTrial(t *testing.T, p *heapPlan) {
 	fire = func(id int) func() {
 		return func() {
 			got = append(got, id)
-			kids := p.kids[id]
-			ids := make([]int, len(kids))
-			for i, k := range kids {
-				ids[i] = k.id
-			}
-			now := s.Now()
-			schedule(ids, func(i int) Time { return now + kids[i].delay })
+			schedule(p.kids[id], s.Now())
 		}
 	}
-	roots := make([]int, len(p.roots))
-	for id := range roots {
-		roots[id] = id
+	roots := make([]heapKid, len(p.roots))
+	for id, at := range p.roots {
+		roots[id] = heapKid{delay: at, id: id}
 	}
-	schedule(roots, func(i int) Time { return p.roots[i] })
+	schedule(roots, 0)
 	for _, h := range p.steps {
 		s.RunUntil(h)
 		n, next := p.pendingAt(h)
