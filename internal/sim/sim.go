@@ -113,8 +113,8 @@ func (h *eventHeap) pop() event {
 
 // Simulator is the event loop. The zero value is not usable; call New.
 //
-// front is a one-slot buffer, holding nfront (0 or 1) events, that
-// dispatches before every event in queue. Most events a replay schedules (a
+// front is a one-slot buffer of nfront (0 or 1) events that dispatch
+// before every event in queue. Most events a replay schedules (a
 // session's next transfer completion) are due before anything queued,
 // and the slot takes them without a sift. (at, seq) is a total order,
 // so the slot cannot change the dispatch order.
