@@ -232,6 +232,7 @@ func (e *EngineFlags) Config(tr *trace.Trace, fc fault.Config, rec *obs.Recorder
 	if err != nil {
 		return engine.Config{}, err
 	}
+	fc.KillProb = *e.Drop
 	return engine.Config{
 		Trace:           tr,
 		AvgLifetime:     e.TL.Seconds(),
@@ -241,7 +242,6 @@ func (e *EngineFlags) Config(tr *trace.Trace, fc fault.Config, rec *obs.Recorder
 		Seed:            *e.Seed,
 		BufferMinBits:   *e.BufMin * 1e6,
 		BufferMaxBits:   *e.BufMax * 1e6,
-		DropProb:        *e.Drop,
 		Fault:           fc,
 		QueryRetrySec:   e.Retry.Seconds(),
 		QueryRetryMax:   *e.RetryMax,

@@ -3,7 +3,7 @@
 // (cmd/dtnsim), the figure/table sweeps (internal/experiment) and the
 // long-running cache service (cmd/dtnserved) all build a Config, call
 // New, and drive the returned Engine through the same small imperative
-// API — Publish, Query, Advance/Tick, Report, Close. There is exactly
+// API — Publish, Query, Advance, Report, Close. There is exactly
 // one replay code path: the engine owns the pooled event heap
 // (internal/sim), the scheme and core protocol state, the knowledge
 // Provider with its incremental NCL recompute, the obs Recorder and
@@ -11,7 +11,7 @@
 // and clock advancement come from.
 //
 // The engine itself never reads the wall clock and never spawns
-// goroutines: virtual time advances only through Advance/Tick/Run, so
+// goroutines: virtual time advances only through Advance/Run, so
 // a batch driver can replay as fast as the hardware allows while a
 // service driver paces the same event stream against real time. All
 // methods serialize on one mutex, making an Engine safe for concurrent
@@ -86,8 +86,6 @@ type Config struct {
 	// PerNodeInterests gives each requester its own Zipf rank
 	// permutation (extension; the paper's global popularity is default).
 	PerNodeInterests bool
-	// DropProb injects transfer failures.
-	DropProb float64
 	// Fault configures the deterministic fault-injection engine: node
 	// churn, contact truncation, transfer kills, NCL blackouts. The zero
 	// value installs no injector.

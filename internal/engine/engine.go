@@ -83,7 +83,6 @@ func New(cfg Config) (*Engine, error) {
 	sc.Response = c.Response
 	sc.ProbabilisticSelection = !c.DisableProbabilisticSelection
 	sc.PopularityFromFirst = c.PopularityFromFirst
-	sc.DropProb = c.DropProb
 	sc.Fault = c.Fault
 	sc.QueryRetrySec = c.QueryRetrySec
 	sc.QueryRetryMax = c.QueryRetryMax
@@ -164,22 +163,6 @@ func (e *Engine) SpanTree(id workload.QueryID) ([]obs.SpanEvent, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.env.Prov.SpanTree(id)
-}
-
-// Tick dispatches all events of the next pending virtual instant and
-// returns that instant. With an empty queue it returns the current
-// time and n = 0.
-func (e *Engine) Tick() (at float64, n int, err error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return 0, 0, ErrClosed
-	}
-	if e.env.Sim.Pending() == 0 {
-		return e.env.Sim.Now(), 0, nil
-	}
-	at = e.env.Sim.NextEventAt()
-	return at, e.env.Sim.RunUntil(at), nil
 }
 
 // Run replays the remaining trace to its end and returns the final

@@ -167,13 +167,6 @@ func TestLivePublishQueryAdvance(t *testing.T) {
 	if _, err := eng.Advance(10); err != nil || eng.Now() != 3600 {
 		t.Errorf("backwards Advance moved the clock: now=%v err=%v", eng.Now(), err)
 	}
-	at, _, err := eng.Tick()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if at < 3600 {
-		t.Errorf("Tick went backwards: %v", at)
-	}
 	if rep := eng.Report(); rep.QueriesIssued != 1 {
 		t.Errorf("report QueriesIssued = %d, want 1", rep.QueriesIssued)
 	}
@@ -242,9 +235,6 @@ func TestCloseSemantics(t *testing.T) {
 	}
 	if _, err := eng.Advance(10); err != engine.ErrClosed {
 		t.Errorf("Advance after Close: %v", err)
-	}
-	if _, _, err := eng.Tick(); err != engine.ErrClosed {
-		t.Errorf("Tick after Close: %v", err)
 	}
 	if _, err := eng.Run(); err != engine.ErrClosed {
 		t.Errorf("Run after Close: %v", err)

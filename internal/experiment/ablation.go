@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"dtncache/internal/engine"
+	"dtncache/internal/fault"
 	"dtncache/internal/knowledge"
 	"dtncache/internal/metrics"
 	"dtncache/internal/routing"
@@ -124,8 +125,8 @@ func Robustness(o FigureOptions) (*Table, error) {
 	reports := make([]metrics.Report, len(cells))
 	if err := forEachCell(len(cells), func(i int) error {
 		rep, err := RunAveraged(engine.Config{
-			Trace: tr, AvgLifetime: tl, K: 8, Seed: o.Seed, DropProb: cells[i].p,
-			Knowledge: kb,
+			Trace: tr, AvgLifetime: tl, K: 8, Seed: o.Seed,
+			Fault: fault.Config{KillProb: cells[i].p}, Knowledge: kb,
 		}, cells[i].name, o.Repeats)
 		reports[i] = rep
 		return err

@@ -81,8 +81,8 @@ func (c *churnNode) run() {
 // NewEngine validates cfg and wires the fault models onto the
 // simulator. derive mints named RNG streams off the run's root RNG
 // (scheme.Env passes e.Rng.Derive); streams are only minted for enabled
-// models, so a DropProb-equivalent config (KillProb only) consumes
-// exactly the root-stream draws the old scheme-level knob did.
+// models, so a KillProb-only config consumes exactly one root-stream
+// derivation.
 func NewEngine(s *sim.Simulator, nodes int, cfg Config, derive func(label string) *mathx.Rand) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -93,9 +93,8 @@ func NewEngine(s *sim.Simulator, nodes int, cfg Config, derive func(label string
 		down: make([]bool, nodes),
 	}
 	if cfg.KillProb > 0 {
-		// The label predates the fault layer ("faults" was the
-		// scheme-level DropProb stream); keeping it preserves byte
-		// identity with recorded DropProb-era runs.
+		// The label predates the fault layer; keeping it preserves
+		// byte identity with runs recorded before it.
 		e.killRng = derive("faults")
 	}
 	if cfg.TruncateProb > 0 {

@@ -14,8 +14,7 @@
 //   - contact truncation: each contact is independently shortened to a
 //     uniform point of its traced span with a fixed probability;
 //   - mid-transfer kill: each transfer independently fails in flight
-//     with a fixed probability (the generalization of the old
-//     scheme-level DropProb knob, which now routes here);
+//     with a fixed probability (the CLIs' -drop flag);
 //   - NCL blackout: a window during which the top-k metric-ranked
 //     central nodes are all down — the targeted worst case for the
 //     intentional scheme's pull phase.

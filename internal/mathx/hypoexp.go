@@ -63,13 +63,6 @@ func (h *Hypoexp) Init(rates, coef []float64) error {
 	return nil
 }
 
-// Rates returns a copy of the hop rates.
-func (h *Hypoexp) Rates() []float64 {
-	out := make([]float64, len(h.rates))
-	copy(out, h.rates)
-	return out
-}
-
 // Mean returns the expected total delay, sum of 1/lambda_k.
 func (h *Hypoexp) Mean() float64 {
 	var m float64

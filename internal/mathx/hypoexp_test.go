@@ -255,15 +255,6 @@ func TestPathWeight(t *testing.T) {
 	}
 }
 
-func TestHypoexpRatesReturnsCopy(t *testing.T) {
-	h := mustHypoexp(t, []float64{1, 2})
-	got := h.Rates()
-	got[0] = 99
-	if h.Rates()[0] != 1 {
-		t.Error("Rates() must return a copy")
-	}
-}
-
 // cdfUniformizedRef is cdfUniformized as it was before the
 // exact-underflow exit: the Poisson sum runs until the weights sum to
 // 1-1e-13 past qt or a fixed cap of 100,000 terms. Below qt ~ 6e4 the

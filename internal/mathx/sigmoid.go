@@ -51,9 +51,3 @@ func (s *ResponseSigmoid) Prob(t float64) float64 {
 	}
 	return s.k1 / (1 + math.Exp(-s.k2*t))
 }
-
-// TimeConstraint returns the T_q the sigmoid was built for.
-func (s *ResponseSigmoid) TimeConstraint() float64 { return s.tq }
-
-// Bounds returns (p_min, p_max).
-func (s *ResponseSigmoid) Bounds() (pmin, pmax float64) { return s.pmin, s.pmax }

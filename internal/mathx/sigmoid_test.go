@@ -71,17 +71,3 @@ func TestSigmoidMonotoneAndBounded(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestSigmoidAccessors(t *testing.T) {
-	s, err := NewResponseSigmoid(0.45, 0.8, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.TimeConstraint(); got != 10 {
-		t.Errorf("TimeConstraint = %v, want 10", got)
-	}
-	pmin, pmax := s.Bounds()
-	if pmin != 0.45 || pmax != 0.8 {
-		t.Errorf("Bounds = %v, %v; want 0.45, 0.8", pmin, pmax)
-	}
-}

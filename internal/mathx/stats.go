@@ -73,32 +73,18 @@ func Percentile(sorted []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Online accumulates a running mean and variance (Welford) without storing
+// Online accumulates a running mean (Welford's update) without storing
 // the sample. The zero value is ready to use.
 type Online struct {
 	n    int
 	mean float64
-	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add incorporates one observation.
 func (o *Online) Add(x float64) {
 	o.n++
-	if o.n == 1 {
-		o.min, o.max = x, x
-	} else {
-		if x < o.min {
-			o.min = x
-		}
-		if x > o.max {
-			o.max = x
-		}
-	}
 	d := x - o.mean
 	o.mean += d / float64(o.n)
-	o.m2 += d * (x - o.mean)
 }
 
 // N returns the number of observations.
@@ -106,23 +92,6 @@ func (o *Online) N() int { return o.n }
 
 // Mean returns the running mean (0 if empty).
 func (o *Online) Mean() float64 { return o.mean }
-
-// Var returns the unbiased sample variance (0 if n < 2).
-func (o *Online) Var() float64 {
-	if o.n < 2 {
-		return 0
-	}
-	return o.m2 / float64(o.n-1)
-}
-
-// Std returns the sample standard deviation.
-func (o *Online) Std() float64 { return math.Sqrt(o.Var()) }
-
-// Min returns the smallest observation (0 if empty).
-func (o *Online) Min() float64 { return o.min }
-
-// Max returns the largest observation (0 if empty).
-func (o *Online) Max() float64 { return o.max }
 
 // Histogram is a fixed-width bucket histogram over [Lo, Hi); values outside
 // the range are clamped into the first/last bucket. It backs the
@@ -156,17 +125,3 @@ func (h *Histogram) Add(x float64) {
 
 // Total returns the number of recorded values.
 func (h *Histogram) Total() int { return h.total }
-
-// BucketMid returns the midpoint of bucket i.
-func (h *Histogram) BucketMid(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*w
-}
-
-// Fraction returns the fraction of samples in bucket i (0 if empty).
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.total)
-}

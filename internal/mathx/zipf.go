@@ -45,9 +45,6 @@ func NewZipf(m int, s float64) (*Zipf, error) {
 	return z, nil
 }
 
-// M returns the number of ranks.
-func (z *Zipf) M() int { return len(z.pmf) }
-
 // P returns P_j for rank j in [1, M]; 0 outside.
 func (z *Zipf) P(j int) float64 {
 	if j < 1 || j > len(z.pmf) {

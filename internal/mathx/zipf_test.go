@@ -25,7 +25,7 @@ func TestZipfPMFSumsToOne(t *testing.T) {
 			t.Fatal(err)
 		}
 		sum := 0.0
-		for j := 1; j <= z.M(); j++ {
+		for j := 1; j <= 100; j++ {
 			sum += z.P(j)
 		}
 		if math.Abs(sum-1) > 1e-12 {

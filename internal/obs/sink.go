@@ -3,7 +3,6 @@ package obs
 import (
 	"bufio"
 	"io"
-	"sync"
 )
 
 // Sink receives encoded NDJSON trace lines. WriteLine is handed the
@@ -145,31 +144,3 @@ func (s *SampleSink) WriteLine(line []byte) {
 
 // Close implements Sink.
 func (s *SampleSink) Close() error { return s.inner.Close() }
-
-// SyncSink serializes concurrent writers onto one inner sink
-// (cmd/experiments records cell completions from parallel sweep
-// workers). Per-line atomicity only: interleaving across goroutines
-// still depends on scheduling.
-type SyncSink struct {
-	mu    sync.Mutex
-	inner Sink
-}
-
-// NewSyncSink wraps inner with a mutex.
-func NewSyncSink(inner Sink) *SyncSink {
-	return &SyncSink{inner: inner}
-}
-
-// WriteLine implements Sink.
-func (s *SyncSink) WriteLine(line []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.inner.WriteLine(line)
-}
-
-// Close implements Sink.
-func (s *SyncSink) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.inner.Close()
-}

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -115,30 +114,4 @@ func TestSampleSinkKeepsFirstLine(t *testing.T) {
 	pass := NewSampleSink(NewRingSink(4), 0)
 	pass.WriteLine([]byte("x"))
 	pass.WriteLine([]byte("y"))
-}
-
-// TestSyncSinkSerializes hammers one SyncSink from eight goroutines to
-// prove the mutex keeps whole lines intact.
-//
-//dtn:workerpool WaitGroup-joined concurrency hammer
-func TestSyncSinkSerializes(t *testing.T) {
-	ring := NewRingSink(1000)
-	s := NewSyncSink(ring)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				s.WriteLine([]byte("line"))
-			}
-		}()
-	}
-	wg.Wait()
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if ring.Len() != 800 {
-		t.Errorf("ring kept %d lines, want 800", ring.Len())
-	}
 }

@@ -51,14 +51,22 @@ func decodeSpan(l traceLine) obs.SpanEvent {
 }
 
 // TestAttributionExactOnInfocom05 runs the paper's Infocom05 preset
-// under the intentional scheme with span tracing on and pins the
-// tentpole's core promise: every satisfied query reconstructs to a
-// complete span tree whose critical-path attribution reproduces the
-// recorded end-to-end delay with exact virtual-time arithmetic — the
-// root extent equals the query-answered delay bitwise, adjacent path
-// spans touch exactly, and wait/queued/transfer reassemble to the
-// total exactly (queued is the closing residual by construction).
+// with span tracing on, under the intentional scheme and under
+// Epidemic flooding (which replicates both query and reply copies),
+// and pins provenance's core promise: every satisfied query
+// reconstructs to a complete span tree whose critical-path attribution
+// reproduces the recorded end-to-end delay with exact virtual-time
+// arithmetic — the root extent equals the query-answered delay
+// bitwise, adjacent path spans touch exactly, and wait/queued/transfer
+// reassemble to the total exactly (queued is the closing residual by
+// construction).
 func TestAttributionExactOnInfocom05(t *testing.T) {
+	for _, name := range []string{engine.SchemeIntentional, engine.SchemeEpidemic} {
+		t.Run(name, func(t *testing.T) { checkAttributionExact(t, name) })
+	}
+}
+
+func checkAttributionExact(t *testing.T, schemeName string) {
 	tr, err := trace.GeneratePreset(trace.Infocom05, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +75,7 @@ func TestAttributionExactOnInfocom05(t *testing.T) {
 	rec := obs.NewRecorder(obs.NewStreamSink(&cb))
 	// T_L = 12h: at Infocom05's 3-day horizon the default 1-week data
 	// lifetime issues no queries at all (same choice as check.sh).
-	eng, err := engine.New(engine.Config{Trace: tr, Obs: rec,
+	eng, err := engine.New(engine.Config{Trace: tr, Obs: rec, Scheme: schemeName,
 		AvgLifetime: 12 * 3600, SpanRetain: 16})
 	if err != nil {
 		t.Fatal(err)

@@ -299,12 +299,14 @@ func (t *Tracer) Pull(id workload.QueryID, target, responder trace.NodeID,
 	}
 }
 
-// ReplyHop closes the sender's reply custody segment. When the hop
-// reaches the requester (toRequester) and is the first on-time
-// delivery (first), it also emits the terminal deliver span and the
-// root issue span, completing the tree.
+// ReplyHop closes the sender's reply custody segment. moved says
+// whether the sender gave its copy up (gradient forwarding) or kept it
+// (epidemic replication), as in QueryHop. When the hop reaches the
+// requester (toRequester) and is the first on-time delivery (first),
+// it also emits the terminal deliver span and the root issue span,
+// completing the tree.
 func (t *Tracer) ReplyHop(id workload.QueryID, from, to trace.NodeID,
-	enq, delivered, xferSec float64, toRequester, first bool) {
+	enq, delivered, xferSec float64, moved, toRequester, first bool) {
 	if t == nil {
 		return
 	}
@@ -321,7 +323,9 @@ func (t *Tracer) ReplyHop(id workload.QueryID, from, to trace.NodeID,
 	t.emit(qt, obs.SpanEvent{ID: sp, Parent: st.parent, Op: OpReplySeg,
 		Start: st.arrival, End: delivered, Enq: enq,
 		A: int32(from), B: int32(to), Query: int64(id), V: xferSec})
-	delete(qt.rcop, from)
+	if moved {
+		delete(qt.rcop, from)
+	}
 	if toRequester {
 		if first && !qt.done {
 			qt.done = true

@@ -34,7 +34,7 @@ func happyPath(t *testing.T, tr *Tracer) {
 	tr.NCLMiss(0, 9, 9, 75, 3)
 	tr.QueryHop(0, 9, 9, 4, 80, 82, 1.0, OpQueryBcast, false)
 	tr.Pull(0, 9, 4, 82, 7, 0.25)
-	tr.ReplyHop(0, 4, 2, 90, 100, 2.5, true, true)
+	tr.ReplyHop(0, 4, 2, 90, 100, 2.5, true, true, true)
 }
 
 func TestTracerHappyPath(t *testing.T) {
@@ -134,7 +134,7 @@ func TestTracerSecondDeliveryIgnored(t *testing.T) {
 	// A duplicate reply reaching the requester later must not emit a
 	// second deliver/root pair.
 	tr.Pull(0, 9, 6, 110, 7, 0.5)
-	tr.ReplyHop(0, 6, 2, 120, 130, 2.5, true, false)
+	tr.ReplyHop(0, 6, 2, 120, 130, 2.5, true, true, false)
 	spans, _ := tr.SpanTree(0)
 	deliver, issue := 0, 0
 	for _, sp := range spans {
@@ -246,7 +246,7 @@ func TestSpanZeroAlloc(t *testing.T) {
 		tr.QueryHop(0, 9, 2, 5, 40, 50, 1.0, OpQuerySeg, true)
 		tr.NCLMiss(0, 9, 9, 75, 3)
 		tr.Pull(0, 9, 4, 82, 7, 0.25)
-		tr.ReplyHop(0, 4, 2, 90, 100, 2.5, true, true)
+		tr.ReplyHop(0, 4, 2, 90, 100, 2.5, true, true, true)
 		tr.Sweep(1000)
 		if _, ok := tr.SpanTree(0); ok {
 			t.Fatal("nil tracer knows a query")

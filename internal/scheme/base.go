@@ -330,13 +330,6 @@ func (b *Base) CarriesReply(n trace.NodeID, id workload.QueryID) bool {
 	return i < len(rs) && rs[i].Q.ID == id
 }
 
-// Replies returns a copy of the reply copies node n carries, ordered by
-// query ID. Hot paths use ForEachReply instead; this accessor
-// allocates.
-func (b *Base) Replies(n trace.NodeID) []*ReplyCarry {
-	return append([]*ReplyCarry(nil), b.replies[n]...)
-}
-
 // ForEachReply visits node n's reply copies in query-ID order without
 // allocating, under the same contract as ForEachQuery.
 //
@@ -559,14 +552,9 @@ func (b *Base) ForwardReplies(s *sim.Session, from trace.NodeID, onDelivered Rep
 				b.E.M.DataTransferred(rc.Item.SizeBits)
 				b.DropReply(from, rc.Q.ID)
 				if to == req {
-					first := b.E.M.QueryDelivered(rc.Q.ID, at)
-					if first {
-						b.E.cQAnswered.Inc()
-						b.E.hQueryDelay.Observe(at - rc.Q.Issued)
-						b.E.Obs.QueryAnswered(at, int32(req), int64(rc.Q.ID), at-rc.Q.Issued)
-					}
+					first := b.E.answerQuery(rc.Q, at)
 					b.E.Prov.ReplyHop(rc.Q.ID, from, to,
-						now, at, b.E.XferSec(rc.Item.SizeBits), true, first)
+						now, at, b.E.XferSec(rc.Item.SizeBits), true, true, first)
 					if onDelivered != nil {
 						onDelivered(rc, first)
 					}
@@ -574,7 +562,7 @@ func (b *Base) ForwardReplies(s *sim.Session, from trace.NodeID, onDelivered Rep
 				}
 				b.CarryReply(to, rc)
 				b.E.Prov.ReplyHop(rc.Q.ID, from, to,
-					now, at, b.E.XferSec(rc.Item.SizeBits), false, false)
+					now, at, b.E.XferSec(rc.Item.SizeBits), true, false, false)
 				if onRelay != nil {
 					onRelay(to, rc)
 				}

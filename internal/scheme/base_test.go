@@ -52,17 +52,24 @@ func TestBaseCarryQueryRejectsExpired(t *testing.T) {
 	}
 }
 
+// countReplies counts the reply copies node n carries.
+func countReplies(b *Base, n trace.NodeID) int {
+	count := 0
+	b.ForEachReply(n, func(*ReplyCarry) { count++ })
+	return count
+}
+
 func TestBaseCarryReplyDedup(t *testing.T) {
 	b, env, w := testBase(t)
 	env.Sim.RunUntil(22000)
 	rc := &ReplyCarry{Q: w.Queries[0], Item: w.Data[0]}
 	b.CarryReply(1, rc)
 	b.CarryReply(1, rc)
-	if len(b.Replies(1)) != 1 {
-		t.Error("duplicate reply carried")
+	if n := countReplies(b, 1); n != 1 || !b.CarriesReply(1, rc.Q.ID) {
+		t.Errorf("carrying %d replies after a duplicate carry, want 1", n)
 	}
 	b.DropReply(1, rc.Q.ID)
-	if len(b.Replies(1)) != 0 {
+	if countReplies(b, 1) != 0 || b.CarriesReply(1, rc.Q.ID) {
 		t.Error("reply not dropped")
 	}
 }
@@ -156,7 +163,7 @@ func TestBaseSweepExpired(t *testing.T) {
 	b.CarryReply(1, &ReplyCarry{Q: q, Item: w.Data[0]})
 	b.MarkResponded(1, q.ID)
 	b.SweepExpired(q.Deadline + 1)
-	if len(b.Queries(2)) != 0 || len(b.Replies(1)) != 0 {
+	if len(b.Queries(2)) != 0 || countReplies(b, 1) != 0 {
 		t.Error("expired carries not swept")
 	}
 	if !b.MarkResponded(1, q.ID) {
@@ -177,7 +184,7 @@ func TestBaseRespond(t *testing.T) {
 	if !b.Respond(0, qc, true) {
 		t.Error("source did not respond")
 	}
-	if len(b.Replies(0)) != 1 {
+	if countReplies(b, 0) != 1 || !b.CarriesReply(0, q.ID) {
 		t.Error("reply not carried")
 	}
 	// One-shot: a second respond for the same query is refused.

@@ -106,24 +106,17 @@ type Config struct {
 	PopularityFromFirst bool
 	// Bandwidth is the contact link bandwidth (sim.DefaultBandwidth if 0).
 	Bandwidth float64
-	// DropProb injects random transfer failures (0 = off). It is the
-	// legacy spelling of Fault.KillProb and routes through the same
-	// fault engine; setting both is a configuration error.
-	DropProb float64
 	// Fault configures the deterministic fault-injection engine
 	// (internal/fault). The zero value installs no engine at all,
 	// keeping the replay hot path on its fault-free fast path.
 	Fault fault.Config
 	// QueryRetrySec > 0 re-issues unsatisfied queries after this
-	// timeout with capped exponential backoff: attempt i+1 waits
-	// QueryRetryFactor times longer than attempt i (factor 2 when 0),
-	// capped at QueryRetryCapSec (uncapped when 0), for up to
+	// timeout with exponential backoff: attempt i+1 waits twice as
+	// long as attempt i, for up to
 	// QueryRetryMax attempts (3 when 0). Retries never outlive the
 	// query deadline.
-	QueryRetrySec    float64
-	QueryRetryMax    int
-	QueryRetryFactor float64
-	QueryRetryCapSec float64
+	QueryRetrySec float64
+	QueryRetryMax int
 	// NCLFailover re-targets the intentional scheme's push/pull traffic
 	// of a down central node to the next-ranked live node under current
 	// knowledge, and re-replicates crash-lost cached items.
@@ -135,11 +128,6 @@ type Config struct {
 	// CheckInvariants runs the internal/fault runtime invariant checker
 	// every SweepSec, collecting violations on the Env.
 	CheckInvariants bool
-	// KnowledgeEpsilon is the relative rate-change threshold of the
-	// incremental knowledge builder (knowledge.Params.Epsilon). The
-	// default 0 is exact mode: every snapshot is bit-identical to a
-	// full recompute. Positive values trade accuracy for refresh speed.
-	KnowledgeEpsilon float64
 	// Seed drives all run randomness (coin flips, buffer sizes).
 	Seed int64
 	// Obs is the observability recorder wired through every layer of the
@@ -201,20 +189,10 @@ func (c Config) Validate() error {
 		return errors.New("scheme: MaxHops must be >= 0 (0 selects the default)")
 	case c.WarmupEnd < 0:
 		return errors.New("scheme: WarmupEnd must be >= 0")
-	case c.KnowledgeEpsilon < 0:
-		return errors.New("scheme: KnowledgeEpsilon must be >= 0")
-	case c.DropProb < 0 || c.DropProb > 1:
-		return errors.New("scheme: DropProb must be in [0,1]")
-	case c.DropProb > 0 && c.Fault.KillProb > 0:
-		return errors.New("scheme: DropProb and Fault.KillProb are the same knob; set only one")
 	case c.QueryRetrySec < 0:
 		return errors.New("scheme: QueryRetrySec must be >= 0")
 	case c.QueryRetryMax < 0:
 		return errors.New("scheme: QueryRetryMax must be >= 0")
-	case c.QueryRetryFactor != 0 && c.QueryRetryFactor < 1:
-		return errors.New("scheme: QueryRetryFactor must be >= 1 (0 selects the default)")
-	case c.QueryRetryCapSec < 0:
-		return errors.New("scheme: QueryRetryCapSec must be >= 0")
 	case c.PushRetryBudget < 0:
 		return errors.New("scheme: PushRetryBudget must be >= 0")
 	case c.SpanRetain < 0:
@@ -318,14 +296,14 @@ type Env struct {
 }
 
 // KnowledgeParams returns the knowledge pipeline configuration an Env
-// with this Config over nodes nodes requires. A shared provider must
-// have exactly these Params.
+// with this Config over nodes nodes requires: exact mode (Epsilon 0),
+// so every snapshot is bit-identical to a full recompute. A shared
+// provider must have exactly these Params.
 func (c Config) KnowledgeParams(nodes int) knowledge.Params {
 	return knowledge.Params{
 		Nodes:   nodes,
 		MetricT: c.MetricT,
 		MaxHops: c.MaxHops,
-		Epsilon: c.KnowledgeEpsilon,
 	}
 }
 
@@ -393,17 +371,8 @@ func NewEnv(tr *trace.Trace, w *workload.Workload, cfg Config, s Scheme, kb *kno
 	if cfg.Bandwidth > 0 {
 		opts = append(opts, sim.WithBandwidth(cfg.Bandwidth))
 	}
-	fc := cfg.Fault
-	if cfg.DropProb > 0 {
-		// Legacy knob: route the scheme-level drop probability through
-		// the fault engine as its degenerate transfer-kill injector. The
-		// engine derives the same "faults" RNG stream at the same point
-		// the former driver-level drop option did, so seeded results
-		// are unchanged.
-		fc.KillProb = cfg.DropProb
-	}
-	if !fc.Zero() {
-		eng, err := fault.NewEngine(e.Sim, e.N, fc, e.Rng.Derive)
+	if !cfg.Fault.Zero() {
+		eng, err := fault.NewEngine(e.Sim, e.N, cfg.Fault, e.Rng.Derive)
 		if err != nil {
 			return nil, err
 		}
@@ -606,6 +575,20 @@ func (e *Env) issueQuery(q workload.Query) bool {
 	if e.Cfg.QueryRetrySec > 0 {
 		e.scheduleQueryRetry(q, 1, e.Cfg.QueryRetrySec)
 	}
+	return true
+}
+
+// answerQuery records the delivery of q's data to its requester at
+// time at: the first on-time delivery counts the query answered in the
+// metrics, the obs counter and delay histogram, and the run-trace. It
+// reports whether this delivery was that first one.
+func (e *Env) answerQuery(q workload.Query, at float64) bool {
+	if !e.M.QueryDelivered(q.ID, at) {
+		return false
+	}
+	e.cQAnswered.Inc()
+	e.hQueryDelay.Observe(at - q.Issued)
+	e.Obs.QueryAnswered(at, int32(q.Requester), int64(q.ID), at-q.Issued)
 	return true
 }
 
@@ -853,10 +836,6 @@ func (e *Env) selectNCLs() []trace.NodeID {
 	}
 	return graph.SelectNCLs(scores, e.Cfg.NCLCount)
 }
-
-// Graph returns the latest contact-rate graph. It may be shared with
-// other schemes: treat it as read-only.
-func (e *Env) Graph() *graph.Graph { return e.snap.Graph() }
 
 // Knowledge returns the immutable knowledge snapshot of the latest
 // refresh (the version-0 empty snapshot before warm-up ends). Schemes

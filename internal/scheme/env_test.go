@@ -67,17 +67,12 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.BufferMinBits = 0 },
 		func(c *Config) { c.BufferMaxBits = c.BufferMinBits - 1 },
 		func(c *Config) { c.WarmupEnd = -1 },
-		func(c *Config) { c.DropProb = 1.5 },
 		func(c *Config) { c.PMin = 0.1 }, // below pmax/2 for sigmoid
 		func(c *Config) { c.PMin = 0.9 }, // above pmax
 		func(c *Config) { c.MaxHops = -1 },
-		func(c *Config) { c.KnowledgeEpsilon = -0.1 },
 		// Fault/recovery knobs.
-		func(c *Config) { c.DropProb = 0.1; c.Fault.KillProb = 0.1 }, // same knob twice
 		func(c *Config) { c.QueryRetrySec = -1 },
 		func(c *Config) { c.QueryRetryMax = -1 },
-		func(c *Config) { c.QueryRetryFactor = 0.5 }, // backoff must not shrink
-		func(c *Config) { c.QueryRetryCapSec = -1 },
 		func(c *Config) { c.PushRetryBudget = -1 },
 		// Malformed fault params surface through Config.Validate.
 		func(c *Config) { c.Fault.KillProb = 2 },

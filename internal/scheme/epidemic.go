@@ -1,6 +1,7 @@
 package scheme
 
 import (
+	"dtncache/internal/provenance"
 	"dtncache/internal/sim"
 	"dtncache/internal/trace"
 	"dtncache/internal/workload"
@@ -73,6 +74,9 @@ func (s *Epidemic) floodQueries(sess *sim.Session, from trace.NodeID) {
 					return
 				}
 				s.base.CarryQuery(to, copyQC)
+				// A flooded copy is a replication: the sender keeps its own.
+				e.Prov.QueryHop(copyQC.Q.ID, copyQC.Target, from, to,
+					now, at, e.XferSec(e.Cfg.QueryBits), provenance.OpQueryBcast, false)
 				if e.HasData(to, copyQC.Q.Data) && s.base.Respond(to, copyQC, true) {
 					s.floodReplies(sess, to)
 				}
@@ -97,15 +101,16 @@ func (s *Epidemic) floodReplies(sess *sim.Session, from trace.NodeID) {
 			From: from, To: to, Bits: rc.Item.SizeBits, Label: "epidemic-reply",
 			OnDelivered: func(at float64) {
 				e.M.DataTransferred(rc.Item.SizeBits)
+				// The sender keeps its reply copy, as with queries.
 				if to == rc.Q.Requester {
-					if e.M.QueryDelivered(rc.Q.ID, at) {
-						e.cQAnswered.Inc()
-						e.hQueryDelay.Observe(at - rc.Q.Issued)
-						e.Obs.QueryAnswered(at, int32(to), int64(rc.Q.ID), at-rc.Q.Issued)
-					}
+					first := e.answerQuery(rc.Q, at)
+					e.Prov.ReplyHop(rc.Q.ID, from, to,
+						now, at, e.XferSec(rc.Item.SizeBits), false, true, first)
 					return
 				}
 				s.base.CarryReply(to, rc)
+				e.Prov.ReplyHop(rc.Q.ID, from, to,
+					now, at, e.XferSec(rc.Item.SizeBits), false, false, false)
 			},
 		})
 	})

@@ -8,11 +8,12 @@ import (
 	"dtncache/internal/workload"
 )
 
-// Defaults of the query-retry backoff chain (selected by zero config
-// values).
+// The query-retry backoff chain: the attempt cap a zero
+// Config.QueryRetryMax selects, and the factor each retry's timeout
+// grows by.
 const (
-	DefaultQueryRetryMax    = 3
-	DefaultQueryRetryFactor = 2.0
+	DefaultQueryRetryMax = 3
+	queryRetryFactor     = 2.0
 )
 
 // FaultAware is implemented by schemes that react to fault-injection
@@ -25,9 +26,6 @@ type FaultAware interface {
 	// OnNodeUp fires when a crashed node recovers.
 	OnNodeUp(n trace.NodeID, at float64)
 }
-
-// Faults returns the installed fault engine, nil without one.
-func (e *Env) Faults() *fault.Engine { return e.faults }
 
 // nodeDown is the fault engine's OnDown hook: the crash loses the
 // node's cached copies (when configured) and the scheme drops its
@@ -81,15 +79,7 @@ func (e *Env) scheduleQueryRetry(q workload.Query, attempt int, delay float64) {
 		e.Obs.QueryRetry(e.Sim.Now(), int32(q.Requester), int64(q.ID), int64(attempt))
 		e.Prov.QueryRetry(q, e.Sim.Now(), attempt)
 		e.scheme.OnQuery(q)
-		factor := e.Cfg.QueryRetryFactor
-		if factor == 0 {
-			factor = DefaultQueryRetryFactor
-		}
-		next := delay * factor
-		if e.Cfg.QueryRetryCapSec > 0 && next > e.Cfg.QueryRetryCapSec {
-			next = e.Cfg.QueryRetryCapSec
-		}
-		e.scheduleQueryRetry(q, attempt+1, next)
+		e.scheduleQueryRetry(q, attempt+1, delay*queryRetryFactor)
 	})
 }
 

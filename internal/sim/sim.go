@@ -359,7 +359,7 @@ func (s *Simulator) run(t Time, bounded bool) (n int, stopped bool) {
 func (s *Simulator) Pending() int { return len(s.queue) + s.nfront }
 
 // NextEventAt returns the timestamp of the earliest queued event, or
-// the current time when the queue is empty (the engine's Tick target).
+// the current time when the queue is empty.
 func (s *Simulator) NextEventAt() Time {
 	if next := s.next(); next != nil {
 		return next.at

@@ -3,7 +3,6 @@ package trace
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 
 	"dtncache/internal/mathx"
@@ -273,62 +272,4 @@ func GenerateCity(cfg CityConfig) (*Trace, error) {
 		return nil, fmt.Errorf("trace: city: generated invalid trace: %w", err)
 	}
 	return tr, nil
-}
-
-// citySource adapts StreamCity to ContactSource without a goroutine:
-// the generator's event loop is inverted into a pull iterator.
-type citySource struct {
-	w    *cityWorld
-	cfg  CityConfig
-	t    float64
-	done bool
-}
-
-// NewCitySource returns a pull-based source over the city generator's
-// contact stream — handy for feeding the simulator or a chunked writer
-// without a callback inversion.
-func NewCitySource(cfg CityConfig) (ContactSource, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	w := buildCityWorld(cfg)
-	return &citySource{w: w, cfg: cfg, t: w.eventRng.Exp(cityPeak(cfg))}, nil
-}
-
-func cityPeak(cfg CityConfig) float64 {
-	return float64(cfg.TargetContacts) / (cfg.DurationSec * (1 - cfg.DiurnalAmplitude/2))
-}
-
-// NextContact implements ContactSource with the same draw sequence as
-// StreamCity, so both paths generate bit-identical traces.
-func (s *citySource) NextContact() (Contact, error) {
-	rng := s.w.eventRng
-	peak := cityPeak(s.cfg)
-	for !s.done && s.t < s.cfg.DurationSec {
-		t := s.t
-		accept := true
-		if s.cfg.DiurnalAmplitude > 0 &&
-			rng.Float64() >= diurnalIntensity(s.cfg.DiurnalAmplitude, t) {
-			accept = false
-		}
-		var c Contact
-		if accept {
-			a, b := s.w.drawPair(rng)
-			end := t + s.cfg.GranularitySec + rng.Exp(1/(2*s.cfg.GranularitySec))
-			if end > s.cfg.DurationSec {
-				end = s.cfg.DurationSec
-			}
-			if end > t {
-				c = Contact{A: a, B: b, Start: t, End: end}
-			} else {
-				accept = false
-			}
-		}
-		s.t += rng.Exp(peak)
-		if accept {
-			return c, nil
-		}
-	}
-	s.done = true
-	return Contact{}, io.EOF
 }

@@ -61,32 +61,6 @@ func TestGenerateCityDeterministic(t *testing.T) {
 	}
 }
 
-// TestCitySourceMatchesStream pins the pull iterator to the callback
-// generator draw for draw: both must produce bit-identical streams.
-func TestCitySourceMatchesStream(t *testing.T) {
-	cfg := smallCityConfig()
-	var want []Contact
-	if err := StreamCity(cfg, func(c Contact) error {
-		want = append(want, c)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	src, err := NewCitySource(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := drainSource(t, src)
-	if len(got) != len(want) {
-		t.Fatalf("counts differ: %d vs %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("contact %d: %+v vs %+v", i, got[i], want[i])
-		}
-	}
-}
-
 // TestCityIsolatedCommunities checks InterProb=0 never bridges
 // communities, the property the sparse-knowledge benchmarks rely on.
 func TestCityIsolatedCommunities(t *testing.T) {

@@ -140,97 +140,3 @@ func mergeKey(a, b NodeID) [2]NodeID {
 	}
 	return [2]NodeID{a, b}
 }
-
-// AsyncSource prefetches batches from an inner source on a background
-// goroutine so decode/merge work overlaps replay. Order is preserved
-// exactly (single producer, single buffered channel consumer); the
-// inner source's error, if any, is delivered after every contact that
-// preceded it. Close joins the goroutine.
-type AsyncSource struct {
-	batches chan asyncBatch
-	stop    chan struct{}
-	done    chan struct{}
-
-	cur  asyncBatch
-	idx  int
-	fin  error // sticky terminal error (io.EOF or the source's error)
-	once bool  // Close called
-}
-
-type asyncBatch struct {
-	contacts []Contact
-	err      error // terminal: set only on the final batch
-}
-
-const asyncBatchSize = 4096
-
-// NewAsyncSource starts the prefetch goroutine over src.
-//
-//dtn:workerpool prefetcher exits on stop and is joined by Close
-func NewAsyncSource(src ContactSource) *AsyncSource {
-	a := &AsyncSource{
-		batches: make(chan asyncBatch, 4),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
-	}
-	go func() {
-		defer close(a.done)
-		batch := make([]Contact, 0, asyncBatchSize)
-		for {
-			c, err := src.NextContact()
-			if err != nil {
-				final := asyncBatch{contacts: batch, err: err}
-				select {
-				case a.batches <- final:
-				case <-a.stop:
-				}
-				return
-			}
-			batch = append(batch, c)
-			if len(batch) == asyncBatchSize {
-				select {
-				case a.batches <- asyncBatch{contacts: batch}:
-				case <-a.stop:
-					return
-				}
-				batch = make([]Contact, 0, asyncBatchSize)
-			}
-		}
-	}()
-	return a
-}
-
-// NextContact implements ContactSource.
-func (a *AsyncSource) NextContact() (Contact, error) {
-	for {
-		if a.idx < len(a.cur.contacts) {
-			c := a.cur.contacts[a.idx]
-			a.idx++
-			return c, nil
-		}
-		if a.fin != nil {
-			return Contact{}, a.fin
-		}
-		if a.cur.err != nil {
-			a.fin = a.cur.err
-			return Contact{}, a.fin
-		}
-		b, ok := <-a.batches
-		if !ok {
-			a.fin = io.EOF
-			return Contact{}, a.fin
-		}
-		a.cur, a.idx = b, 0
-	}
-}
-
-// Close stops and joins the prefetch goroutine. Safe to call more than
-// once; NextContact must not be called after Close.
-func (a *AsyncSource) Close() {
-	if a.once {
-		return
-	}
-	a.once = true
-	close(a.stop)
-	<-a.done
-}

@@ -66,54 +66,3 @@ func TestMergeSourcePropagatesError(t *testing.T) {
 		t.Fatalf("got %v, want boom", err)
 	}
 }
-
-func TestAsyncSourcePreservesOrder(t *testing.T) {
-	tr, err := GeneratePreset(Infocom05, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := NewAsyncSource(NewSliceSource(tr.Contacts))
-	defer a.Close()
-	got := drainSource(t, a)
-	if len(got) != len(tr.Contacts) {
-		t.Fatalf("count %d vs %d", len(got), len(tr.Contacts))
-	}
-	for i := range got {
-		if got[i] != tr.Contacts[i] {
-			t.Fatalf("contact %d: %+v vs %+v", i, got[i], tr.Contacts[i])
-		}
-	}
-	if _, err := a.NextContact(); err != io.EOF {
-		t.Fatalf("after drain: %v", err)
-	}
-}
-
-func TestAsyncSourceDeliversErrorAfterContacts(t *testing.T) {
-	boom := errors.New("boom")
-	a := NewAsyncSource(&failSource{n: 3, err: boom})
-	defer a.Close()
-	for i := 0; i < 3; i++ {
-		if _, err := a.NextContact(); err != nil {
-			t.Fatalf("contact %d: %v", i, err)
-		}
-	}
-	if _, err := a.NextContact(); !errors.Is(err, boom) {
-		t.Fatalf("got %v, want boom", err)
-	}
-	if _, err := a.NextContact(); !errors.Is(err, boom) {
-		t.Fatal("error not sticky")
-	}
-}
-
-func TestAsyncSourceCloseEarly(t *testing.T) {
-	tr, err := GeneratePreset(Infocom05, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := NewAsyncSource(NewSliceSource(tr.Contacts))
-	if _, err := a.NextContact(); err != nil {
-		t.Fatal(err)
-	}
-	a.Close()
-	a.Close() // idempotent
-}

@@ -36,22 +36,6 @@ type Contact struct {
 // Duration returns the contact duration in seconds.
 func (c Contact) Duration() float64 { return c.End - c.Start }
 
-// Involves reports whether node n takes part in the contact.
-func (c Contact) Involves(n NodeID) bool { return c.A == n || c.B == n }
-
-// Peer returns the other endpoint of the contact, or -1 if n is not an
-// endpoint.
-func (c Contact) Peer(n NodeID) NodeID {
-	switch n {
-	case c.A:
-		return c.B
-	case c.B:
-		return c.A
-	default:
-		return -1
-	}
-}
-
 // Trace is a complete contact trace. Once a reader or generator has
 // returned it, the contact set is frozen: the replay engine, the
 // knowledge pipeline, and every scheme share one Trace value across

@@ -38,9 +38,6 @@ type DataItem struct {
 	Expires  float64
 }
 
-// Lifetime returns the item's total lifetime in seconds.
-func (d DataItem) Lifetime() float64 { return d.Expires - d.Created }
-
 // Expired reports whether the item is expired at time now.
 func (d DataItem) Expired(now float64) bool { return now >= d.Expires }
 
@@ -58,9 +55,6 @@ type Query struct {
 	Issued    float64
 	Deadline  float64
 }
-
-// Constraint returns the query's time constraint T_q.
-func (q Query) Constraint() float64 { return q.Deadline - q.Issued }
 
 // Config parameterizes workload generation.
 type Config struct {
@@ -228,15 +222,6 @@ func (w *Workload) MeanLiveItems(samples int) float64 {
 		sum += float64(w.LiveAt(t))
 	}
 	return sum / float64(samples)
-}
-
-// QueriesPerData returns how many queries target each data item.
-func (w *Workload) QueriesPerData() map[DataID]int {
-	out := make(map[DataID]int, len(w.Data))
-	for _, q := range w.Queries {
-		out[q.Data]++
-	}
-	return out
 }
 
 // SortedCheck verifies the invariants tests rely on: data sorted by

@@ -59,7 +59,7 @@ func TestGenerateInvariants(t *testing.T) {
 		if d.Created < cfg.Start || d.Created >= cfg.End {
 			t.Errorf("data created outside window: %+v", d)
 		}
-		life := d.Lifetime()
+		life := d.Expires - d.Created
 		if life < 0.5*cfg.AvgLifetime-1e-9 || life > 1.5*cfg.AvgLifetime+1e-9 {
 			t.Errorf("lifetime %v outside [0.5,1.5]*T_L", life)
 		}
@@ -68,7 +68,7 @@ func TestGenerateInvariants(t *testing.T) {
 		}
 	}
 	for _, q := range w.Queries {
-		if got := q.Constraint(); math.Abs(got-cfg.AvgLifetime/2) > 1e-9 {
+		if got := q.Deadline - q.Issued; math.Abs(got-cfg.AvgLifetime/2) > 1e-9 {
 			t.Errorf("constraint = %v, want T_L/2", got)
 		}
 		item, ok := w.Item(q.Data)
@@ -147,6 +147,15 @@ func TestGenerateSeedSensitivity(t *testing.T) {
 	}
 }
 
+// queriesPerData counts how many queries target each data item.
+func queriesPerData(w *Workload) map[DataID]int {
+	out := make(map[DataID]int, len(w.Data))
+	for _, q := range w.Queries {
+		out[q.Data]++
+	}
+	return out
+}
+
 func TestZipfQuerySkew(t *testing.T) {
 	// With s=1, low-ID (early) live items should collect more queries
 	// than high-ID ones on average. Compare first and last third.
@@ -157,7 +166,7 @@ func TestZipfQuerySkew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := w.QueriesPerData()
+	counts := queriesPerData(w)
 	if len(counts) == 0 {
 		t.Fatal("no queries")
 	}
@@ -255,7 +264,7 @@ func TestPerNodeInterests(t *testing.T) {
 	// Demand concentration per item flattens: the single most-queried
 	// item should hold a smaller share under personal interests.
 	share := func(w *Workload) float64 {
-		counts := w.QueriesPerData()
+		counts := queriesPerData(w)
 		max, sum := 0, 0
 		for _, c := range counts {
 			if c > max {

@@ -81,7 +81,8 @@ go test -race -count=1 ./internal/fault/...
 
 echo "== fuzz seed corpora (short mode)"
 go test -count=1 -run '^Fuzz' ./internal/trace ./internal/knapsack ./internal/sim \
-    ./internal/obs ./internal/analysis ./internal/wal ./internal/mathx ./internal/graph
+    ./internal/obs ./internal/analysis ./internal/wal ./internal/mathx ./internal/graph \
+    ./cmd/dtnserved
 
 # Run-trace byte identity: record the same Infocom05 run twice and
 # require identical bytes — the determinism guarantee DESIGN.md's
@@ -178,6 +179,7 @@ if [[ -n "${CHECK_FUZZ_TIME:-}" ]]; then
         "./internal/analysis FuzzParseMarker"
         "./internal/analysis FuzzParseAllow"
         "./internal/wal FuzzReadWAL"
+        "./cmd/dtnserved FuzzServeRequests"
     )
     for entry in "${targets[@]}"; do
         read -r pkg fn <<<"$entry"
