@@ -20,15 +20,14 @@ import (
 // the program mentions counts as referenced.
 var deadExportAllow = map[string]string{
 	// Reference oracles the production paths are checked against.
-	"internal/graph.FromMatrix":             "builds the hand-written rate graphs of the oracle tests",
-	"internal/graph.Graph.AllPaths":         "exhaustive path enumeration the frontier search is checked against",
-	"internal/graph.Graph.ExactWeight":      "exact Eq. 2 weight the materialized weights are checked against",
-	"internal/graph.Paths.Reachable":        "reachability the path-search tests check against BFS",
-	"internal/graph.Paths.ExpectedDelay":    "shortest-path delay the frontier tests compare with the dense reference",
-	"internal/graph.Paths.HopRates":         "rebuilds a path's rates for the NewHypoexp bit-identity check",
-	"internal/graph.RateEstimator.Snapshot": "the rate graph the knowledge builder derives; graph, knowledge and routing tests build fixtures with it",
-	"internal/mathx.Hypoexp.PDF":            "independent check on the CDF (TestHypoexpPDFIntegratesToCDF)",
-	"internal/prof.PeakRSS":                 "RSS cap of BenchmarkCityScaleReplay",
+	"internal/graph.FromMatrix":          "builds the hand-written rate graphs of the oracle tests",
+	"internal/graph.Graph.AllPaths":      "exhaustive path enumeration the frontier search is checked against",
+	"internal/graph.Graph.ExactWeight":   "exact Eq. 2 weight the materialized weights are checked against",
+	"internal/graph.Paths.Reachable":     "reachability the path-search tests check against BFS",
+	"internal/graph.Paths.ExpectedDelay": "shortest-path delay the frontier tests compare with the dense reference",
+	"internal/graph.Paths.HopRates":      "rebuilds a path's rates for the NewHypoexp bit-identity check",
+	"internal/mathx.Hypoexp.PDF":         "independent check on the CDF (TestHypoexpPDFIntegratesToCDF)",
+	"internal/prof.PeakRSS":              "RSS cap of BenchmarkCityScaleReplay",
 	// Accessors tests read to observe production state.
 	"internal/analysis.Runner.Directives":   "directive parsing the suppression tests observe",
 	"internal/buffer.Buffer.Len":            "cache occupancy the buffer, replacement and env tests observe",
@@ -51,11 +50,8 @@ var deadExportAllow = map[string]string{
 	"internal/sim.Simulator.NextEventAt":    "queue head the heap oracle peeks between RunUntil steps",
 	"internal/trace.StreamReader.Records":   "record count the chunked-format tests observe",
 	"internal/wal.Reader.Records":           "record count the WAL tests observe",
-	// Dead, kept only because deleting them deletes their own tests too.
-	"internal/mathx.NewHistogram":    "dead; queued on the ROADMAP Subtract list with TestHistogram",
-	"internal/mathx.Histogram.Total": "dead; queued on the ROADMAP Subtract list with TestHistogram",
-	"internal/mathx.Hypoexp.Mean":    "dead; queued on the ROADMAP Subtract list with TestHypoexpMean",
-	"internal/mathx.Rand.Int63":      "seed draw of the knapsack property test; another draw would change its instances",
+	// Test-only, kept because replacing it would change a test's inputs.
+	"internal/mathx.Rand.Int63": "seed draw of the knapsack property test; another draw would change its instances",
 }
 
 // deadExportAllowPrefix exempts whole test-support packages.

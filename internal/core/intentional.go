@@ -127,14 +127,18 @@ type Intentional struct {
 
 	// bcastFree pools broadcast-query transfer records (bcastXfer).
 	bcastFree []*bcastXfer
-	// bcastMember memoizes, per NCL index, whether broadcastQueries'
-	// peer is in that NCL's caching subgraph (0 unknown, 1 yes, 2 no).
-	bcastMember []uint8
+	// peer holds the NCLs whose caching subgraph broadcastQueries' peer
+	// may belong to (peerCandidates); unresolved marks the members whose
+	// failover stand-in is still to be checked (peerCaches).
+	peer       scheme.NCLSet
+	unresolved []uint64
 	// repl is replace's reusable working memory.
 	repl replScratch
-	// onReply is the replyDelivered method value, bound once in Init so
-	// per-contact reply forwarding does not allocate it.
+	// onReply and onQuery are the replyDelivered and queryArrived method
+	// values, bound once in Init so per-contact forwarding does not
+	// allocate them.
 	onReply scheme.ReplyDelivered
+	onQuery scheme.QueryArrival
 
 	// obs counters, nil when observability is off.
 	cPushes       *obs.Counter
@@ -202,6 +206,7 @@ func (s *Intentional) Init(e *scheme.Env) error {
 	s.reachedNCL = make(map[workload.QueryID]float64)
 	s.respondedAt = make(map[workload.QueryID]float64)
 	s.onReply = s.replyDelivered
+	s.onQuery = s.queryArrived
 	s.cPushes = e.Obs.Counter("core", "pushes")
 	s.cReplaceDrops = e.Obs.Counter("core", "replacement_drops")
 	return nil
@@ -275,31 +280,38 @@ func (s *Intentional) OnQuery(q workload.Query) {
 // contact: queries (small control messages) first, then replies, then
 // data pushes, then replacement migrations.
 func (s *Intentional) OnContactStart(sess *sim.Session) {
-	for _, from := range []trace.NodeID{sess.A, sess.B} {
-		from := from
-		s.base.ForwardQueries(sess, from, func(at trace.NodeID, qc *scheme.QueryCarry) {
-			if at == qc.Target {
-				s.queryAtCenter(at, qc)
-				// A fresh reply may leave on this same contact.
-				s.base.ForwardReplies(sess, at, s.onReply, nil)
-				return
-			}
-			// An en-route relay that happens to be a caching node for the
-			// data answers probabilistically (it belongs to some NCL's
-			// caching subgraph); the query still continues to the center.
-			if s.env.Buffers[at].Get(qc.Q.Data) != nil && s.base.Respond(at, qc, false) {
-				s.markResponded(qc.Q.ID)
-				s.touch(at, qc.Q.Data)
-				s.base.ForwardReplies(sess, at, s.onReply, nil)
-			}
-		})
-		s.broadcastQueries(sess, from)
-		s.base.ForwardReplies(sess, from, s.onReply, nil)
-		s.pushFromSource(sess, from)
-		s.pushFromRelay(sess, from)
-	}
+	s.sendFrom(sess, sess.A)
+	s.sendFrom(sess, sess.B)
 	if s.replacementOn {
 		s.replace(sess)
+	}
+}
+
+// sendFrom enqueues one direction of a contact, in priority order.
+func (s *Intentional) sendFrom(sess *sim.Session, from trace.NodeID) {
+	s.base.ForwardQueries(sess, from, s.onQuery)
+	s.broadcastQueries(sess, from)
+	s.base.ForwardReplies(sess, from, s.onReply, nil)
+	s.pushFromSource(sess, from)
+	s.pushFromRelay(sess, from)
+}
+
+// queryArrived handles a gradient query copy delivered to node at over
+// sess.
+func (s *Intentional) queryArrived(sess *sim.Session, at trace.NodeID, qc *scheme.QueryCarry) {
+	if at == qc.Target {
+		s.queryAtCenter(at, qc)
+		// A fresh reply may leave on this same contact.
+		s.base.ForwardReplies(sess, at, s.onReply, nil)
+		return
+	}
+	// An en-route relay that happens to be a caching node for the data
+	// answers probabilistically (it belongs to some NCL's caching
+	// subgraph); the query still continues to the center.
+	if s.env.Buffers[at].Get(qc.Q.Data) != nil && s.base.Respond(at, qc, false) {
+		s.markResponded(qc.Q.ID)
+		s.touch(at, qc.Q.Data)
+		s.base.ForwardReplies(sess, at, s.onReply, nil)
 	}
 }
 
@@ -316,7 +328,7 @@ func (s *Intentional) queryAtCenter(center trace.NodeID, qc *scheme.QueryCarry) 
 		}
 		return
 	}
-	qc.Broadcast = true
+	s.base.SetBroadcast(center, qc)
 	s.env.Prov.NCLMiss(qc.Q.ID, qc.Target, center, s.env.Sim.Now(), qc.NCL)
 	s.base.CarryQuery(center, qc)
 }
@@ -327,17 +339,20 @@ func (s *Intentional) queryAtCenter(center trace.NodeID, qc *scheme.QueryCarry) 
 // Each transfer rides a pooled bcastXfer record instead of a fresh
 // copy and closure: broadcast copies are the bulk of all transfers.
 //
-// The peer's subgraph membership is resolved once per NCL, not once per
-// copy, and its custody of each copy's key is read off a forward
-// cursor: the loop only enqueues transfers, so neither the peer's
+// The peer's subgraph membership is computed once per call as a set of
+// NCLs, and only the sender's broadcast copies homed in that set are
+// visited; the peer's custody of each copy's key is read off a forward
+// cursor. The loop only enqueues transfers, so neither the peer's
 // buffer nor its query store can change inside it.
 func (s *Intentional) broadcastQueries(sess *sim.Session, from trace.NodeID) {
 	to := sess.Peer(from)
+	if !s.base.CarriesBroadcast(from) || !s.peerCandidates(to) {
+		return
+	}
 	now := s.env.Sim.Now()
-	cleared(&s.bcastMember, len(s.env.NCLs()))
 	cur := s.base.QueryCursor(to)
-	s.base.ForEachQuery(from, func(qc *scheme.QueryCarry) {
-		if !qc.Broadcast || qc.Q.Deadline <= now || !s.peerCaches(to, qc.NCL) {
+	s.base.ForEachBroadcast(from, &s.peer, func(qc *scheme.QueryCarry) {
+		if qc.Q.Deadline <= now || !s.peerCaches(to, qc.NCL) {
 			return
 		}
 		x := s.getBcast()
@@ -352,20 +367,62 @@ func (s *Intentional) broadcastQueries(sess *sim.Session, from trace.NodeID) {
 	})
 }
 
-// peerCaches is isCachingNode(to, k) for broadcastQueries' peer,
-// memoized per NCL in bcastMember for the duration of one call.
-func (s *Intentional) peerCaches(to trace.NodeID, k int) bool {
-	m := s.bcastMember
-	if k < 0 || k >= len(m) {
-		return s.isCachingNode(to, k)
-	}
-	if m[k] == 0 {
-		m[k] = 2
-		if s.isCachingNode(to, k) {
-			m[k] = 1
+// peerCandidates sets s.peer to the NCLs k for which isCachingNode(to,
+// k) may hold, in one pass over the centers and to's buffer, and
+// reports whether the set is non-empty. Its bits are exact except in
+// two cases that peerCaches settles per copy. Outside is set when to
+// holds an entry homed outside the bitset's range, where only that
+// entry scan can tell. And under NCL failover every center other than
+// to is a candidate until its stand-in is read: EffectiveNCL may then
+// rebuild and log the failover assignment, so it runs only for the
+// NCLs of the copies actually offered, exactly as a per-copy test would.
+func (s *Intentional) peerCandidates(to trace.NodeID) bool {
+	ncls := s.env.NCLs()
+	words := (len(ncls) + 63) >> 6
+	bits := cleared(&s.peer.Bits, words)
+	lazy := cleared(&s.unresolved, words)
+	s.peer.Outside = false
+	fixed := s.env.FixedCenters()
+	for k, c := range ncls {
+		bit := uint64(1) << uint(k&63)
+		if c == to {
+			bits[k>>6] |= bit
+		} else if !fixed {
+			bits[k>>6] |= bit
+			lazy[k>>6] |= bit
 		}
 	}
-	return m[k] == 1
+	for _, en := range s.env.Buffers[to].Entries() {
+		if k := en.Home; k >= 0 && k < words<<6 {
+			bits[k>>6] |= 1 << uint(k&63)
+		} else {
+			s.peer.Outside = true
+		}
+	}
+	found := s.peer.Outside
+	for _, w := range bits {
+		found = found || w != 0
+	}
+	return found
+}
+
+// peerCaches is isCachingNode(to, k) for a member k of s.peer: exact
+// bits answer at once, an unresolved stand-in is checked once per call,
+// and an NCL outside the bitset's range is checked every time.
+func (s *Intentional) peerCaches(to trace.NodeID, k int) bool {
+	if k < 0 || k >= len(s.peer.Bits)<<6 {
+		return s.isCachingNode(to, k)
+	}
+	w, bit := k>>6, uint64(1)<<uint(k&63)
+	if s.unresolved[w]&bit == 0 {
+		return true
+	}
+	s.unresolved[w] &^= bit
+	if s.isCachingNode(to, k) {
+		return true
+	}
+	s.peer.Bits[w] &^= bit
+	return false
 }
 
 // bcastXfer is one in-flight broadcast query copy. Records are pooled

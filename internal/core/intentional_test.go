@@ -426,3 +426,50 @@ func TestBroadcastCustodyHandOff(t *testing.T) {
 		})
 	}
 }
+
+// TestPeerCandidatesExact: the peer set broadcastQueries builds once
+// per call, confirmed by peerCaches, answers isCachingNode for every
+// NCL index, including homes past the first 64-bit word and homes out
+// of the NCL range.
+func TestPeerCandidatesExact(t *testing.T) {
+	tr := lineTrace(1000, 40000)
+	w := manualWorkload(tr)
+	s := New()
+	env, err := scheme.NewEnv(tr, w, lineConfig(tr), s, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.Sim.RunUntil(22000)
+	now := env.Sim.Now()
+	for i, home := range []int{0, 5, 64, 70, 1000, -1} {
+		n := trace.NodeID(i % tr.Nodes)
+		item := workload.DataItem{ID: workload.DataID(100 + i), Source: n, SizeBits: 1e3, Created: now, Expires: now + 1e4}
+		en, err := env.Buffers[n].Put(item, now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		en.Home = home
+	}
+	for n := trace.NodeID(0); int(n) < tr.Nodes; n++ {
+		found := s.peerCandidates(n)
+		member := false
+		for k := -3; k < 1100; k++ {
+			want := s.isCachingNode(n, k)
+			member = member || want
+			if got := inNCLSet(&s.peer, k) && s.peerCaches(n, k); got != want {
+				t.Errorf("node %d, NCL %d: peer set says %v, isCachingNode %v", n, k, got, want)
+			}
+		}
+		if found != member {
+			t.Errorf("node %d: peerCandidates = %v, want %v", n, found, member)
+		}
+	}
+}
+
+// inNCLSet is the naive membership test of a scheme.NCLSet.
+func inNCLSet(m *scheme.NCLSet, k int) bool {
+	if k < 0 || k >= 64*len(m.Bits) {
+		return m.Outside
+	}
+	return m.Bits[k/64]>>(k%64)&1 == 1
+}

@@ -1,9 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"slices"
-	"sort"
 
 	"dtncache/internal/buffer"
 	"dtncache/internal/knapsack"
@@ -87,12 +87,16 @@ func (s *Intentional) replace(sess *sim.Session) {
 		}
 	}
 	sc.leftovers = leftovers
-	sort.Slice(leftovers, func(x, y int) bool {
-		ix, iy := leftovers[x], leftovers[y]
-		if items[ix].Value != items[iy].Value {
-			return items[ix].Value > items[iy].Value
+	// Descending value, ties by index: a total order, so any sort gives
+	// the same sequence.
+	slices.SortFunc(leftovers, func(x, y int) int {
+		if vx, vy := items[x].Value, items[y].Value; vx != vy {
+			if vx > vy {
+				return -1
+			}
+			return 1
 		}
-		return ix < iy
+		return cmp.Compare(x, y)
 	})
 	for _, i := range leftovers {
 		// Prefer keeping the copy where it already is (no transfer).

@@ -9,6 +9,7 @@ import (
 	"dtncache/internal/cli"
 	"dtncache/internal/engine"
 	"dtncache/internal/fault"
+	"dtncache/internal/scheme"
 )
 
 // TestReportDigests pins the sha256 of the dtnsim -report-json bytes of
@@ -17,8 +18,10 @@ import (
 // flood at T_L 90 d, where nearly every broadcast copy lands on a node
 // that already carries it. The spray and churn cells exercise custody
 // changes between a transfer's enqueue and its delivery, which the
-// default configurations barely reach. A digest moves only when a
-// change moves simulation results.
+// default configurations barely reach. The Reality cells pin the
+// ablation's "NCLs by contact count" configuration, and 70 NCLs, more
+// than one 64-bit word of the broadcast peer set holds. A digest moves
+// only when a change moves simulation results.
 func TestReportDigests(t *testing.T) {
 	const h, d = 3600.0, 86400.0
 	infocom05 := infocom(t)
@@ -43,6 +46,11 @@ func TestReportDigests(t *testing.T) {
 			"c7a908c21371777ff0e73a3d3bef23f250862ac48adb441d0197b27439fcc83a"},
 		{"reality-90d", engine.Config{Trace: reality(t), AvgLifetime: 90 * d},
 			"67d009cd0b5a2f6e62b77fc91a851dfe83e00e60901a0ba9e18c1cb262fb2840"},
+		{"reality-ncl-contacts", engine.Config{Trace: reality(t), AvgLifetime: 7 * d, K: 8,
+			NCLSelection: scheme.NCLByContacts},
+			"1cb066433dfd1067f6b91f74dc7eb75ec7a76fee24b673bb745ea94dcd8d81bf"},
+		{"reality-k70", engine.Config{Trace: reality(t), AvgLifetime: 24 * h, K: 70},
+			"22b43ce8eec43264fa36d9116197e5ed0355778ca614585a0f83ab99baaaaeb3"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -24,7 +24,9 @@ const DefaultMaxHops = 5
 // RateEstimator accumulates pairwise contact counts and converts them to
 // time-averaged Poisson contact rates, exactly as Sec. III-B prescribes
 // ("calculated at real-time from the cumulative contacts ... in a
-// time-average manner").
+// time-average manner"). It is the one count-to-rate derivation: the
+// knowledge builder counts a contact prefix into one and takes its
+// Snapshot.
 type RateEstimator struct {
 	n      int
 	counts []int // n*n, symmetric
@@ -40,7 +42,9 @@ func NewRateEstimator(n int, start float64) *RateEstimator {
 // Nodes returns the node count.
 func (e *RateEstimator) Nodes() int { return e.n }
 
-// Observe records one contact between a and b.
+// Observe records one contact between a and b. A self-contact or a node
+// out of range is ignored: validated traces have none, and skipping them
+// keeps an unvalidated list from indexing out of range.
 func (e *RateEstimator) Observe(a, b trace.NodeID) {
 	if a == b || int(a) >= e.n || int(b) >= e.n || a < 0 || b < 0 {
 		return
@@ -64,20 +68,8 @@ func (e *RateEstimator) Rate(a, b trace.NodeID, now float64) float64 {
 	return float64(e.Count(a, b)) / elapsed
 }
 
-// NodeContacts returns the total number of contacts node n has
-// participated in (the degree-of-activity statistic used by simple
-// centrality baselines).
-func (e *RateEstimator) NodeContacts(n trace.NodeID) int {
-	if n < 0 || int(n) >= e.n {
-		return 0
-	}
-	total := 0
-	row := e.counts[int(n)*e.n : int(n)*e.n+e.n]
-	for _, c := range row {
-		total += c
-	}
-	return total
-}
+// Reset forgets every observed contact.
+func (e *RateEstimator) Reset() { clear(e.counts) }
 
 // Snapshot builds the contact graph implied by the estimates at time now.
 func (e *RateEstimator) Snapshot(now float64) *Graph {

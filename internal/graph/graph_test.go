@@ -304,19 +304,3 @@ func BenchmarkPaths100Nodes(b *testing.B) {
 		_ = g.Paths(trace.NodeID(i%100), 0)
 	}
 }
-
-func TestNodeContacts(t *testing.T) {
-	e := NewRateEstimator(3, 0)
-	e.Observe(0, 1)
-	e.Observe(0, 1)
-	e.Observe(0, 2)
-	if got := e.NodeContacts(0); got != 3 {
-		t.Errorf("NodeContacts(0) = %d, want 3", got)
-	}
-	if got := e.NodeContacts(1); got != 2 {
-		t.Errorf("NodeContacts(1) = %d, want 2", got)
-	}
-	if e.NodeContacts(-1) != 0 || e.NodeContacts(9) != 0 {
-		t.Error("out-of-range NodeContacts should be 0")
-	}
-}

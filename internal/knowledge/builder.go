@@ -34,26 +34,20 @@ func NewBuilder(p Params, contacts []trace.Contact) *Builder {
 // Params returns the normalized pipeline configuration.
 func (b *Builder) Params() Params { return b.params }
 
-// counts accumulates the symmetric pairwise contact counts of every
-// contact with Start <= t — the same prefix graph.RateEstimator has
-// observed by the refresh event at time t (contact-start events at
-// equal virtual time carry lower sequence numbers than maintenance
-// ticks, so they fire first).
-func (b *Builder) counts(t float64) []int {
-	n := b.params.Nodes
-	counts := make([]int, n*n)
+// counts observes every contact with Start <= t — the prefix a run has
+// seen by the refresh event at time t (contact-start events at equal
+// virtual time carry lower sequence numbers than maintenance ticks, so
+// they fire first).
+func (b *Builder) counts(t float64) *graph.RateEstimator {
+	est := graph.NewRateEstimator(b.params.Nodes, 0)
 	// Contacts are sorted by start, so the observed prefix is contiguous.
 	end := sort.Search(len(b.contacts), func(i int) bool {
 		return b.contacts[i].Start > t
 	})
 	for _, c := range b.contacts[:end] {
-		if c.A == c.B || c.A < 0 || c.B < 0 || int(c.A) >= n || int(c.B) >= n {
-			continue
-		}
-		counts[int(c.A)*n+int(c.B)]++
-		counts[int(c.B)*n+int(c.A)]++
+		est.Observe(c.A, c.B)
 	}
-	return counts
+	return est
 }
 
 // Build produces the snapshot at time t. With base == nil every source
@@ -62,7 +56,7 @@ func (b *Builder) counts(t float64) []int {
 // row and metric (see dirtySources). version is recorded on the
 // snapshot; the Provider passes its own monotone counter.
 func (b *Builder) Build(t float64, base *Snapshot, version int) *Snapshot {
-	var counts []int
+	var counts *graph.RateEstimator
 	if t > 0 {
 		counts = b.counts(t)
 	}
@@ -85,7 +79,8 @@ var rowPool = sync.Pool{New: func() any { return new(weightRow) }}
 
 // buildFromCounts is Build with the contact counting already done —
 // the Provider supplies counts from its contact feed instead of a
-// contact slice. counts may be nil when t <= 0.
+// contact slice. counts, whose observation window starts at 0, may be
+// nil when t <= 0.
 //
 // Each weight is evaluated once. Pass 1 computes each dirty source's
 // paths and its Eq. (3) metric, summing every off-diagonal weight,
@@ -95,7 +90,7 @@ var rowPool = sync.Pool{New: func() any { return new(weightRow) }}
 // size, so no append growth is left behind. Clean rows are subslices
 // of the base's slabs. Once every row's length is known, a prefix sum
 // sizes the CSR slabs and pass 2 copies the rows into them in order.
-func (b *Builder) buildFromCounts(counts []int, t float64, base *Snapshot, version int) *Snapshot {
+func (b *Builder) buildFromCounts(counts *graph.RateEstimator, t float64, base *Snapshot, version int) *Snapshot {
 	n := b.params.Nodes
 	s := &Snapshot{
 		params:  b.params,
@@ -104,17 +99,10 @@ func (b *Builder) buildFromCounts(counts []int, t float64, base *Snapshot, versi
 		paths:   make([]*graph.Paths, n),
 		metrics: make([]float64, n),
 	}
-	// The rate arithmetic must match RateEstimator.Snapshot bit-for-bit:
-	// count/elapsed with the observation window starting at 0.
-	s.g = graph.NewGraph(n)
 	if t > 0 && counts != nil {
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if c := counts[i*n+j]; c > 0 {
-					s.g.SetRate(trace.NodeID(i), trace.NodeID(j), float64(c)/t)
-				}
-			}
-		}
+		s.g = counts.Snapshot(t)
+	} else {
+		s.g = graph.NewGraph(n)
 	}
 
 	var dirty []int

@@ -3,6 +3,7 @@ package knowledge
 import (
 	"io"
 
+	"dtncache/internal/graph"
 	"dtncache/internal/trace"
 )
 
@@ -15,7 +16,7 @@ type contactFeed struct {
 	open    func() (trace.ContactSource, error)
 	nodes   int
 	src     trace.ContactSource
-	counts  []int
+	counts  *graph.RateEstimator
 	pend    trace.Contact
 	pendOK  bool
 	srcDone bool
@@ -25,10 +26,9 @@ type contactFeed struct {
 // countsAt advances the feed to time t and returns the pairwise counts
 // of the contact prefix with start <= t. Asking for an earlier time
 // than a previous call rewinds by reopening the source. The returned
-// slice is reused across calls; callers must consume it before the
+// estimator is reused across calls; callers must consume it before the
 // next countsAt.
-func (f *contactFeed) countsAt(t float64) ([]int, error) {
-	n := f.nodes
+func (f *contactFeed) countsAt(t float64) (*graph.RateEstimator, error) {
 	if f.src == nil || t < f.t {
 		src, err := f.open()
 		if err != nil {
@@ -36,11 +36,9 @@ func (f *contactFeed) countsAt(t float64) ([]int, error) {
 		}
 		f.src = src
 		if f.counts == nil {
-			f.counts = make([]int, n*n)
+			f.counts = graph.NewRateEstimator(f.nodes, 0)
 		} else {
-			for i := range f.counts {
-				f.counts[i] = 0
-			}
+			f.counts.Reset()
 		}
 		f.pendOK, f.srcDone = false, false
 	}
@@ -65,13 +63,7 @@ func (f *contactFeed) countsAt(t float64) ([]int, error) {
 			break
 		}
 		f.pendOK = false
-		// Validated traces have no such records; skipping them keeps an
-		// unvalidated list from indexing out of range.
-		if c.A == c.B || c.A < 0 || c.B < 0 || int(c.A) >= n || int(c.B) >= n {
-			continue
-		}
-		f.counts[int(c.A)*n+int(c.B)]++
-		f.counts[int(c.B)*n+int(c.A)]++
+		f.counts.Observe(c.A, c.B)
 	}
 	return f.counts, nil
 }

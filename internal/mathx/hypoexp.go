@@ -63,15 +63,6 @@ func (h *Hypoexp) Init(rates, coef []float64) error {
 	return nil
 }
 
-// Mean returns the expected total delay, sum of 1/lambda_k.
-func (h *Hypoexp) Mean() float64 {
-	var m float64
-	for _, r := range h.rates {
-		m += 1 / r
-	}
-	return m
-}
-
 // CDF returns P(total delay <= t). For a single hop this is the
 // exponential CDF; for multiple hops it is Eq. (2) of the paper. The
 // zero Hypoexp, which has no rates, returns 0.
@@ -172,6 +163,10 @@ func (h *Hypoexp) maxRate() float64 {
 // would, and ends the loop where the Poisson weights underflow
 // (n ~ 1,400 at qt ~ 400) even when rounding keeps the weight sum
 // short of 1-1e-13.
+//
+// log(qt) and each phase's jump probabilities are computed once, before
+// the loop, and the occupancy vectors swap roles each step instead of
+// being copied: every term sees the same operands, so the same bits.
 func (h *Hypoexp) uniformized(t float64) (p float64, terms int) {
 	r := len(h.rates)
 	q := h.maxRate()
@@ -179,15 +174,21 @@ func (h *Hypoexp) uniformized(t float64) (p float64, terms int) {
 	if math.IsNaN(qt) {
 		return qt, 0
 	}
-	// phase occupancy vector after n jumps of the uniformized chain
-	var occ, next []float64
+	// phase occupancy vector after n jumps of the uniformized chain, and
+	// each phase's stay and move probabilities
+	var occ, next, stay, move []float64
 	if r <= uniformizedStackHops {
-		var occBuf, nextBuf [uniformizedStackHops]float64
-		occ, next = occBuf[:r], nextBuf[:r]
+		var occBuf, nextBuf, stayBuf, moveBuf [uniformizedStackHops]float64
+		occ, next, stay, move = occBuf[:r], nextBuf[:r], stayBuf[:r], moveBuf[:r]
 	} else {
-		occ, next = make([]float64, r), make([]float64, r)
+		occ, next, stay, move = make([]float64, r), make([]float64, r), make([]float64, r), make([]float64, r)
+	}
+	for k, rate := range h.rates {
+		stay[k] = 1 - rate/q
+		move[k] = rate / q
 	}
 	occ[0] = 1
+	logQT := math.Log(qt)
 	// Poisson(qt) weights accumulated until the tail is negligible.
 	logw := -qt // log of e^{-qt} (qt)^0 / 0!
 	sumAbsorbed := 0.0
@@ -197,21 +198,17 @@ func (h *Hypoexp) uniformized(t float64) (p float64, terms int) {
 	var n int
 	for n = 0; ; n++ {
 		if n > 0 {
-			logw += math.Log(qt) - math.Log(float64(n))
-			for i := range next {
-				next[i] = 0
-			}
+			logw += logQT - math.Log(float64(n))
+			clear(next)
 			for k := 0; k < r; k++ {
-				stay := 1 - h.rates[k]/q
-				move := h.rates[k] / q
-				next[k] += occ[k] * stay
+				next[k] += occ[k] * stay[k]
 				if k+1 < r {
-					next[k+1] += occ[k] * move
+					next[k+1] += occ[k] * move[k]
 				} else {
-					absorbed += occ[k] * move
+					absorbed += occ[k] * move[k]
 				}
 			}
-			copy(occ, next)
+			occ, next = next, occ
 		}
 		w := math.Exp(logw)
 		sumAbsorbed += w * absorbed

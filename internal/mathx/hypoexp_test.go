@@ -44,14 +44,6 @@ func TestHypoexpSingleHopIsExponential(t *testing.T) {
 	}
 }
 
-func TestHypoexpMean(t *testing.T) {
-	h := mustHypoexp(t, []float64{1, 2, 4})
-	want := 1.0 + 0.5 + 0.25
-	if got := h.Mean(); math.Abs(got-want) > 1e-12 {
-		t.Errorf("Mean = %v, want %v", got, want)
-	}
-}
-
 func TestHypoexpTwoHopClosedForm(t *testing.T) {
 	// For rates a != b: CDF(t) = 1 - (b e^{-at} - a e^{-bt})/(b-a).
 	a, b := 1.0, 3.0

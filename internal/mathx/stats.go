@@ -92,36 +92,3 @@ func (o *Online) N() int { return o.n }
 
 // Mean returns the running mean (0 if empty).
 func (o *Online) Mean() float64 { return o.mean }
-
-// Histogram is a fixed-width bucket histogram over [Lo, Hi); values outside
-// the range are clamped into the first/last bucket. It backs the
-// NCL-metric distribution plots of Fig. 4.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	total  int
-}
-
-// NewHistogram creates a histogram with n buckets over [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("mathx: histogram requires n > 0 and hi > lo")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, n)}
-}
-
-// Add records one value.
-func (h *Histogram) Add(x float64) {
-	i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.Counts) {
-		i = len(h.Counts) - 1
-	}
-	h.Counts[i]++
-	h.total++
-}
-
-// Total returns the number of recorded values.
-func (h *Histogram) Total() int { return h.total }

@@ -75,31 +75,3 @@ func TestOnlineEmpty(t *testing.T) {
 		t.Error("zero-value Online must report zeros")
 	}
 }
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 1, 10)
-	for _, x := range []float64{0.05, 0.15, 0.15, 0.95, 1.5, -0.2} {
-		h.Add(x)
-	}
-	if h.Total() != 6 {
-		t.Errorf("total = %d", h.Total())
-	}
-	if h.Counts[0] != 2 { // 0.05 and clamped -0.2
-		t.Errorf("bucket 0 = %d, want 2", h.Counts[0])
-	}
-	if h.Counts[1] != 2 {
-		t.Errorf("bucket 1 = %d, want 2", h.Counts[1])
-	}
-	if h.Counts[9] != 2 { // 0.95 and clamped 1.5
-		t.Errorf("bucket 9 = %d, want 2", h.Counts[9])
-	}
-}
-
-func TestHistogramPanicsOnBadParams(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewHistogram with hi<=lo should panic")
-		}
-	}()
-	NewHistogram(1, 1, 10)
-}

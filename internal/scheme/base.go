@@ -1,6 +1,7 @@
 package scheme
 
 import (
+	"math"
 	"math/bits"
 	"slices"
 
@@ -58,20 +59,24 @@ type ReplyCarry struct {
 // All per-node stores are slice-backed (QueryID/DataID are dense small
 // integers, see workload): carried copies live in slices sorted by
 // (query ID, target) so per-contact iteration needs no map walk, no
-// re-sort, and no allocation, with their keys inline in a parallel
-// slice so a custody lookup searches one flat array; request histories
-// are dense arrays
-// indexed by DataID; responded flags are bitsets indexed by QueryID.
+// re-sort, and no allocation, with their keys and mode tags inline in
+// parallel slices, so a custody lookup searches one flat array and a
+// per-contact scan skips the copies that cannot move without touching
+// them; request histories are dense arrays indexed by DataID; responded
+// flags are bitsets indexed by QueryID.
 // This is the difference between the map-backed seed (a sort per
 // ForwardQueries call) and the zero-allocation replay loop — see
 // DESIGN.md "Replay performance".
 type Base struct {
 	E *Env
 	// queries[n] holds the query copies node n is carrying, sorted by
-	// (Q.ID, Target); qkeys[n][i] is queries[n][i].key(), kept in step
-	// by every store mutation.
+	// (Q.ID, Target); qkeys[n][i] is queries[n][i].key() and qtags[n][i]
+	// its modeTag, both kept in step by every store mutation, as is
+	// grads[n], the number of tagGradient entries in qtags[n].
 	queries [][]*QueryCarry
 	qkeys   [][]queryKey
+	qtags   [][]int32
+	grads   []int
 	// drops[n] counts removals from node n's query store: a Custody
 	// answer "n carries this key" holds while drops[n] is unchanged.
 	drops []uint64
@@ -104,6 +109,8 @@ func NewBase(e *Env) *Base {
 		E:         e,
 		queries:   make([][]*QueryCarry, e.N),
 		qkeys:     make([][]queryKey, e.N),
+		qtags:     make([][]int32, e.N),
+		grads:     make([]int, e.N),
 		drops:     make([]uint64, e.N),
 		replies:   make([][]*ReplyCarry, e.N),
 		history:   make([][]buffer.RequestStats, e.N),
@@ -180,6 +187,25 @@ func searchReply(rs []*ReplyCarry, id workload.QueryID) int {
 	return lo
 }
 
+// Mode tags of the query store: a copy in gradient mode is tagGradient;
+// a broadcast copy is tagged with its NCL index, or tagOutside when the
+// index is negative or does not fit an int32.
+const (
+	tagGradient int32 = -1
+	tagOutside  int32 = -2
+)
+
+// modeTag is the store tag of qc's current mode.
+func modeTag(qc *QueryCarry) int32 {
+	switch {
+	case !qc.Broadcast:
+		return tagGradient
+	case qc.NCL < 0 || qc.NCL > math.MaxInt32:
+		return tagOutside
+	}
+	return int32(qc.NCL)
+}
+
 // CarryQuery adds a query copy to node n (ignored if already carried or
 // expired).
 func (b *Base) CarryQuery(n trace.NodeID, qc *QueryCarry) {
@@ -191,7 +217,12 @@ func (b *Base) CarryQuery(n trace.NodeID, qc *QueryCarry) {
 	if i < len(ks) && ks[i] == k {
 		return
 	}
+	t := modeTag(qc)
+	if t == tagGradient {
+		b.grads[n]++
+	}
 	b.qkeys[n] = slices.Insert(ks, i, k)
+	b.qtags[n] = slices.Insert(b.qtags[n], i, t)
 	b.queries[n] = slices.Insert(b.queries[n], i, qc)
 }
 
@@ -202,10 +233,30 @@ func (b *Base) DropQuery(n trace.NodeID, qc *QueryCarry) {
 	if i >= len(ks) || ks[i] != k {
 		return
 	}
+	if b.qtags[n][i] == tagGradient {
+		b.grads[n]--
+	}
 	// slices.Delete nils the vacated pointer slot.
 	b.qkeys[n] = slices.Delete(ks, i, i+1)
+	b.qtags[n] = slices.Delete(b.qtags[n], i, i+1)
 	b.queries[n] = slices.Delete(b.queries[n], i, i+1)
 	b.drops[n]++
+}
+
+// SetBroadcast switches qc to broadcast mode (Sec. V-B), retagging it
+// in node n's store when n carries this very copy (a copy lives in at
+// most one store). Every switch goes through here: a copy whose
+// Broadcast flag changed behind the store's back would keep iterating
+// as a gradient copy.
+func (b *Base) SetBroadcast(n trace.NodeID, qc *QueryCarry) {
+	qc.Broadcast = true
+	ks, k := b.qkeys[n], qc.key()
+	if i := searchQueryKey(ks, k); i < len(ks) && ks[i] == k && b.queries[n][i] == qc {
+		if b.qtags[n][i] == tagGradient {
+			b.grads[n]--
+		}
+		b.qtags[n][i] = modeTag(qc)
+	}
 }
 
 // CarriesQueryKey reports whether node n carries this exact copy
@@ -283,6 +334,82 @@ func (b *Base) Queries(n trace.NodeID) []*QueryCarry {
 //dtn:allocfree
 func (b *Base) ForEachQuery(n trace.NodeID, fn func(qc *QueryCarry)) {
 	for i := 0; i < len(b.queries[n]); {
+		qc := b.queries[n][i]
+		fn(qc)
+		if i < len(b.queries[n]) && b.queries[n][i] == qc {
+			i++
+		}
+	}
+}
+
+// ForEachGradient is ForEachQuery restricted to the copies not in
+// broadcast mode, under the same contract. It reads only the flat mode
+// tags between the copies it visits, and returns at once when n carries
+// none.
+//
+//dtn:allocfree
+func (b *Base) ForEachGradient(n trace.NodeID, fn func(qc *QueryCarry)) {
+	if b.grads[n] == 0 {
+		return
+	}
+	for i := 0; ; {
+		tags := b.qtags[n]
+		for i < len(tags) && tags[i] != tagGradient {
+			i++
+		}
+		if i == len(tags) {
+			return
+		}
+		qc := b.queries[n][i]
+		fn(qc)
+		if i < len(b.queries[n]) && b.queries[n][i] == qc {
+			i++
+		}
+	}
+}
+
+// CarriesBroadcast reports whether node n carries any copy in broadcast
+// mode.
+//
+//dtn:allocfree
+func (b *Base) CarriesBroadcast(n trace.NodeID) bool {
+	return len(b.qtags[n]) > b.grads[n]
+}
+
+// NCLSet is a set of NCL indexes: k in [0, 64*len(Bits)) is a member
+// when bit k&63 of Bits[k>>6] is set, and every k outside that range
+// is a member exactly when Outside is set.
+type NCLSet struct {
+	Bits    []uint64
+	Outside bool
+}
+
+// hasTag reports whether a copy with mode tag t is a broadcast copy
+// whose NCL is in the set.
+//
+//dtn:allocfree
+func (m *NCLSet) hasTag(t int32) bool {
+	if t < 0 || int(t) >= len(m.Bits)<<6 {
+		return t != tagGradient && m.Outside
+	}
+	return m.Bits[t>>6]&(1<<uint(t&63)) != 0
+}
+
+// ForEachBroadcast is ForEachQuery restricted to the broadcast copies
+// whose NCL is in m, under the same contract; fn may also set or clear
+// bits of m, which later copies then see. It reads only the flat mode
+// tags until a copy passes m.
+//
+//dtn:allocfree
+func (b *Base) ForEachBroadcast(n trace.NodeID, m *NCLSet, fn func(qc *QueryCarry)) {
+	for i := 0; ; {
+		tags := b.qtags[n]
+		for i < len(tags) && !m.hasTag(tags[i]) {
+			i++
+		}
+		if i == len(tags) {
+			return
+		}
 		qc := b.queries[n][i]
 		fn(qc)
 		if i < len(b.queries[n]) && b.queries[n][i] == qc {
@@ -378,19 +505,23 @@ func (b *Base) hasResponded(n trace.NodeID, id workload.QueryID) bool {
 // it from OnSweep.
 func (b *Base) SweepExpired(now float64) {
 	for n := 0; n < b.E.N; n++ {
-		qs, ks := b.queries[n], b.qkeys[n]
-		kept := 0
+		qs, ks, ts := b.queries[n], b.qkeys[n], b.qtags[n]
+		kept, grads := 0, 0
 		for i, qc := range qs {
 			if qc.Q.Deadline > now {
-				qs[kept], ks[kept] = qc, ks[i]
+				qs[kept], ks[kept], ts[kept] = qc, ks[i], ts[i]
 				kept++
+				if ts[i] == tagGradient {
+					grads++
+				}
 			}
 		}
+		b.grads[n] = grads
 		if kept < len(qs) {
 			clear(qs[kept:])
 			b.drops[n]++
 		}
-		b.queries[n], b.qkeys[n] = qs[:kept], ks[:kept]
+		b.queries[n], b.qkeys[n], b.qtags[n] = qs[:kept], ks[:kept], ts[:kept]
 
 		rs := b.replies[n]
 		keptR := rs[:0]
@@ -416,8 +547,10 @@ func (b *Base) SweepExpired(now float64) {
 }
 
 // QueryArrival is the scheme-specific handler invoked when a query copy
-// reaches a node (its gradient target or any node during broadcast).
-type QueryArrival func(at trace.NodeID, qc *QueryCarry)
+// reaches a node (its gradient target or any node during broadcast)
+// over session s. Taking the session as an argument lets a scheme bind
+// its handler once instead of closing over each contact.
+type QueryArrival func(s *sim.Session, at trace.NodeID, qc *QueryCarry)
 
 // ForwardQueries enqueues query transfers from node `from` to its
 // session peer.
@@ -429,14 +562,11 @@ type QueryArrival func(at trace.NodeID, qc *QueryCarry)
 // peer that has not seen the query receives half the copy budget, so
 // the query fans out quickly before focusing on the target. onArrive
 // runs at the receiver; copies in Broadcast mode are handled by the
-// intentional scheme separately.
+// intentional scheme separately, so only gradient copies are visited.
 func (b *Base) ForwardQueries(s *sim.Session, from trace.NodeID, onArrive QueryArrival) {
 	to := s.Peer(from)
 	now := b.E.Sim.Now()
-	b.ForEachQuery(from, func(qc *QueryCarry) {
-		if qc.Broadcast {
-			return
-		}
+	b.ForEachGradient(from, func(qc *QueryCarry) {
 		if qc.Q.Deadline <= now {
 			b.DropQuery(from, qc)
 			return
@@ -469,7 +599,7 @@ func (b *Base) ForwardQueries(s *sim.Session, from trace.NodeID, onArrive QueryA
 				b.E.Prov.QueryHop(qc.Q.ID, qc.Target, from, to,
 					now, at, b.E.XferSec(b.E.Cfg.QueryBits), provenance.OpQuerySeg, true)
 				if onArrive != nil {
-					onArrive(to, qc)
+					onArrive(s, to, qc)
 				}
 			},
 			OnDropped: func(float64) { delete(b.inflightQ, key) },
@@ -506,7 +636,7 @@ func (b *Base) sprayQuery(s *sim.Session, from, to trace.NodeID, qc *QueryCarry,
 			b.E.Prov.QueryHop(qc.Q.ID, qc.Target, from, to,
 				now, at, b.E.XferSec(b.E.Cfg.QueryBits), provenance.OpQuerySpray, false)
 			if onArrive != nil {
-				onArrive(to, copyQC)
+				onArrive(s, to, copyQC)
 			}
 		},
 		OnDropped: func(float64) { delete(b.inflightQ, key) },
@@ -525,6 +655,8 @@ type ReplyRelay func(at trace.NodeID, rc *ReplyCarry)
 // ForwardReplies enqueues reply (data) transfers from `from` to its
 // session peer, moving each copy when the peer is the requester or has a
 // strictly higher weight toward the requester within the remaining time.
+// A copy already in flight is skipped before its weights are evaluated:
+// both tests are pure, so their order does not change which copies move.
 func (b *Base) ForwardReplies(s *sim.Session, from trace.NodeID, onDelivered ReplyDelivered, onRelay ReplyRelay) {
 	to := s.Peer(from)
 	now := b.E.Sim.Now()
@@ -533,15 +665,15 @@ func (b *Base) ForwardReplies(s *sim.Session, from trace.NodeID, onDelivered Rep
 			b.DropReply(from, rc.Q.ID)
 			return
 		}
+		key := inflight{node: from, query: rc.Q.ID}
+		if b.inflightR[key] {
+			return
+		}
 		req := rc.Q.Requester
 		remaining := rc.Q.Deadline - now
 		better := to == req ||
 			b.E.Weight(to, req, remaining) > b.E.Weight(from, req, remaining)
 		if !better {
-			return
-		}
-		key := inflight{node: from, query: rc.Q.ID}
-		if b.inflightR[key] {
 			return
 		}
 		b.inflightR[key] = true
@@ -619,7 +751,8 @@ func (b *Base) Respond(n trace.NodeID, qc *QueryCarry, force bool) bool {
 func (b *Base) DropNodeState(n trace.NodeID) {
 	qs := b.queries[n]
 	clear(qs)
-	b.queries[n], b.qkeys[n] = qs[:0], b.qkeys[n][:0]
+	b.queries[n], b.qkeys[n], b.qtags[n] = qs[:0], b.qkeys[n][:0], b.qtags[n][:0]
+	b.grads[n] = 0
 	b.drops[n]++
 	clear(b.replies[n])
 	b.replies[n] = b.replies[n][:0]

@@ -234,7 +234,7 @@ func (s *sprayScheme) OnQuery(q workload.Query) {
 }
 func (s *sprayScheme) OnContactStart(sess *sim.Session) {
 	for _, from := range []trace.NodeID{sess.A, sess.B} {
-		s.base.ForwardQueries(sess, from, func(at trace.NodeID, qc *QueryCarry) {
+		s.base.ForwardQueries(sess, from, func(sess *sim.Session, at trace.NodeID, qc *QueryCarry) {
 			s.arrived[at] = true
 		})
 	}

@@ -53,7 +53,7 @@ func (s *BundleCache) OnQuery(q workload.Query) {
 func (s *BundleCache) OnContactStart(sess *sim.Session) {
 	for _, from := range []trace.NodeID{sess.A, sess.B} {
 		from := from
-		s.base.ForwardQueries(sess, from, func(at trace.NodeID, qc *QueryCarry) {
+		s.base.ForwardQueries(sess, from, func(sess *sim.Session, at trace.NodeID, qc *QueryCarry) {
 			s.base.Observe(at, qc.Q.Data, s.base.E.Sim.Now())
 			if s.base.E.HasData(at, qc.Q.Data) && s.base.Respond(at, qc, true) {
 				s.base.DropQuery(at, qc)

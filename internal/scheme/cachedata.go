@@ -48,7 +48,7 @@ func (s *CacheData) OnQuery(q workload.Query) {
 func (s *CacheData) OnContactStart(sess *sim.Session) {
 	for _, from := range []trace.NodeID{sess.A, sess.B} {
 		from := from
-		s.base.ForwardQueries(sess, from, func(at trace.NodeID, qc *QueryCarry) {
+		s.base.ForwardQueries(sess, from, func(sess *sim.Session, at trace.NodeID, qc *QueryCarry) {
 			// Relays collect query history as queries pass through them;
 			// this is what drives the popularity-based caching decision.
 			s.base.Observe(at, qc.Q.Data, s.base.E.Sim.Now())

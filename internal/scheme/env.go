@@ -238,7 +238,6 @@ type Env struct {
 	W       *workload.Workload
 	N       int
 	Buffers []*buffer.Buffer
-	Est     *graph.RateEstimator
 	M       *metrics.Collector
 	Rng     *mathx.Rand
 	// Obs is the run's recorder (nil when observability is off); all
@@ -282,6 +281,9 @@ type Env struct {
 	kb   *knowledge.Provider
 	snap *knowledge.Snapshot
 	ncls []trace.NodeID
+	// met[n] counts the contacts node n has taken part in so far, the
+	// NCLByContacts score.
+	met []int
 
 	// copyScratch is the per-sweep copy-count scratch of sampleCaching,
 	// indexed by DataID and reused across sweeps.
@@ -341,12 +343,12 @@ func NewEnv(tr *trace.Trace, w *workload.Workload, cfg Config, s Scheme, kb *kno
 		Trace:   tr,
 		W:       w,
 		N:       tr.Nodes,
-		Est:     graph.NewRateEstimator(tr.Nodes, 0),
 		M:       metrics.NewCollector(),
 		Rng:     mathx.NewRand(cfg.Seed),
 		Obs:     cfg.Obs,
 		scheme:  s,
 		ownData: make([]map[workload.DataID]workload.DataItem, tr.Nodes),
+		met:     make([]int, tr.Nodes),
 	}
 	e.Sim.SetRecorder(cfg.Obs)
 	if cfg.Obs.TraceEnabled() || cfg.SpanRetain > 0 {
@@ -468,7 +470,10 @@ func (e *Env) Run() metrics.Report {
 
 // ContactStart implements sim.Handler.
 func (e *Env) ContactStart(s *sim.Session) {
-	e.Est.Observe(s.A, s.B)
+	if a, b := s.A, s.B; a != b && a >= 0 && b >= 0 && int(a) < e.N && int(b) < e.N {
+		e.met[a]++
+		e.met[b]++
+	}
 	e.scheme.OnContactStart(s)
 }
 
@@ -823,8 +828,8 @@ func (e *Env) selectNCLs() []trace.NodeID {
 			scores[n] = float64(len(e.snap.Graph().Neighbors(trace.NodeID(n))))
 		}
 	case NCLByContacts:
-		for n := 0; n < e.N; n++ {
-			scores[n] = float64(e.Est.NodeContacts(trace.NodeID(n)))
+		for n, c := range e.met {
+			scores[n] = float64(c)
 		}
 	case NCLRandom:
 		rng := e.Rng.Derive("ncl-random")

@@ -1,6 +1,7 @@
 package scheme
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -298,6 +299,34 @@ func TestNCLSelectionPicksHub(t *testing.T) {
 	ncls := env.NCLs()
 	if len(ncls) != 1 || ncls[0] != 1 {
 		t.Errorf("NCLs = %v, want [1] (the hub)", ncls)
+	}
+}
+
+// TestNodeContacts: the NCLByContacts score of a node is the number of
+// contacts it has taken part in so far.
+func TestNodeContacts(t *testing.T) {
+	tr := lineTrace(1000, 40000)
+	w := manualWorkload(tr, 21000, 39000, 22000, 38000)
+	cfg := testConfig(tr)
+	cfg.NCLSelection = NCLByContacts
+	env, err := NewEnv(tr, w, cfg, NewNoCache(), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const at = 20900 // between contact starts
+	env.Sim.RunUntil(at)
+	want := make([]int, tr.Nodes)
+	for _, c := range tr.Contacts {
+		if c.Start <= at {
+			want[c.A]++
+			want[c.B]++
+		}
+	}
+	if !slices.Equal(env.met, want) {
+		t.Errorf("contact totals = %v, want %v", env.met, want)
+	}
+	if want[1] != want[0]+want[2] {
+		t.Errorf("hub total %d, want the sum of its peers' %d + %d", want[1], want[0], want[2])
 	}
 }
 

@@ -88,7 +88,7 @@ func (e *Env) scheduleQueryRetry(q workload.Query, attempt int, delay float64) {
 // center down — the best-ranked live stand-in under current knowledge.
 // Without a fault engine or failover this is a branch and an index.
 func (e *Env) EffectiveNCL(k int) trace.NodeID {
-	if e.faults == nil || !e.Cfg.NCLFailover {
+	if e.FixedCenters() {
 		return e.ncls[k]
 	}
 	if len(e.effNCLs) != len(e.ncls) || e.effVersion != e.faults.Version() || e.effSnap != e.snap {
@@ -96,6 +96,11 @@ func (e *Env) EffectiveNCL(k int) trace.NodeID {
 	}
 	return e.effNCLs[k]
 }
+
+// FixedCenters reports whether EffectiveNCL(k) is always NCLs()[k]:
+// without a fault engine or failover it is a pure index, while with
+// them a call may rebuild the failover assignment and log the change.
+func (e *Env) FixedCenters() bool { return e.faults == nil || !e.Cfg.NCLFailover }
 
 func containsNode(ns []trace.NodeID, n trace.NodeID) bool {
 	for _, m := range ns {

@@ -47,7 +47,7 @@ func (s *NoCache) OnQuery(q workload.Query) {
 func (s *NoCache) OnContactStart(sess *sim.Session) {
 	for _, from := range []trace.NodeID{sess.A, sess.B} {
 		from := from
-		s.base.ForwardQueries(sess, from, func(at trace.NodeID, qc *QueryCarry) {
+		s.base.ForwardQueries(sess, from, func(sess *sim.Session, at trace.NodeID, qc *QueryCarry) {
 			if at == qc.Target && s.base.Respond(at, qc, true) {
 				s.base.DropQuery(at, qc)
 				// Try to send the fresh reply onward immediately.

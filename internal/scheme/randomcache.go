@@ -44,7 +44,7 @@ func (s *RandomCache) OnQuery(q workload.Query) {
 func (s *RandomCache) OnContactStart(sess *sim.Session) {
 	for _, from := range []trace.NodeID{sess.A, sess.B} {
 		from := from
-		s.base.ForwardQueries(sess, from, func(at trace.NodeID, qc *QueryCarry) {
+		s.base.ForwardQueries(sess, from, func(sess *sim.Session, at trace.NodeID, qc *QueryCarry) {
 			// Any node holding the data replies and consumes the query.
 			if s.base.E.HasData(at, qc.Q.Data) && s.base.Respond(at, qc, true) {
 				s.base.DropQuery(at, qc)
