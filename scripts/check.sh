@@ -82,7 +82,7 @@ go test -race -count=1 ./internal/fault/...
 echo "== fuzz seed corpora (short mode)"
 go test -count=1 -run '^Fuzz' ./internal/trace ./internal/knapsack ./internal/sim \
     ./internal/obs ./internal/analysis ./internal/wal ./internal/mathx ./internal/graph \
-    ./internal/scheme ./cmd/dtnserved
+    ./internal/scheme ./internal/provenance ./cmd/dtnserved
 
 # Run-trace byte identity: record the same Infocom05 run twice and
 # require identical bytes — the determinism guarantee DESIGN.md's
@@ -177,6 +177,7 @@ if [[ -n "${CHECK_FUZZ_TIME:-}" ]]; then
         "./internal/scheme FuzzQueryStore"
         "./internal/obs FuzzEncodeEvent"
         "./internal/obs FuzzEncodeSpan"
+        "./internal/provenance FuzzTracer"
         "./internal/analysis FuzzParseMarker"
         "./internal/analysis FuzzParseAllow"
         "./internal/wal FuzzReadWAL"
