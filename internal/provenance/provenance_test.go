@@ -2,6 +2,7 @@ package provenance
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -255,5 +256,44 @@ func TestSpanZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("recorder-off span path allocates %v/op, want 0", allocs)
+	}
+}
+
+// TestTracerHopAllocs pins the retained hop path: once both carriers
+// of a copy are in the query's custody table, a QueryHop allocates
+// only when its span slice grows, amortized by append's doubling.
+func TestTracerHopAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	tr := NewTracer(nil, 1, 8)
+	tr.QueryIssued(q(0, 2, 7, 10, 1e9))
+	tr.QueryHop(0, 9, 2, 5, 40, 50, 1, OpQuerySeg, false) // adds (9, 5)
+	tr.QueryHop(0, 9, 5, 2, 60, 70, 1, OpQuerySeg, false) // adds (9, 2)
+	qt := tr.qt[0]
+	const hops = 3000
+	ops := [...]string{OpQuerySeg, OpQuerySpray, OpQueryBcast}
+	growths := 0
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < hops; i++ {
+		c := cap(qt.spans)
+		from, to := trace.NodeID(2), trace.NodeID(5)
+		if i%2 == 1 {
+			from, to = to, from
+		}
+		at := 100 + float64(i)
+		tr.QueryHop(0, 9, from, to, at, at+1, 1, ops[i%3], i%4 < 2)
+		if cap(qt.spans) != c {
+			growths++
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if len(qt.slots) != 8 {
+		t.Fatalf("custody table has %d slots, want the initial 8", len(qt.slots))
+	}
+	if mallocs := after.Mallocs - before.Mallocs; mallocs > uint64(growths) {
+		t.Errorf("%d hops allocated %d times, want at most the %d span slice growths", hops, mallocs, growths)
+	}
+	if growths > 16 {
+		t.Errorf("span slice grew %d times over %d hops: not amortized", growths, hops)
 	}
 }
