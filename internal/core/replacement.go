@@ -125,6 +125,7 @@ type replScratch struct {
 	items     []knapsack.Item
 	rest      []knapsack.Item
 	leftovers []int
+	sel       []int // selectFor's Algorithm 1 selection
 	inA, inB  []bool
 }
 
@@ -245,13 +246,15 @@ func (s *Intentional) replCapacity(n trace.NodeID, extraPinned, quant float64) i
 
 // selectFor picks items for one node: Algorithm 1 (Bernoulli acceptance
 // with probability = utility) when probabilistic selection is enabled,
-// the plain Eq. (7) knapsack otherwise. Returns indices into items.
+// the plain Eq. (7) knapsack otherwise. Returns indices into items;
+// Algorithm 1's selection lives in the replacement scratch, valid until
+// the next call.
 func (s *Intentional) selectFor(items []knapsack.Item, capacity int) []int {
 	if len(items) == 0 || capacity <= 0 {
 		return nil
 	}
 	if s.env.Cfg.ProbabilisticSelection {
-		sel, err := knapsack.ProbabilisticSelect(items, capacity, func(it knapsack.Item) bool {
+		sel, err := knapsack.ProbabilisticSelect(s.repl.sel[:0], items, capacity, func(it knapsack.Item) bool {
 			p := it.Value
 			if p > 1 {
 				p = 1
@@ -261,6 +264,7 @@ func (s *Intentional) selectFor(items []knapsack.Item, capacity int) []int {
 		if err != nil {
 			return nil
 		}
+		s.repl.sel = sel
 		return sel
 	}
 	sel, _, err := knapsack.Solve(items, capacity)

@@ -118,7 +118,7 @@ func FuzzProbabilisticSelect(f *testing.F) {
 		capacity := int(cap16 % 512)
 		m := 1 + int(mod)%4
 		accept := func(it Item) bool { return it.ID%m != m-1 }
-		sel, err := ProbabilisticSelect(items, capacity, accept)
+		sel, err := ProbabilisticSelect(nil, items, capacity, accept)
 		if err != nil {
 			t.Fatalf("valid instance rejected: %v", err)
 		}

@@ -17,7 +17,6 @@ import (
 	"cmp"
 	"errors"
 	"slices"
-	"sort"
 	"sync"
 )
 
@@ -152,10 +151,13 @@ const maxRounds = 4
 // less-popular data a non-negligible chance of being cached, which is the
 // point of Sec. V-D.3.
 //
-// It returns indices into items of the accepted set.
-func ProbabilisticSelect(items []Item, capacity int, accept Acceptor) ([]int, error) {
+// It appends the ascending indices into items of the accepted set to
+// dst and returns the extended slice. Its round scratch is pooled, so
+// a caller that passes back its previous selection's array, as cache
+// replacement does on every exchange, allocates nothing.
+func ProbabilisticSelect(dst []int, items []Item, capacity int, accept Acceptor) ([]int, error) {
 	if capacity < 0 {
-		return nil, ErrBadCapacity
+		return dst, ErrBadCapacity
 	}
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
@@ -164,7 +166,7 @@ func ProbabilisticSelect(items []Item, capacity int, accept Acceptor) ([]int, er
 		remaining = append(remaining, i)
 	}
 	sc.accepted = zeroed(sc.accepted, len(items))
-	var chosen []int
+	first := len(dst)
 	rounds := 0
 	for len(remaining) > 0 && capacity >= minSize(items, remaining) {
 		rounds++
@@ -180,7 +182,7 @@ func ProbabilisticSelect(items []Item, capacity int, accept Acceptor) ([]int, er
 		sc.pool = pool
 		sel, _, err := sc.solve(sc.sel[:0], pool, capacity)
 		if err != nil {
-			return nil, err
+			return dst[:first], err
 		}
 		sc.sel = sel
 		if len(sel) == 0 {
@@ -213,7 +215,7 @@ func ProbabilisticSelect(items []Item, capacity int, accept Acceptor) ([]int, er
 				continue
 			}
 			if accept(items[it.ID]) {
-				chosen = append(chosen, it.ID)
+				dst = append(dst, it.ID)
 				capacity -= it.Size
 				budget -= it.Size
 				sc.accepted[it.ID] = true
@@ -232,8 +234,8 @@ func ProbabilisticSelect(items []Item, capacity int, accept Acceptor) ([]int, er
 		remaining = next
 	}
 	sc.remaining = remaining
-	sort.Ints(chosen)
-	return chosen, nil
+	slices.Sort(dst[first:])
+	return dst, nil
 }
 
 func minSize(items []Item, idx []int) int {

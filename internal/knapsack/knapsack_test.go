@@ -275,9 +275,12 @@ func probabilisticSelectRef(items []Item, capacity int, accept Acceptor) []int {
 // reference with identically seeded Bernoulli acceptors (probability =
 // utility, as the intentional scheme uses) on random instances with
 // frequent utility ties, and requires the same selection and the same
-// sequence of acceptor calls.
+// sequence of acceptor calls. One selection array is passed back on
+// every trial behind a one-element prefix, as cache replacement reuses
+// it, so the append contract is checked too.
 func TestProbabilisticSelectMatchesReference(t *testing.T) {
 	gen := mathx.NewRand(23)
+	var buf []int
 	for trial := 0; trial < 1000; trial++ {
 		items := make([]Item, gen.Intn(14))
 		for i := range items {
@@ -295,11 +298,15 @@ func TestProbabilisticSelectMatchesReference(t *testing.T) {
 			return got, offered
 		}
 		got, gotOffers := run(func(a Acceptor) []int {
-			sel, err := ProbabilisticSelect(items, capacity, a)
+			sel, err := ProbabilisticSelect(append(buf[:0], -1), items, capacity, a)
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
-			return sel
+			if sel[0] != -1 {
+				t.Fatalf("trial %d: the selection overwrote dst's prefix", trial)
+			}
+			buf = sel
+			return sel[1:]
 		})
 		want, wantOffers := run(func(a Acceptor) []int { return probabilisticSelectRef(items, capacity, a) })
 		if !slices.Equal(got, want) || !slices.Equal(gotOffers, wantOffers) {
@@ -316,7 +323,7 @@ func TestProbabilisticSelectAlwaysAcceptEqualsSolve(t *testing.T) {
 		{ID: 2, Size: 30, Value: 120},
 		{ID: 3, Size: 15, Value: 10},
 	}
-	got, err := ProbabilisticSelect(items, 50, func(Item) bool { return true })
+	got, err := ProbabilisticSelect(nil, items, 50, func(Item) bool { return true })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +343,7 @@ func TestProbabilisticSelectAlwaysAcceptEqualsSolve(t *testing.T) {
 
 func TestProbabilisticSelectNeverAccept(t *testing.T) {
 	items := []Item{{Size: 5, Value: 1}, {Size: 5, Value: 2}}
-	got, err := ProbabilisticSelect(items, 10, func(Item) bool { return false })
+	got, err := ProbabilisticSelect(nil, items, 10, func(Item) bool { return false })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +359,7 @@ func TestProbabilisticSelectRespectsCapacity(t *testing.T) {
 		items[i] = Item{ID: i, Size: 3 + i%5, Value: 0.2 + 0.05*float64(i)}
 	}
 	for trial := 0; trial < 50; trial++ {
-		sel, err := ProbabilisticSelect(items, 20, func(it Item) bool {
+		sel, err := ProbabilisticSelect(nil, items, 20, func(it Item) bool {
 			return rng.Bernoulli(it.Value)
 		})
 		if err != nil {
@@ -386,7 +393,7 @@ func TestProbabilisticSelectGivesUnpopularDataAChance(t *testing.T) {
 	popCount, unpopCount := 0, 0
 	const trials = 2000
 	for i := 0; i < trials; i++ {
-		sel, err := ProbabilisticSelect(items, 10, func(it Item) bool {
+		sel, err := ProbabilisticSelect(nil, items, 10, func(it Item) bool {
 			return rng.Bernoulli(it.Value)
 		})
 		if err != nil {
@@ -409,7 +416,7 @@ func TestProbabilisticSelectGivesUnpopularDataAChance(t *testing.T) {
 }
 
 func TestProbabilisticSelectBadCapacity(t *testing.T) {
-	if _, err := ProbabilisticSelect(nil, -1, func(Item) bool { return true }); err != ErrBadCapacity {
+	if _, err := ProbabilisticSelect(nil, nil, -1, func(Item) bool { return true }); err != ErrBadCapacity {
 		t.Errorf("got %v", err)
 	}
 }
