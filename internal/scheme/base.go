@@ -94,6 +94,8 @@ type Base struct {
 	// concurrent contact.
 	inflightQ map[inflight]bool
 	inflightR map[inflight]bool
+	// xferFree pools gradient and spray transfer records (queryXfer).
+	xferFree []*queryXfer
 }
 
 // inflight identifies an outstanding transfer of a carried message.
@@ -580,30 +582,7 @@ func (b *Base) ForwardQueries(s *sim.Session, from trace.NodeID, onArrive QueryA
 		if !better {
 			return
 		}
-		key := inflight{node: from, query: qc.Q.ID, target: qc.Target}
-		if b.inflightQ[key] {
-			return
-		}
-		b.inflightQ[key] = true
-		s.Enqueue(sim.Transfer{
-			From: from, To: to, Bits: b.E.Cfg.QueryBits, Label: "query",
-			OnDelivered: func(at float64) {
-				delete(b.inflightQ, key)
-				b.E.M.ControlTransferred(b.E.Cfg.QueryBits)
-				// Custody moves to the receiver.
-				b.DropQuery(from, qc)
-				if qc.Q.Deadline <= at {
-					return
-				}
-				b.CarryQuery(to, qc)
-				b.E.Prov.QueryHop(qc.Q.ID, qc.Target, from, to,
-					now, at, b.E.XferSec(b.E.Cfg.QueryBits), provenance.OpQuerySeg, true)
-				if onArrive != nil {
-					onArrive(s, to, qc)
-				}
-			},
-			OnDropped: func(float64) { delete(b.inflightQ, key) },
-		})
+		b.sendQuery(s, from, to, qc, onArrive, false)
 	})
 }
 
@@ -613,34 +592,91 @@ func (b *Base) sprayQuery(s *sim.Session, from, to trace.NodeID, qc *QueryCarry,
 	if b.CarriesQueryKey(to, qc) {
 		return
 	}
-	now := b.E.Sim.Now()
+	b.sendQuery(s, from, to, qc, onArrive, true)
+}
+
+// queryXfer is one in-flight gradient or spray query transfer. Records
+// are pooled on the Base with their callbacks bound once, so a
+// transfer allocates no closures, as with the intentional scheme's
+// broadcast records.
+type queryXfer struct {
+	b        *Base
+	qc       *QueryCarry
+	sess     *sim.Session
+	onArrive QueryArrival
+	key      inflight // key.node is the sender
+	to       trace.NodeID
+	sent     float64
+	spray    bool
+
+	onDelivered, onDropped func(at float64)
+}
+
+// sendQuery enqueues qc from `from` to its session peer unless the copy
+// already has a transfer outstanding: a spray hop replicates half the
+// copy budget, any other hop moves custody.
+func (b *Base) sendQuery(s *sim.Session, from, to trace.NodeID, qc *QueryCarry, onArrive QueryArrival, spray bool) {
 	key := inflight{node: from, query: qc.Q.ID, target: qc.Target}
 	if b.inflightQ[key] {
 		return
 	}
 	b.inflightQ[key] = true
-	s.Enqueue(sim.Transfer{
-		From: from, To: to, Bits: b.E.Cfg.QueryBits, Label: "query-spray",
-		OnDelivered: func(at float64) {
-			delete(b.inflightQ, key)
-			b.E.M.ControlTransferred(b.E.Cfg.QueryBits)
-			if qc.Q.Deadline <= at {
-				return
-			}
-			half := qc.Copies / 2
-			qc.Copies -= half
-			copyQC := &QueryCarry{
-				Q: qc.Q, Target: qc.Target, NCL: qc.NCL, Copies: half,
-			}
-			b.CarryQuery(to, copyQC)
-			b.E.Prov.QueryHop(qc.Q.ID, qc.Target, from, to,
-				now, at, b.E.XferSec(b.E.Cfg.QueryBits), provenance.OpQuerySpray, false)
-			if onArrive != nil {
-				onArrive(s, to, copyQC)
-			}
-		},
-		OnDropped: func(float64) { delete(b.inflightQ, key) },
-	})
+	var x *queryXfer
+	if n := len(b.xferFree); n > 0 {
+		x = b.xferFree[n-1]
+		b.xferFree[n-1] = nil
+		b.xferFree = b.xferFree[:n-1]
+	} else {
+		x = &queryXfer{b: b}
+		x.onDelivered, x.onDropped = x.delivered, x.dropped
+	}
+	x.qc, x.sess, x.onArrive, x.key, x.to, x.sent, x.spray = qc, s, onArrive, key, to, b.E.Sim.Now(), spray
+	label := "query"
+	if spray {
+		label = "query-spray"
+	}
+	if !s.Enqueue(sim.Transfer{From: from, To: to, Bits: b.E.Cfg.QueryBits, Label: label,
+		OnDelivered: x.onDelivered, OnDropped: x.onDropped}) {
+		x.release()
+	}
+}
+
+// release clears the record's references and returns it to the pool.
+func (x *queryXfer) release() {
+	x.qc, x.sess, x.onArrive = nil, nil, nil
+	x.b.xferFree = append(x.b.xferFree, x)
+}
+
+// dropped is the record's OnDropped callback: the copy never arrived.
+func (x *queryXfer) dropped(float64) {
+	delete(x.b.inflightQ, x.key)
+	x.release()
+}
+
+// delivered is the record's OnDelivered callback.
+func (x *queryXfer) delivered(at float64) {
+	b, qc, s, onArrive, from, to, sent, spray := x.b, x.qc, x.sess, x.onArrive, x.key.node, x.to, x.sent, x.spray
+	delete(b.inflightQ, x.key)
+	x.release()
+	b.E.M.ControlTransferred(b.E.Cfg.QueryBits)
+	if !spray {
+		b.DropQuery(from, qc) // custody moves to the receiver
+	}
+	if qc.Q.Deadline <= at {
+		return
+	}
+	arrived, op := qc, provenance.OpQuerySeg
+	if spray {
+		half := qc.Copies / 2
+		qc.Copies -= half
+		arrived, op = &QueryCarry{Q: qc.Q, Target: qc.Target, NCL: qc.NCL, Copies: half}, provenance.OpQuerySpray
+	}
+	b.CarryQuery(to, arrived)
+	b.E.Prov.QueryHop(qc.Q.ID, qc.Target, from, to,
+		sent, at, b.E.XferSec(b.E.Cfg.QueryBits), op, !spray)
+	if onArrive != nil {
+		onArrive(s, to, arrived)
+	}
 }
 
 // ReplyDelivered is invoked when a reply reaches its requester;
