@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -181,6 +182,14 @@ func (l *Loader) parseDir(dir string, includeTests bool) ([]*ast.File, error) {
 			continue
 		}
 		if !includeTests && strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		// Honor build constraints as go build does, so a file pair
+		// split by //go:build race and !race does not type-check as
+		// one package with everything declared twice.
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, err
+		} else if !ok {
 			continue
 		}
 		names = append(names, name)

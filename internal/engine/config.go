@@ -289,8 +289,11 @@ func Factory(name string) (func() scheme.Scheme, error) {
 // engines share via Config.Knowledge: one contact-rate → paths →
 // NCL-metric pipeline per trace instead of one per environment. The
 // provider is exact (Epsilon 0), so shared results are bit-identical to
-// isolated ones. metricT = 0 picks the trace's default horizon, the
-// same rule Config normalization applies.
+// isolated ones. It keeps the whole refresh grid cached (shared
+// retention), since its consumers walk the grid out of lockstep; a run
+// without one builds a private provider that keeps only its newest
+// snapshot. metricT = 0 picks the trace's default horizon, the same
+// rule Config normalization applies.
 func SharedKnowledge(tr *trace.Trace, metricT float64) *knowledge.Provider {
 	if metricT == 0 {
 		metricT = DefaultMetricT(tr.Name)

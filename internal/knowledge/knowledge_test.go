@@ -221,9 +221,10 @@ func TestProviderCachesAndVersions(t *testing.T) {
 	}
 }
 
-// TestSnapshotSharingConcurrent hammers one shared Provider from many
-// goroutines walking the same refresh grid — the cross-scheme sharing
-// pattern of experiment.RunComparison — and checks every consumer
+// TestSnapshotSharingConcurrent hammers one shared Provider, built as
+// engine.SharedKnowledge builds it, from many goroutines walking the
+// same refresh grid — the cross-scheme sharing pattern of
+// experiment.RunComparison — and checks every consumer
 // observes identical knowledge. Run under -race (scripts/check.sh) this
 // also proves the parallel build fan-out and the off-horizon Weight
 // reads of the materialized paths are data-race free.
@@ -233,7 +234,7 @@ func TestSnapshotSharingConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	metricT := engine.DefaultMetricT(tr.Name)
-	pr := knowledge.NewProvider(knowledge.Params{Nodes: tr.Nodes, MetricT: metricT}, tr.Contacts)
+	pr := engine.SharedKnowledge(tr, metricT)
 	grid := []float64{0.2, 0.4, 0.6, 0.8, 1.0}
 	const consumers = 8
 	sums := make([]uint64, consumers)

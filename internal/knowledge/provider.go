@@ -8,15 +8,17 @@ import (
 	"dtncache/internal/trace"
 )
 
-// maxCached bounds how many snapshots a Provider retains. It must
-// cover a whole default refresh grid (duration/100 from the mid-trace
-// warmup, ~51 points): consumers of a comparison walk the same grid but
-// not in lockstep — on few cores they run one after another — so a
-// bound smaller than the grid makes each later consumer miss every
-// time (a sequential scan over an undersized cache evicts entries just
-// before their reuse). Evicting the oldest beyond the bound merely
-// costs a rebuild if a very late consumer asks again; with Epsilon = 0
-// a rebuild is bit-identical, so eviction never changes results.
+// maxCached bounds how many snapshots a shared provider retains. It
+// must cover a whole default refresh grid (duration/100 from the
+// mid-trace warmup, ~51 points): consumers of a comparison walk the
+// same grid but not in lockstep — on few cores they run one after
+// another — so a bound smaller than the grid makes each later consumer
+// miss every time (a sequential scan over an undersized cache evicts
+// entries just before their reuse). Evicting the oldest beyond the
+// bound merely costs a rebuild if a very late consumer asks again; with
+// Epsilon = 0 a rebuild is bit-identical, so eviction never changes
+// results. A private provider keeps one snapshot instead (see
+// Provider).
 const maxCached = 128
 
 // Provider builds and caches snapshots for one (contact source, Params)
@@ -24,6 +26,14 @@ const maxCached = 128
 // share a provider, and whichever requests a refresh time first builds
 // it (incrementally, against the newest earlier snapshot) while the
 // rest reuse the cached value.
+//
+// Retention follows ownership. A shared provider (NewStreamProvider,
+// which engine.SharedKnowledge builds) keeps up to maxCached snapshots,
+// the whole refresh grid its consumers walk out of lockstep. A private
+// provider (NewPrivateStreamProvider, which a scheme environment builds
+// for its own run, and NewProvider) has one consumer walking the grid
+// forward, so it keeps only its newest snapshot: the next build's
+// incremental base, and all that consumer reads again.
 //
 // With Epsilon = 0 every snapshot is bit-identical to a full recompute,
 // so results never depend on which consumer built what or on eviction
@@ -34,6 +44,7 @@ const maxCached = 128
 //dtn:shared the mutex-guarded snapshot cache crosses sweep cells
 type Provider struct {
 	builder *Builder
+	keep    int // snapshots retained: maxCached if shared, 1 if private
 
 	mu      sync.Mutex
 	byTime  map[float64]*Snapshot
@@ -52,19 +63,20 @@ type Provider struct {
 	gaCached *obs.Gauge
 }
 
-// NewProvider creates a provider that counts every contact of the given
-// list, which must be sorted by start time. The contacts are counted
-// raw, unmerged, as the offline Fig. 4 analysis, nclstat and the NCL
-// ablations expect; NewStreamProvider counts merged contacts instead.
+// NewProvider creates a private provider that counts every contact of
+// the given list, which must be sorted by start time. The contacts are
+// counted raw, unmerged, as the offline Fig. 4 analysis, nclstat and
+// the NCL ablations expect; NewStreamProvider counts merged contacts
+// instead.
 func NewProvider(p Params, contacts []trace.Contact) *Provider {
-	return newProvider(p, func() (trace.ContactSource, error) {
+	return newProvider(p, 1, func() (trace.ContactSource, error) {
 		return trace.NewSliceSource(contacts), nil
 	})
 }
 
-// NewStreamProvider creates a provider that counts the merged contacts
-// (trace.MergeSource) of a contact source — one per session the
-// simulator driver opens, which is what a scheme's rate estimator
+// NewStreamProvider creates a shared provider that counts the merged
+// contacts (trace.MergeSource) of a contact source — one per session
+// the simulator driver opens, which is what a scheme's rate estimator
 // observes. Knowledge builds never need the whole trace in memory.
 // open must return a fresh source positioned at the start each call:
 // the provider reopens to rewind when snapshots are requested out of
@@ -74,19 +86,32 @@ func NewProvider(p Params, contacts []trace.Contact) *Provider {
 // so far and is reported by StreamErr; runs observing a non-nil
 // StreamErr must be discarded.
 func NewStreamProvider(p Params, open func() (trace.ContactSource, error)) *Provider {
-	return newProvider(p, func() (trace.ContactSource, error) {
+	return newProvider(p, maxCached, mergedOpener(open))
+}
+
+// NewPrivateStreamProvider is NewStreamProvider for a single consumer
+// that requests monotonically increasing times, such as the scheme
+// environment that builds it for its own run: it keeps only its newest
+// snapshot. An older time is still served, rebuilt exactly.
+func NewPrivateStreamProvider(p Params, open func() (trace.ContactSource, error)) *Provider {
+	return newProvider(p, 1, mergedOpener(open))
+}
+
+func mergedOpener(open func() (trace.ContactSource, error)) func() (trace.ContactSource, error) {
+	return func() (trace.ContactSource, error) {
 		src, err := open()
 		if err != nil {
 			return nil, err
 		}
 		return trace.NewMergeSource(src), nil
-	})
+	}
 }
 
-func newProvider(p Params, open func() (trace.ContactSource, error)) *Provider {
+func newProvider(p Params, keep int, open func() (trace.ContactSource, error)) *Provider {
 	b := NewBuilder(p, nil)
 	return &Provider{
 		builder: b,
+		keep:    keep,
 		byTime:  make(map[float64]*Snapshot),
 		feed:    &contactFeed{open: open, nodes: b.Params().Nodes},
 	}
@@ -163,7 +188,7 @@ func (pr *Provider) At(t float64) *Snapshot {
 	pr.times = append(pr.times, 0)
 	copy(pr.times[i+1:], pr.times[i:])
 	pr.times[i] = t
-	if len(pr.times) > maxCached {
+	if len(pr.times) > pr.keep {
 		delete(pr.byTime, pr.times[0])
 		pr.times = pr.times[1:]
 	}

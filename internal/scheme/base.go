@@ -94,8 +94,10 @@ type Base struct {
 	// concurrent contact.
 	inflightQ map[inflight]bool
 	inflightR map[inflight]bool
-	// xferFree pools gradient and spray transfer records (queryXfer).
-	xferFree []*queryXfer
+	// xferFree pools gradient and spray transfer records (queryXfer),
+	// replyFree reply transfer records (replyXfer).
+	xferFree  []*queryXfer
+	replyFree []*replyXfer
 }
 
 // inflight identifies an outstanding transfer of a carried message.
@@ -713,31 +715,91 @@ func (b *Base) ForwardReplies(s *sim.Session, from trace.NodeID, onDelivered Rep
 			return
 		}
 		b.inflightR[key] = true
-		s.Enqueue(sim.Transfer{
-			From: from, To: to, Bits: rc.Item.SizeBits, Label: "reply",
-			OnDelivered: func(at float64) {
-				delete(b.inflightR, key)
-				b.E.M.DataTransferred(rc.Item.SizeBits)
-				b.DropReply(from, rc.Q.ID)
-				if to == req {
-					first := b.E.answerQuery(rc.Q, at)
-					b.E.Prov.ReplyHop(rc.Q.ID, from, to,
-						now, at, b.E.XferSec(rc.Item.SizeBits), true, true, first)
-					if onDelivered != nil {
-						onDelivered(rc, first)
-					}
-					return
-				}
-				b.CarryReply(to, rc)
-				b.E.Prov.ReplyHop(rc.Q.ID, from, to,
-					now, at, b.E.XferSec(rc.Item.SizeBits), true, false, false)
-				if onRelay != nil {
-					onRelay(to, rc)
-				}
-			},
-			OnDropped: func(float64) { delete(b.inflightR, key) },
-		})
+		b.sendReply(s, from, to, rc, onDelivered, onRelay, false)
 	})
+}
+
+// replyXfer is one in-flight reply transfer, pooled on the Base with
+// its callbacks bound once, as queryXfer.
+type replyXfer struct {
+	b         *Base
+	rc        *ReplyCarry
+	onReply   ReplyDelivered
+	onRelay   ReplyRelay
+	key       inflight // key.node is the sender
+	to        trace.NodeID
+	sent      float64
+	replicate bool // an epidemic copy: the sender keeps its own
+
+	onDelivered, onDropped func(at float64)
+}
+
+// sendReply enqueues rc from `from` to its session peer. A moved copy
+// (replicate false) holds the inflightR key the caller set; a
+// replicated one leaves the sender's copy and custody alone.
+func (b *Base) sendReply(s *sim.Session, from, to trace.NodeID, rc *ReplyCarry, onReply ReplyDelivered, onRelay ReplyRelay, replicate bool) {
+	var x *replyXfer
+	if n := len(b.replyFree); n > 0 {
+		x = b.replyFree[n-1]
+		b.replyFree[n-1] = nil
+		b.replyFree = b.replyFree[:n-1]
+	} else {
+		x = &replyXfer{b: b}
+		x.onDelivered, x.onDropped = x.delivered, x.dropped
+	}
+	x.rc, x.onReply, x.onRelay = rc, onReply, onRelay
+	x.key, x.to, x.sent, x.replicate = inflight{node: from, query: rc.Q.ID}, to, b.E.Sim.Now(), replicate
+	label := "reply"
+	if replicate {
+		label = "epidemic-reply"
+	}
+	if !s.Enqueue(sim.Transfer{From: from, To: to, Bits: rc.Item.SizeBits, Label: label,
+		OnDelivered: x.onDelivered, OnDropped: x.onDropped}) {
+		x.release()
+	}
+}
+
+// release clears the record's references and returns it to the pool.
+func (x *replyXfer) release() {
+	x.rc, x.onReply, x.onRelay = nil, nil, nil
+	x.b.replyFree = append(x.b.replyFree, x)
+}
+
+// dropped is the record's OnDropped callback: the copy never arrived.
+func (x *replyXfer) dropped(float64) {
+	if !x.replicate {
+		delete(x.b.inflightR, x.key)
+	}
+	x.release()
+}
+
+// delivered is the record's OnDelivered callback.
+func (x *replyXfer) delivered(at float64) {
+	b, rc, onReply, onRelay, from, to, sent, moved := x.b, x.rc, x.onReply, x.onRelay, x.key.node, x.to, x.sent, !x.replicate
+	if moved {
+		delete(b.inflightR, x.key)
+	}
+	x.release()
+	e := b.E
+	e.M.DataTransferred(rc.Item.SizeBits)
+	if moved {
+		b.DropReply(from, rc.Q.ID)
+	}
+	if to == rc.Q.Requester {
+		first := e.answerQuery(rc.Q, at)
+		e.Prov.ReplyHop(rc.Q.ID, from, to,
+			sent, at, e.XferSec(rc.Item.SizeBits), moved, true, first)
+		if onReply != nil {
+			onReply(rc, first)
+		}
+		return
+	}
+	b.CarryReply(to, rc)
+	e.Prov.ReplyHop(rc.Q.ID, from, to,
+		sent, at, e.XferSec(rc.Item.SizeBits), moved, false, false)
+	if onRelay != nil {
+		onRelay(to, rc)
+	}
 }
 
 // Respond creates a reply at node n for query qc if n can serve the data

@@ -323,10 +323,11 @@ func (c Config) KnowledgeParams(nodes int) knowledge.Params {
 // kb optionally shares a knowledge provider across environments, so
 // every scheme of a comparison reads one contact-rate → paths → metric
 // pipeline instead of rebuilding it. A nil kb gives the environment a
-// private provider. A shared kb must have Params equal to the config's
-// and count the same contacts this Env's rate estimator observes: the
-// merged contacts of the replayed source, as
-// knowledge.NewStreamProvider over the same opener counts them.
+// private provider, which keeps only its newest snapshot. A shared kb
+// must have Params equal to the config's and count the same contacts
+// this Env's rate estimator observes: the merged contacts of the
+// replayed source, as knowledge.NewStreamProvider over the same opener
+// counts them.
 func NewEnv(tr *trace.Trace, w *workload.Workload, cfg Config, s Scheme, kb *knowledge.Provider, open func() (trace.ContactSource, error)) (*Env, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -402,7 +403,7 @@ func NewEnv(tr *trace.Trace, w *workload.Workload, cfg Config, s Scheme, kb *kno
 		return nil, err
 	}
 	if kb == nil {
-		kb = knowledge.NewStreamProvider(cfg.KnowledgeParams(e.N), open)
+		kb = knowledge.NewPrivateStreamProvider(cfg.KnowledgeParams(e.N), open)
 		// The provider is private to this Env, so its metrics belong to
 		// this run; shared providers stay recorder-free (see
 		// Provider.SetRecorder).

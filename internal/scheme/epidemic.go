@@ -16,6 +16,8 @@ import (
 // from, though it is not one of the Fig. 10 comparison schemes.
 type Epidemic struct {
 	base *Base
+	// floodFree pools flooded query transfer records (floodXfer).
+	floodFree []*floodXfer
 }
 
 // NewEpidemic creates the scheme.
@@ -65,24 +67,63 @@ func (s *Epidemic) floodQueries(sess *sim.Session, from trace.NodeID) {
 		if s.base.CarriesQueryID(to, qc.Q.ID) {
 			return
 		}
-		copyQC := &QueryCarry{Q: qc.Q, Target: qc.Target, NCL: -1}
-		sess.Enqueue(sim.Transfer{
-			From: from, To: to, Bits: e.Cfg.QueryBits, Label: "epidemic-query",
-			OnDelivered: func(at float64) {
-				e.M.ControlTransferred(e.Cfg.QueryBits)
-				if copyQC.Q.Deadline <= at {
-					return
-				}
-				s.base.CarryQuery(to, copyQC)
-				// A flooded copy is a replication: the sender keeps its own.
-				e.Prov.QueryHop(copyQC.Q.ID, copyQC.Target, from, to,
-					now, at, e.XferSec(e.Cfg.QueryBits), provenance.OpQueryBcast, false)
-				if e.HasData(to, copyQC.Q.Data) && s.base.Respond(to, copyQC, true) {
-					s.floodReplies(sess, to)
-				}
-			},
-		})
+		var x *floodXfer
+		if n := len(s.floodFree); n > 0 {
+			x = s.floodFree[n-1]
+			s.floodFree[n-1] = nil
+			s.floodFree = s.floodFree[:n-1]
+		} else {
+			x = &floodXfer{s: s}
+			x.onDelivered, x.onDropped = x.delivered, x.dropped
+		}
+		x.qc, x.sess, x.from, x.to, x.sent = qc, sess, from, to, now
+		if !sess.Enqueue(sim.Transfer{From: from, To: to, Bits: e.Cfg.QueryBits, Label: "epidemic-query",
+			OnDelivered: x.onDelivered, OnDropped: x.onDropped}) {
+			x.release()
+		}
 	})
+}
+
+// floodXfer is one in-flight flooded query copy, pooled on the scheme
+// with its callbacks bound once, as Base's queryXfer.
+type floodXfer struct {
+	s *Epidemic
+	// qc is the sender's copy. Its Q and Target never change after
+	// creation, and they are all the receiving side reads.
+	qc       *QueryCarry
+	sess     *sim.Session
+	from, to trace.NodeID
+	sent     float64
+
+	onDelivered, onDropped func(at float64)
+}
+
+// release clears the record's references and returns it to the pool.
+func (x *floodXfer) release() {
+	x.qc, x.sess = nil, nil
+	x.s.floodFree = append(x.s.floodFree, x)
+}
+
+// dropped is the record's OnDropped callback: the copy never arrived.
+func (x *floodXfer) dropped(float64) { x.release() }
+
+// delivered is the record's OnDelivered callback.
+func (x *floodXfer) delivered(at float64) {
+	s, qc, sess, from, to, sent := x.s, x.qc, x.sess, x.from, x.to, x.sent
+	x.release()
+	e := s.base.E
+	e.M.ControlTransferred(e.Cfg.QueryBits)
+	if qc.Q.Deadline <= at {
+		return
+	}
+	copyQC := &QueryCarry{Q: qc.Q, Target: qc.Target, NCL: -1}
+	s.base.CarryQuery(to, copyQC)
+	// A flooded copy is a replication: the sender keeps its own.
+	e.Prov.QueryHop(copyQC.Q.ID, copyQC.Target, from, to,
+		sent, at, e.XferSec(e.Cfg.QueryBits), provenance.OpQueryBcast, false)
+	if e.HasData(to, copyQC.Q.Data) && s.base.Respond(to, copyQC, true) {
+		s.floodReplies(sess, to)
+	}
 }
 
 func (s *Epidemic) floodReplies(sess *sim.Session, from trace.NodeID) {
@@ -97,22 +138,8 @@ func (s *Epidemic) floodReplies(sess *sim.Session, from trace.NodeID) {
 		if s.base.CarriesReply(to, rc.Q.ID) {
 			return
 		}
-		sess.Enqueue(sim.Transfer{
-			From: from, To: to, Bits: rc.Item.SizeBits, Label: "epidemic-reply",
-			OnDelivered: func(at float64) {
-				e.M.DataTransferred(rc.Item.SizeBits)
-				// The sender keeps its reply copy, as with queries.
-				if to == rc.Q.Requester {
-					first := e.answerQuery(rc.Q, at)
-					e.Prov.ReplyHop(rc.Q.ID, from, to,
-						now, at, e.XferSec(rc.Item.SizeBits), false, true, first)
-					return
-				}
-				s.base.CarryReply(to, rc)
-				e.Prov.ReplyHop(rc.Q.ID, from, to,
-					now, at, e.XferSec(rc.Item.SizeBits), false, false, false)
-			},
-		})
+		// The sender keeps its reply copy, as with queries.
+		s.base.sendReply(sess, from, to, rc, nil, nil, true)
 	})
 }
 

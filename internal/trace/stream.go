@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"io/fs"
 	"math"
 )
 
@@ -415,6 +416,15 @@ func ReadChunked(r io.Reader) (*Trace, error) {
 		Nodes:       meta.Nodes,
 		Duration:    meta.Duration,
 		Granularity: meta.Granularity,
+	}
+	// Presize from the file size, as os.ReadFile does: every record
+	// takes recordBytes of it, so the quotient bounds the count. Grown
+	// by appends instead, the slice allocates about five times its
+	// final size.
+	if f, ok := r.(interface{ Stat() (fs.FileInfo, error) }); ok {
+		if fi, err := f.Stat(); err == nil && fi.Mode().IsRegular() {
+			t.Contacts = make([]Contact, 0, fi.Size()/recordBytes)
+		}
 	}
 	for {
 		c, err := sr.NextContact()
