@@ -264,12 +264,12 @@ func binOf(t, maxT float64, bins int) int {
 // no occurrences are dropped from the output.
 var timelineKinds = []obs.Kind{
 	obs.KindContactBegin, obs.KindContactEnd,
-	obs.KindQueryIssued, obs.KindQueryAnswered, obs.KindQueryExpired,
+	obs.KindQueryIssued, obs.KindQueryExpired,
 	obs.KindCacheInsert, obs.KindCacheEvict,
-	obs.KindPush, obs.KindPull, obs.KindKnowledge,
+	obs.KindPush, obs.KindKnowledge,
 	obs.KindNodeDown, obs.KindNodeUp,
 	obs.KindContactTruncated, obs.KindTransferKilled,
-	obs.KindQueryRetry, obs.KindFailover, obs.KindReplicate,
+	obs.KindFailover, obs.KindReplicate,
 	obs.KindSpan,
 }
 
@@ -326,7 +326,9 @@ func timeline(w io.Writer, events []event, bins int, maxT float64) {
 }
 
 // evolution prints the cumulative cache occupancy (inserts − evicts)
-// and query hit ratio (answered / issued) at the end of each bin.
+// and query hit ratio (answered / issued) at the end of each bin. A
+// query is answered at its deliver span: the provenance span is the
+// run-trace's one record of an answer.
 func evolution(w io.Writer, events []event, bins int, maxT float64) {
 	type acc struct{ insert, evict, issued, answered, expired int64 }
 	per := make([]acc, bins)
@@ -341,7 +343,10 @@ func evolution(w io.Writer, events []event, bins int, maxT float64) {
 			a.evict++
 		case obs.KindQueryIssued.String():
 			a.issued++
-		case obs.KindQueryAnswered.String():
+		case obs.KindSpan.String():
+			if ev.Op != provenance.OpDeliver {
+				continue
+			}
 			a.answered++
 		case obs.KindQueryExpired.String():
 			a.expired++

@@ -10,14 +10,14 @@ func writeFile(path, content string) error {
 	return os.WriteFile(path, []byte(content), 0o644)
 }
 
-// synthetic is a tiny hand-written trace: a manifest, two contacts, a
-// query answered, a query expired, cache churn and one sweep cell.
+// synthetic is a tiny hand-written spanless trace: a manifest, two
+// contacts, two queries issued, one of them expired, cache churn and
+// one sweep cell. Query 0's answer is its deliver span in spanLines.
 const synthetic = `{"k":"manifest","trace":"Synthetic","scheme":"Intentional","seed":7,"config_digest":"00c0ffee00c0ffee","go_version":"go1.24.0","gomaxprocs":4,"git_describe":"abc1234"}
 {"k":"contact-begin","t":10,"a":1,"b":2}
-{"k":"query-issued","t":20,"a":3,"id":0,"x":5}
+{"k":"query-issued","t":10,"a":2,"id":0,"x":7}
 {"k":"cache-insert","t":30,"a":2,"id":5,"v":0.25}
 {"k":"contact-end","t":40,"a":1,"b":2,"v":8000}
-{"k":"query-answered","t":50,"a":3,"id":0,"v":30}
 {"k":"query-issued","t":60,"a":4,"id":1,"x":6}
 {"k":"cache-evict","t":80,"a":2,"id":5,"v":0.01}
 {"k":"query-expired","t":100,"a":4,"id":1}
@@ -56,7 +56,7 @@ func TestDumpSyntheticTrace(t *testing.T) {
 	for _, want := range []string{
 		`trace="Synthetic"`, "scheme=Intentional", "seed=7",
 		"digest=00c0ffee00c0ffee", "go1.24.0", "gomaxprocs=4", "git=abc1234",
-		"9 events over [0, 100s]",
+		"8 events over [0, 100s]",
 		"timeline (2 bins",
 		"contact-begin", "query-issued", "cache-insert",
 		"evolution (cumulative at bin end)",
@@ -70,23 +70,21 @@ func TestDumpSyntheticTrace(t *testing.T) {
 }
 
 func TestDumpEvolutionNumbers(t *testing.T) {
-	out := dump(t, synthetic, "-bins", "1")
-	// Single bin: 1 insert − 1 evict = 0 cached, 2 issued, 1 answered,
-	// 1 expired, hit ratio 0.500.
-	line := ""
-	for _, l := range strings.Split(out, "\n") {
-		if strings.Contains(l, "0.500") {
-			line = l
-		}
+	// Single bin: 1 insert − 1 evict = 0 cached, 2 issued, 1 answered
+	// (query 0's deliver span), 1 expired, hit ratio 0.500.
+	out := dump(t, synthetic+spanLines, "-bins", "1")
+	if got, want := evolutionEnd(out), "1.7m 0 2 1 1 0.500"; got != want {
+		t.Errorf("evolution end row %q, want %q:\n%s", got, want, out)
 	}
-	if line == "" {
-		t.Fatalf("no evolution row with hit-ratio 0.500:\n%s", out)
-	}
-	for _, col := range []string{"0", "2", "1"} {
-		if !strings.Contains(line, col) {
-			t.Errorf("evolution row %q missing %q", line, col)
-		}
-	}
+}
+
+// evolutionEnd returns the last row of the first evolution table with
+// its columns single-spaced.
+func evolutionEnd(out string) string {
+	_, table, _ := strings.Cut(out, "evolution (cumulative at bin end):\n")
+	table, _, _ = strings.Cut(table, "\n\n")
+	rows := strings.Split(strings.TrimRight(table, "\n"), "\n")
+	return strings.Join(strings.Fields(rows[len(rows)-1]), " ")
 }
 
 func TestDumpMultipleRuns(t *testing.T) {
@@ -176,10 +174,10 @@ func TestDumpFaultTimeline(t *testing.T) {
 	faulted := synthetic +
 		`{"k":"node-down","t":35,"a":2}` + "\n" +
 		`{"k":"node-up","t":55,"a":2}` + "\n" +
-		`{"k":"query-retry","t":62,"a":4,"id":1,"x":1}` + "\n" +
-		`{"k":"ncl-failover","t":36,"a":2,"b":5,"x":0}` + "\n"
+		`{"k":"ncl-failover","t":36,"a":2,"b":5,"x":0}` + "\n" +
+		`{"k":"re-replicate","t":58,"a":2,"id":5,"x":0}` + "\n"
 	out := dump(t, faulted, "-bins", "2")
-	for _, want := range []string{"node-down", "node-up", "query-retry", "ncl-failover"} {
+	for _, want := range []string{"node-down", "node-up", "ncl-failover", "re-replicate"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("failure timeline missing %q column:\n%s", want, out)
 		}
@@ -275,9 +273,23 @@ func TestDumpSpanTimelineColumn(t *testing.T) {
 	}
 }
 
+// Kinds outside the known set still show as timeline columns: a future
+// kind, and the query-answered, pull and query-retry lines of traces
+// recorded before answers, pulls and retries became span-only. Such a
+// trace renders the same evolution numbers: answers count once, from
+// deliver spans.
 func TestDumpUnknownKindStillCounted(t *testing.T) {
-	out := dump(t, synthetic+`{"k":"future-kind","t":90}`+"\n")
-	if !strings.Contains(out, "future-kind") {
-		t.Errorf("unknown kinds must still appear as a timeline column:\n%s", out)
+	out := dump(t, synthetic+spanLines+
+		`{"k":"future-kind","t":90}`+"\n"+
+		`{"k":"pull","t":82,"a":4,"b":2,"id":0}`+"\n"+
+		`{"k":"query-answered","t":100,"a":2,"id":0,"v":90}`+"\n"+
+		`{"k":"query-retry","t":62,"a":4,"id":1,"x":1}`+"\n", "-bins", "1")
+	for _, col := range []string{"future-kind", "pull", "query-answered", "query-retry"} {
+		if !strings.Contains(out, col) {
+			t.Errorf("unknown kind %q missing from the timeline:\n%s", col, out)
+		}
+	}
+	if got, want := evolutionEnd(out), "1.7m 0 2 1 1 0.500"; got != want {
+		t.Errorf("evolution end row %q, want %q:\n%s", got, want, out)
 	}
 }

@@ -2,22 +2,20 @@ package analysis
 
 import (
 	"go/ast"
-	"go/parser"
-	"go/token"
 	"go/types"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
 )
 
-// deadExportAllow lists the exported funcs and methods under internal/
-// and cmd/ that no non-test file of the root or bench module references
-// but that stay on purpose, each with its reason. Keys are "pkg.Func"
-// or "pkg.Recv.Method" with pkg relative to the module path. Interface
-// implementations need no entry: a method that satisfies an interface
-// the program mentions counts as referenced.
+// deadExportAllow lists the exported package-level funcs, types,
+// consts and vars and the exported methods under internal/ and cmd/
+// that no non-test file of the root module and no file of the bench
+// module references but that stay on purpose, each with its reason.
+// Keys are "pkg.Name" or "pkg.Recv.Method" with pkg relative to the
+// module path. Interface implementations need no entry: a method that
+// satisfies an interface the program mentions counts as referenced.
 var deadExportAllow = map[string]string{
 	// Reference oracles the production paths are checked against.
 	"internal/graph.FromMatrix":          "builds the hand-written rate graphs of the oracle tests",
@@ -26,6 +24,7 @@ var deadExportAllow = map[string]string{
 	"internal/graph.Paths.Reachable":     "reachability the path-search tests check against BFS",
 	"internal/graph.Paths.ExpectedDelay": "shortest-path delay the frontier tests compare with the dense reference",
 	"internal/graph.Paths.HopRates":      "rebuilds a path's rates for the NewHypoexp bit-identity check",
+	"internal/graph.Graph.Metrics":       "seed-pipeline Eq. 3 metrics of TestSnapshotMatchesSeedPipeline",
 	"internal/mathx.Hypoexp.PDF":         "independent check on the CDF (TestHypoexpPDFIntegratesToCDF)",
 	"internal/prof.PeakRSS":              "RSS cap of BenchmarkCityScaleReplay",
 	// Accessors tests read to observe production state.
@@ -40,16 +39,21 @@ var deadExportAllow = map[string]string{
 	"internal/graph.Paths.Source":           "path-tree root the path-search tests observe",
 	"internal/graph.RateEstimator.Rate":     "per-pair rate the estimator tests observe",
 	"internal/knowledge.Snapshot.WeightNNZ": "CSR sparsity the knowledge tests observe",
+	"internal/knowledge.Snapshot.Paths":     "materialized path trees the CSR and hop-rate tests read",
 	"internal/obs.Histogram.Total":          "sample count the obs and experiment tests observe",
 	"internal/scheme.Base.Queries":          "carried query copies the scheme and core tests observe",
 	"internal/sim.Driver.ActivePeers":       "open-contact index the driver tests observe",
+	"internal/sim.Driver.Session":           "open session the driver, fault and scheme tests enqueue transfers on",
 	"internal/sim.Driver.SkippedContacts":   "fault-skipped contact count the fault tests observe",
 	"internal/sim.Driver.Stats":             "replay counters the driver tests observe",
 	"internal/sim.Session.Closed":           "session state the driver tests observe",
 	"internal/sim.Session.SentBits":         "bandwidth accounting the driver tests observe",
 	"internal/sim.Simulator.NextEventAt":    "queue head the heap oracle peeks between RunUntil steps",
+	"internal/sim.Simulator.Run":            "drains the queue of the sim and fault tests' hand-built scenarios",
 	"internal/trace.StreamReader.Records":   "record count the chunked-format tests observe",
 	"internal/wal.Reader.Records":           "record count the WAL tests observe",
+	// The zero value of an enum, reached only through a switch's default.
+	"internal/scheme.NCLByMetric": "the default NCL strategy; selectNCLs takes it in its default branch",
 	// Test-only, kept because replacing it would change a test's inputs.
 	"internal/mathx.Rand.Int63": "seed draw of the knapsack property test; another draw would change its instances",
 }
@@ -66,12 +70,20 @@ var dynamicMethods = map[string]string{
 	"Unwrap": "errors.Is and errors.As walk wrapped errors through it",
 }
 
-// TestNoDeadExports fails on every exported func or method under
-// internal/ and cmd/ that no non-test file of the root module, and no
-// file of the bench module, references: production code that only
-// tests reach. The root module is type-checked as one universe so
-// references resolve to declarations; bench/dtnbench is a separate
-// module and is matched syntactically by package and selector name.
+// TestNoDeadExports fails on every exported package-level func, type,
+// const or var and every exported method under internal/ and cmd/ that
+// no non-test file of the root module, and no file of the bench module,
+// references: production code that only tests reach. The root module
+// and bench/dtnbench (tests included: the bench module's benchmarks are
+// its product) are type-checked as one universe, so every reference
+// resolves to its declaration. A type named only in the receivers of
+// its own methods is not referenced.
+//
+// Struct fields and CLI flags are left out. A field is live when it is
+// read, and many are read only by == on a map key or a comparable
+// struct, which no use of the field's name shows; a write-only-field
+// probe flagged mostly such fields. A flag is bound by its string name
+// at run time, which the type checker cannot see.
 func TestNoDeadExports(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module")
@@ -91,16 +103,17 @@ func TestNoDeadExports(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := u.load(path); err != nil {
+		if err := u.load(path, false); err != nil {
 			t.Fatal(err)
 		}
 	}
-	benchFuncs, benchSels, err := benchReferences(filepath.Join(l.ModuleRoot, "bench", "dtnbench"), l.ModulePath)
-	if err != nil {
+	// The bench module imports only the standard library and root-module
+	// packages, so the root loader resolves all of its imports.
+	if err := u.load(l.ModulePath+"/bench/dtnbench", true); err != nil {
 		t.Fatal(err)
 	}
 
-	used := map[*types.Func]bool{}
+	used := map[types.Object]bool{}
 	// Interfaces the standard library consults on values it is handed
 	// (error, fmt.Stringer, json.Marshaler, ...) count as mentioned.
 	ifaces := map[*types.Interface]bool{
@@ -116,10 +129,26 @@ func TestNoDeadExports(t *testing.T) {
 		}
 	}
 	for _, p := range u.pkgs {
+		recvIdents := map[*ast.Ident]bool{}
+		for _, f := range p.Files {
+			for _, decl := range f.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv != nil {
+					ast.Inspect(fd.Recv, func(n ast.Node) bool {
+						if id, ok := n.(*ast.Ident); ok {
+							recvIdents[id] = true
+						}
+						return true
+					})
+				}
+			}
+		}
 		seen := map[types.Type]bool{}
-		for _, obj := range p.Info.Uses {
+		for id, obj := range p.Info.Uses {
 			if fn, ok := obj.(*types.Func); ok {
-				used[fn.Origin()] = true
+				obj = fn.Origin()
+			}
+			if !recvIdents[id] {
+				used[obj] = true
 			}
 			if obj != nil {
 				collectInterfaces(obj.Type(), ifaces, seen)
@@ -138,29 +167,25 @@ func TestNoDeadExports(t *testing.T) {
 			continue
 		}
 		for _, f := range p.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || !fd.Name.IsExported() {
-					continue
-				}
-				fn := p.Info.Defs[fd.Name].(*types.Func)
-				key := rel + "." + fd.Name.Name
-				recv := recvNamed(fn)
-				if recv != nil {
-					key = rel + "." + recv.Obj().Name() + "." + fd.Name.Name
+			for _, name := range exportedDecls(f) {
+				obj := p.Info.Defs[name]
+				key := rel + "." + name.Name
+				var recv *types.Named
+				if fn, ok := obj.(*types.Func); ok {
+					if recv = recvNamed(fn); recv != nil {
+						key = rel + "." + recv.Obj().Name() + "." + name.Name
+					}
 				}
 				declared[key] = true
-				if used[fn] && deadExportAllow[key] != "" {
-					t.Errorf("allowlisted %s now has a non-test caller; drop its entry", key)
+				if used[obj] && deadExportAllow[key] != "" {
+					t.Errorf("allowlisted %s now has a non-test reference; drop its entry", key)
 				}
-				name := fd.Name.Name
 				switch {
-				case used[fn], deadExportAllow[key] != "", allowedPrefix(rel):
-				case recv == nil && benchFuncs[p.Path+"."+name]:
-				case recv != nil && (dynamicMethods[name] != "" || benchSels[name] ||
-					satisfiesUsedInterface(recv, name, ifaces)):
+				case used[obj], deadExportAllow[key] != "", allowedPrefix(rel):
+				case recv != nil && (dynamicMethods[name.Name] != "" ||
+					satisfiesUsedInterface(recv, name.Name, ifaces)):
 				default:
-					dead = append(dead, key+" ("+p.Fset.Position(fd.Pos()).String()+")")
+					dead = append(dead, key+" ("+p.Fset.Position(name.Pos()).String()+")")
 				}
 			}
 		}
@@ -168,13 +193,42 @@ func TestNoDeadExports(t *testing.T) {
 	// Every entry must still name a declaration, so the list cannot rot.
 	for key := range deadExportAllow {
 		if !declared[key] {
-			t.Errorf("allowlist entry %s names no exported func or method", key)
+			t.Errorf("allowlist entry %s names no exported declaration", key)
 		}
 	}
 	sort.Strings(dead)
 	for _, d := range dead {
-		t.Errorf("exported %s has no non-test caller; delete it or allowlist it with a reason", d)
+		t.Errorf("exported %s has no non-test reference; delete it or allowlist it with a reason", d)
 	}
+}
+
+// exportedDecls returns the names of f's exported funcs, methods and
+// package-level types, consts and vars.
+func exportedDecls(f *ast.File) []*ast.Ident {
+	var names []*ast.Ident
+	add := func(id *ast.Ident) {
+		if id.IsExported() {
+			names = append(names, id)
+		}
+	}
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			add(d.Name)
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					add(s.Name)
+				case *ast.ValueSpec:
+					for _, id := range s.Names {
+						add(id)
+					}
+				}
+			}
+		}
+	}
+	return names
 }
 
 func allowedPrefix(rel string) bool {
@@ -195,7 +249,9 @@ type universe struct {
 	pkgs map[string]*Package
 }
 
-func (u *universe) load(path string) error {
+// load type-checks the package at path, with its in-package test files
+// when tests is set; its module-local imports load without tests.
+func (u *universe) load(path string, tests bool) error {
 	if _, ok := u.pkgs[path]; ok {
 		return nil
 	}
@@ -203,7 +259,7 @@ func (u *universe) load(path string) error {
 	if !ok {
 		return nil
 	}
-	files, err := u.l.parseDir(dir, false)
+	files, err := u.l.parseDir(dir, tests)
 	if err != nil {
 		return err
 	}
@@ -211,7 +267,7 @@ func (u *universe) load(path string) error {
 		for _, imp := range f.Imports {
 			ip, _ := strconv.Unquote(imp.Path.Value)
 			if _, local := u.l.dirForPath(ip); local {
-				if err := u.load(ip); err != nil {
+				if err := u.load(ip, false); err != nil {
 					return err
 				}
 			}
@@ -229,50 +285,6 @@ func (u *universe) load(path string) error {
 	u.l.cache[path] = tpkg
 	u.pkgs[path] = &Package{Path: path, Dir: dir, Fset: u.l.Fset, Files: files, Types: tpkg, Info: info}
 	return nil
-}
-
-// benchReferences parses the bench module's files (tests included: the
-// module's benchmarks are its product) and returns the qualified
-// package-level identifiers it selects from root-module packages
-// ("dtncache/internal/trace.NewSliceSource") and every selector name it
-// uses, which is matched against method names.
-func benchReferences(dir, modPath string) (funcs, sels map[string]bool, err error) {
-	fset := token.NewFileSet()
-	matches, err := filepath.Glob(filepath.Join(dir, "*.go"))
-	if err != nil {
-		return nil, nil, err
-	}
-	funcs, sels = map[string]bool{}, map[string]bool{}
-	for _, name := range matches {
-		f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return nil, nil, err
-		}
-		imports := map[string]string{}
-		for _, imp := range f.Imports {
-			ip, _ := strconv.Unquote(imp.Path.Value)
-			if ip != modPath && !strings.HasPrefix(ip, modPath+"/") {
-				continue
-			}
-			local := ip[strings.LastIndex(ip, "/")+1:]
-			if imp.Name != nil {
-				local = imp.Name.Name
-			}
-			imports[local] = ip
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			se, ok := n.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			sels[se.Sel.Name] = true
-			if id, ok := se.X.(*ast.Ident); ok && imports[id.Name] != "" {
-				funcs[imports[id.Name]+"."+se.Sel.Name] = true
-			}
-			return true
-		})
-	}
-	return funcs, sels, nil
 }
 
 // recvNamed returns the named receiver type of a method, nil for a

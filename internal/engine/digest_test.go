@@ -100,15 +100,15 @@ func TestSpanDigests(t *testing.T) {
 		want string
 	}{
 		{"infocom05-12h", engine.Config{Trace: infocom05, AvgLifetime: 12 * h},
-			"ed61935ce22445757595d2158ca0fedff47a2416489ba4313cee51a3882c6864"},
+			"65e53d3accd8e94cfd1854dd283cceda0e01a7c83f546996aa6e0adb84b897be"},
 		{"infocom05-churn", engine.Config{Trace: infocom05, AvgLifetime: 3 * h, Fault: churn,
 			QueryRetrySec: 20 * 60, NCLFailover: true},
-			"446f7d24740a9ca1cc27cf9403784a2790172fdcc6ade0e92c53774ae429a4ea"},
+			"5c1c59d2ef50bec6db78b28735eedc5e41d187676d7a3bb222d1c6afbf225ed5"},
 		{"infocom05-spray", engine.Config{Trace: infocom05, AvgLifetime: 12 * h, QuerySprayCopies: 4},
-			"275efe82dd1bacae19de21122e2cdf4815a08d98b5b6cb392950010440efe269"},
+			"7263fee165d1cab9460f139cf9ec384f740f16ddc4dc89a6f0f5af9f5a856b6a"},
 		{"infocom05-epidemic", engine.Config{Trace: infocom05, AvgLifetime: 12 * h,
 			Scheme: engine.SchemeEpidemic},
-			"19543d90100cd200c436694cfb8c6ee3bac537fd3e11ea32cd3eadb0b587a51b"},
+			"6c1e0ffd46718081b0f0fe5f76ed64ee2a3ff65b7445c182749530a0b028a668"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -246,7 +246,9 @@ func RoutingComparison(o FigureOptions) (*Table, error) {
 // CrossTrace runs the five comparison schemes on all four trace presets
 // (the paper evaluates only Infocom06 and MIT Reality), checking that
 // the intentional scheme's advantage generalizes across contact
-// environments. Lifetimes are scaled to each trace's tempo.
+// environments. Lifetimes are scaled to each trace's tempo. Presets
+// run one after another, so only one preset's trace and shared
+// knowledge provider are alive at a time.
 func CrossTrace(o FigureOptions) (*Table, error) {
 	o = o.normalized()
 	type env struct {
@@ -270,40 +272,28 @@ func CrossTrace(o FigureOptions) (*Table, error) {
 		Headers: []string{"trace", "T_L", "scheme", "success ratio",
 			"delay (h)", "copies/item"},
 	}
-	type cell struct {
-		env  env
-		name string
-	}
-	var cells []cell
-	traces := make(map[trace.Preset]*trace.Trace, len(envs))
-	shared := make(map[trace.Preset]*knowledge.Provider, len(envs))
 	for _, e := range envs {
 		tr, err := trace.GeneratePreset(e.preset, o.Seed)
 		if err != nil {
 			return nil, err
 		}
-		traces[e.preset] = tr
-		shared[e.preset] = SharedKnowledge(tr, 0)
-		for _, name := range names {
-			cells = append(cells, cell{e, name})
+		shared := SharedKnowledge(tr, 0)
+		reports := make([]metrics.Report, len(names))
+		if err := forEachCell(len(names), func(i int) error {
+			rep, err := RunAveraged(engine.Config{
+				Trace: tr, AvgLifetime: e.tl, K: 8,
+				Seed: o.Seed, Knowledge: shared,
+			}, names[i], o.Repeats)
+			reports[i] = rep
+			return err
+		}); err != nil {
+			return nil, err
 		}
-	}
-	reports := make([]metrics.Report, len(cells))
-	if err := forEachCell(len(cells), func(i int) error {
-		c := cells[i]
-		rep, err := RunAveraged(engine.Config{
-			Trace: traces[c.env.preset], AvgLifetime: c.env.tl, K: 8,
-			Seed: o.Seed, Knowledge: shared[c.env.preset],
-		}, c.name, o.Repeats)
-		reports[i] = rep
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	for i, c := range cells {
-		t.AddRow(string(c.env.preset), fmtDuration(c.env.tl), c.name,
-			reports[i].SuccessRatio, reports[i].MeanDelaySec/hour,
-			reports[i].MeanCopies)
+		for i, name := range names {
+			t.AddRow(string(e.preset), fmtDuration(e.tl), name,
+				reports[i].SuccessRatio, reports[i].MeanDelaySec/hour,
+				reports[i].MeanCopies)
+		}
 	}
 	return t, nil
 }

@@ -53,10 +53,10 @@ func TestMaterializedWeightsMatchNewHypoexp(t *testing.T) {
 			t.Fatalf("no metric horizon for preset %s", preset)
 		}
 		scratch := &PathScratch{}
-		for src := 0; src < g.Nodes(); src++ {
+		for src := 0; src < g.n; src++ {
 			p := g.PathsInto(trace.NodeID(src), DefaultMaxHops, scratch)
 			p.Materialize()
-			for dst := 0; dst < g.Nodes(); dst++ {
+			for dst := 0; dst < g.n; dst++ {
 				j := trace.NodeID(dst)
 				if dst == src || !p.Reachable(j) {
 					continue

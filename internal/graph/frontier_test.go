@@ -150,7 +150,7 @@ func TestFrontierMatchesDenseReferenceOnPresets(t *testing.T) {
 	for _, p := range trace.Presets() {
 		g := presetGraph(t, p)
 		scratch := &PathScratch{}
-		for src := 0; src < g.Nodes(); src++ {
+		for src := 0; src < g.n; src++ {
 			checkFrontierMatchesReference(t, g, trace.NodeID(src), DefaultMaxHops, scratch)
 		}
 	}

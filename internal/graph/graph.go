@@ -39,9 +39,6 @@ func NewRateEstimator(n int, start float64) *RateEstimator {
 	return &RateEstimator{n: n, counts: make([]int, n*n), start: start}
 }
 
-// Nodes returns the node count.
-func (e *RateEstimator) Nodes() int { return e.n }
-
 // Observe records one contact between a and b. A self-contact or a node
 // out of range is ignored: validated traces have none, and skipping them
 // keeps an unvalidated list from indexing out of range.
@@ -155,9 +152,6 @@ func FromMatrix(rates [][]float64) (*Graph, error) {
 	}
 	return g, nil
 }
-
-// Nodes returns the node count.
-func (g *Graph) Nodes() int { return g.n }
 
 // Rate returns the contact rate of the pair (0 if never in contact).
 func (g *Graph) Rate(a, b trace.NodeID) float64 {

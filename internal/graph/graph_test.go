@@ -9,8 +9,8 @@ import (
 
 func TestRateEstimator(t *testing.T) {
 	e := NewRateEstimator(3, 100)
-	if e.Nodes() != 3 {
-		t.Errorf("Nodes = %d", e.Nodes())
+	if e.n != 3 {
+		t.Errorf("n = %d", e.n)
 	}
 	e.Observe(0, 1)
 	e.Observe(0, 1)

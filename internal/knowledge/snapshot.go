@@ -39,10 +39,6 @@ type Snapshot struct {
 	metrics []float64 // C_i of Eq. (3) per node
 }
 
-// Params returns the pipeline configuration the snapshot was built for
-// (normalized: MaxHops filled in).
-func (s *Snapshot) Params() Params { return s.params }
-
 // Version is the snapshot's sequence number within its Provider,
 // starting at 1 (0 is the empty pre-warm-up snapshot).
 func (s *Snapshot) Version() int { return s.version }

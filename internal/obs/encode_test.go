@@ -30,8 +30,8 @@ func TestAppendEventGolden(t *testing.T) {
 		},
 		{
 			"float-shortest", // shortest round-trip rendering, not %f
-			appendEvent(nil, KindQueryAnswered, 0.1, 5, -1, 9, 0, 1e9, ""),
-			`{"k":"query-answered","t":0.1,"a":5,"id":9,"v":1e+09}`,
+			appendEvent(nil, KindCacheInsert, 0.1, 5, -1, 9, 0, 1e9, ""),
+			`{"k":"cache-insert","t":0.1,"a":5,"id":9,"v":1e+09}`,
 		},
 	}
 	for _, c := range cases {
@@ -161,12 +161,12 @@ func TestRecorderEventStream(t *testing.T) {
 	r.Manifest(Manifest{Trace: "T", Seed: 1, GoVersion: "go1.24.0", GoMaxProcs: 1})
 	r.ContactBegin(10, 1, 2)
 	r.QueryIssued(20, 3, 0, 5)
-	r.QueryAnswered(30, 3, 0, 10)
+	r.NodeDown(30, 3)
 	r.QueryExpired(40, 4, 1)
 	r.CacheInsert(50, 2, 5, 0.5)
 	r.CacheEvict(60, 2, 5, 0.1)
 	r.Push(70, 2, 6, 5, 1)
-	r.Pull(80, 2, 3, 0)
+	r.Failover(80, 2, 3, 0)
 	r.Knowledge(90, 3, 2)
 	r.ContactEnd(95, 1, 2, 4096)
 	r.Cell(1, 1.5, "Intentional")

@@ -24,7 +24,9 @@ import "io"
 type Kind uint8
 
 // Event kinds. The manifest pseudo-kind tags the header line written
-// once at the start of a trace.
+// once at the start of a trace. A query's answer, the responder's pull
+// decision and its retries have no kind of their own: the provenance
+// spans deliver, pull and retry (KindSpan lines) are their one record.
 const (
 	KindManifest Kind = iota
 	// KindContactBegin: a contact opened (a, b = endpoints).
@@ -35,10 +37,6 @@ const (
 	// KindQueryIssued: a requester sent a query into the network
 	// (a = requester, id = query ID, aux = data ID).
 	KindQueryIssued
-	// KindQueryAnswered: the first on-time data copy reached the
-	// requester (a = requester, id = query ID, v = access delay in
-	// seconds).
-	KindQueryAnswered
 	// KindQueryExpired: a query's deadline passed unanswered
 	// (a = requester, id = query ID).
 	KindQueryExpired
@@ -52,9 +50,6 @@ const (
 	// enqueued (a = holder, b = next relay, id = data ID, aux = NCL
 	// index).
 	KindPush
-	// KindPull: a caching or source node decided to return data for a
-	// query (a = responder, b = requester, id = query ID).
-	KindPull
 	// KindKnowledge: a knowledge snapshot refresh was applied
 	// (aux = snapshot version, v = number of reused source
 	// computations).
@@ -73,9 +68,6 @@ const (
 	// KindTransferKilled: fault injection killed an in-flight transfer
 	// (a = sender, b = receiver, v = bits lost).
 	KindTransferKilled
-	// KindQueryRetry: a query was re-issued after its retry timeout
-	// (a = requester, id = query ID, aux = attempt number).
-	KindQueryRetry
 	// KindFailover: an NCL's traffic was re-targeted to a stand-in
 	// because the configured central is down (a = configured center,
 	// b = stand-in, aux = NCL index).
@@ -95,13 +87,12 @@ const (
 var kindNames = [kindCount]string{
 	"manifest",
 	"contact-begin", "contact-end",
-	"query-issued", "query-answered", "query-expired",
+	"query-issued", "query-expired",
 	"cache-insert", "cache-evict",
-	"push", "pull",
-	"knowledge", "cell",
+	"push", "knowledge", "cell",
 	"node-down", "node-up",
 	"contact-truncated", "transfer-killed",
-	"query-retry", "ncl-failover", "re-replicate",
+	"ncl-failover", "re-replicate",
 	"span",
 }
 
@@ -319,11 +310,6 @@ func (r *Recorder) QueryIssued(t float64, requester int32, queryID, dataID int64
 	r.Event(KindQueryIssued, t, requester, -1, queryID, dataID, 0, "")
 }
 
-// QueryAnswered records the first on-time delivery satisfying a query.
-func (r *Recorder) QueryAnswered(t float64, requester int32, queryID int64, delaySec float64) {
-	r.Event(KindQueryAnswered, t, requester, -1, queryID, 0, delaySec, "")
-}
-
 // QueryExpired records a query whose deadline passed unanswered.
 func (r *Recorder) QueryExpired(t float64, requester int32, queryID int64) {
 	r.Event(KindQueryExpired, t, requester, -1, queryID, 0, 0, "")
@@ -345,11 +331,6 @@ func (r *Recorder) CacheEvict(t float64, node int32, dataID int64, utility float
 // its NCL.
 func (r *Recorder) Push(t float64, from, to int32, dataID int64, ncl int64) {
 	r.Event(KindPush, t, from, to, dataID, ncl, 0, "")
-}
-
-// Pull records a node's decision to return data for a query.
-func (r *Recorder) Pull(t float64, responder, requester int32, queryID int64) {
-	r.Event(KindPull, t, responder, requester, queryID, 0, 0, "")
 }
 
 // Knowledge records a knowledge snapshot refresh being applied.
@@ -382,11 +363,6 @@ func (r *Recorder) ContactTruncated(t float64, a, b int32, newEnd float64) {
 // TransferKilled records fault injection killing an in-flight transfer.
 func (r *Recorder) TransferKilled(t float64, from, to int32, bits float64) {
 	r.Event(KindTransferKilled, t, from, to, -1, 0, bits, "")
-}
-
-// QueryRetry records a query being re-issued on its attempt'th try.
-func (r *Recorder) QueryRetry(t float64, requester int32, queryID int64, attempt int64) {
-	r.Event(KindQueryRetry, t, requester, -1, queryID, attempt, 0, "")
 }
 
 // Failover records NCL traffic re-targeting from a down center to a

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"dtncache/internal/engine"
+	"dtncache/internal/mathx"
 	"dtncache/internal/obs"
 	"dtncache/internal/provenance"
 	"dtncache/internal/trace"
@@ -56,10 +57,12 @@ func decodeSpan(l traceLine) obs.SpanEvent {
 // and pins provenance's core promise: every satisfied query
 // reconstructs to a complete span tree whose critical-path attribution
 // reproduces the recorded end-to-end delay with exact virtual-time
-// arithmetic — the root extent equals the query-answered delay
+// arithmetic — the root extent equals the deliver span's delay
 // bitwise, adjacent path spans touch exactly, and wait/queued/transfer
 // reassemble to the total exactly (queued is the closing residual by
-// construction).
+// construction). The deliver spans are the trace's record of answers,
+// so they must name exactly the queries the report counts satisfied,
+// with the report's delays.
 func TestAttributionExactOnInfocom05(t *testing.T) {
 	for _, name := range []string{engine.SchemeIntentional, engine.SchemeEpidemic} {
 		t.Run(name, func(t *testing.T) { checkAttributionExact(t, name) })
@@ -100,10 +103,11 @@ func checkAttributionExact(t *testing.T, schemeName string) {
 		if err := json.Unmarshal(sc.Bytes(), &l); err != nil {
 			t.Fatalf("bad trace line %q: %v", sc.Text(), err)
 		}
-		switch l.K {
-		case "span":
-			spans = append(spans, decodeSpan(l))
-		case "query-answered":
+		if l.K != "span" {
+			continue
+		}
+		spans = append(spans, decodeSpan(l))
+		if l.Op == provenance.OpDeliver {
 			answered[l.ID] = l.V
 		}
 	}
@@ -111,8 +115,21 @@ func checkAttributionExact(t *testing.T, schemeName string) {
 		t.Fatal(err)
 	}
 	if len(answered) != rep.QueriesSatisfied {
-		t.Fatalf("trace has %d query-answered events, report says %d",
+		t.Fatalf("trace has %d deliver spans, report says %d satisfied",
 			len(answered), rep.QueriesSatisfied)
+	}
+	delays := make([]float64, 0, len(answered))
+	for qid, delay := range answered {
+		if !eng.Satisfied(workloadQID(qid)) {
+			t.Errorf("query %d has a deliver span but is not satisfied", qid)
+		}
+		delays = append(delays, delay)
+	}
+	// Summarize sorts its input, so map order cannot move the sums.
+	if s := mathx.Summarize(delays); s.Mean != rep.MeanDelaySec ||
+		s.Median != rep.MedianDelaySec || s.P90 != rep.P90DelaySec {
+		t.Errorf("deliver-span delays summarize to mean %v median %v p90 %v, report says %v %v %v",
+			s.Mean, s.Median, s.P90, rep.MeanDelaySec, rep.MedianDelaySec, rep.P90DelaySec)
 	}
 	if len(spans) == 0 {
 		t.Fatal("no span events in the trace")

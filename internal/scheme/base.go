@@ -836,7 +836,6 @@ func (b *Base) Respond(n trace.NodeID, qc *QueryCarry, force bool) bool {
 	}
 	b.CarryReply(n, &ReplyCarry{Q: qc.Q, Item: item})
 	e.noteResponse(n, qc.Q.ID)
-	e.Obs.Pull(now, int32(n), int32(qc.Q.Requester), int64(qc.Q.ID))
 	e.Prov.Pull(qc.Q.ID, qc.Target, n, now, int64(qc.Q.Data), utility)
 	return true
 }

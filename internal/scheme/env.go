@@ -586,15 +586,15 @@ func (e *Env) issueQuery(q workload.Query) bool {
 
 // answerQuery records the delivery of q's data to its requester at
 // time at: the first on-time delivery counts the query answered in the
-// metrics, the obs counter and delay histogram, and the run-trace. It
-// reports whether this delivery was that first one.
+// metrics and in the obs counter and delay histogram. It reports
+// whether this delivery was that first one; the caller's deliver span
+// is the run-trace's record of it.
 func (e *Env) answerQuery(q workload.Query, at float64) bool {
 	if !e.M.QueryDelivered(q.ID, at) {
 		return false
 	}
 	e.cQAnswered.Inc()
 	e.hQueryDelay.Observe(at - q.Issued)
-	e.Obs.QueryAnswered(at, int32(q.Requester), int64(q.ID), at-q.Issued)
 	return true
 }
 

@@ -76,7 +76,6 @@ func (e *Env) scheduleQueryRetry(q workload.Query, attempt int, delay float64) {
 			return
 		}
 		e.cQRetries.Inc()
-		e.Obs.QueryRetry(e.Sim.Now(), int32(q.Requester), int64(q.ID), int64(attempt))
 		e.Prov.QueryRetry(q, e.Sim.Now(), attempt)
 		e.scheme.OnQuery(q)
 		e.scheduleQueryRetry(q, attempt+1, delay*queryRetryFactor)

@@ -60,7 +60,6 @@ type Trace struct {
 // Errors returned by Validate.
 var (
 	ErrNoNodes      = errors.New("trace: node count must be positive")
-	ErrBadContact   = errors.New("trace: malformed contact")
 	ErrUnsorted     = errors.New("trace: contacts not sorted by start time")
 	ErrOutOfBounds  = errors.New("trace: contact outside trace duration")
 	ErrUnknownNode  = errors.New("trace: contact references unknown node")
@@ -132,24 +131,6 @@ func (t *Trace) SortContacts() {
 		}
 		return a.B < b.B
 	})
-}
-
-// Slice returns a copy of the trace restricted to contacts that start in
-// [from, to), with Duration unchanged. It is used to split a trace into
-// the warm-up half and the evaluation half as in Sec. VI-A.
-func (t *Trace) Slice(from, to float64) *Trace {
-	out := &Trace{
-		Name:        t.Name,
-		Nodes:       t.Nodes,
-		Duration:    t.Duration,
-		Granularity: t.Granularity,
-	}
-	for _, c := range t.Contacts {
-		if c.Start >= from && c.Start < to {
-			out.Contacts = append(out.Contacts, c)
-		}
-	}
-	return out
 }
 
 // Stats are the aggregate statistics reported in Table I plus a few used

@@ -82,21 +82,6 @@ func TestSortContactsNormalizes(t *testing.T) {
 	}
 }
 
-func TestSlice(t *testing.T) {
-	tr := validTrace()
-	half := tr.Slice(0, 50)
-	if len(half.Contacts) != 2 {
-		t.Errorf("first-half contacts = %d, want 2", len(half.Contacts))
-	}
-	rest := tr.Slice(50, tr.Duration)
-	if len(rest.Contacts) != 1 {
-		t.Errorf("second-half contacts = %d, want 1", len(rest.Contacts))
-	}
-	if half.Duration != tr.Duration || half.Nodes != tr.Nodes {
-		t.Error("slice must preserve metadata")
-	}
-}
-
 func TestComputeStats(t *testing.T) {
 	tr := validTrace()
 	s := tr.ComputeStats()

@@ -104,6 +104,13 @@ if [[ -z "${CHECK_SKIP_TRACE_ID:-}" ]]; then
     grep -q '"k":"span"' "$tmpdir/t1.ndjson" || {
         echo "check: no span events in the Infocom05 run-trace" >&2; exit 1; }
     echo "trace byte identity: OK ($(wc -l < "$tmpdir/t1.ndjson") lines, spans present)"
+    # The deliver spans are the trace's one record of answered queries:
+    # one per query the report counts satisfied.
+    delivers=$(grep -c '"op":"deliver"' "$tmpdir/t1.ndjson" || true)
+    satisfied=$(sed -n 's/^ *"QueriesSatisfied": *\([0-9]*\),$/\1/p' "$tmpdir/t1.json")
+    [[ -n "$satisfied" && "$delivers" == "$satisfied" ]] || {
+        echo "check: $delivers deliver spans, report says ${satisfied:-?} queries satisfied" >&2; exit 1; }
+    echo "trace answers match report: OK ($delivers deliver spans)"
 
     # Same guarantee under fault injection: a seeded churn + failover run
     # must replay its failure timeline byte-for-byte.
