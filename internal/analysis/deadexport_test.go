@@ -18,15 +18,12 @@ import (
 // satisfies an interface the program mentions counts as referenced.
 var deadExportAllow = map[string]string{
 	// Reference oracles the production paths are checked against.
-	"internal/graph.FromMatrix":          "builds the hand-written rate graphs of the oracle tests",
-	"internal/graph.Graph.AllPaths":      "exhaustive path enumeration the frontier search is checked against",
-	"internal/graph.Graph.ExactWeight":   "exact Eq. 2 weight the materialized weights are checked against",
-	"internal/graph.Paths.Reachable":     "reachability the path-search tests check against BFS",
-	"internal/graph.Paths.ExpectedDelay": "shortest-path delay the frontier tests compare with the dense reference",
-	"internal/graph.Paths.HopRates":      "rebuilds a path's rates for the NewHypoexp bit-identity check",
-	"internal/graph.Graph.Metrics":       "seed-pipeline Eq. 3 metrics of TestSnapshotMatchesSeedPipeline",
-	"internal/mathx.Hypoexp.PDF":         "independent check on the CDF (TestHypoexpPDFIntegratesToCDF)",
-	"internal/prof.PeakRSS":              "RSS cap of BenchmarkCityScaleReplay",
+	"internal/graph.Graph.AllPaths": "exhaustive path enumeration the frontier search is checked against",
+	"internal/graph.Paths.HopRates": "rebuilds a path's rates for the NewHypoexp bit-identity check",
+	"internal/graph.Graph.Metrics":  "seed-pipeline Eq. 3 metrics of TestSnapshotMatchesSeedPipeline",
+	"internal/mathx.PathWeight":     "Eq. 2 weight of the exhaustive-search oracle (ExactWeight, a graph test helper)",
+	"internal/mathx.Hypoexp.PDF":    "independent check on the CDF (TestHypoexpPDFIntegratesToCDF)",
+	"internal/prof.PeakRSS":         "RSS cap of BenchmarkCityScaleReplay",
 	// Accessors tests read to observe production state.
 	"internal/analysis.Runner.Directives":   "directive parsing the suppression tests observe",
 	"internal/buffer.Buffer.Len":            "cache occupancy the buffer, replacement and env tests observe",
@@ -39,7 +36,7 @@ var deadExportAllow = map[string]string{
 	"internal/graph.Paths.Source":           "path-tree root the path-search tests observe",
 	"internal/graph.RateEstimator.Rate":     "per-pair rate the estimator tests observe",
 	"internal/knowledge.Snapshot.WeightNNZ": "CSR sparsity the knowledge tests observe",
-	"internal/knowledge.Snapshot.Paths":     "materialized path trees the CSR and hop-rate tests read",
+	"internal/knowledge.Snapshot.Paths":     "path trees the CSR and hop-rate tests read",
 	"internal/obs.Histogram.Total":          "sample count the obs and experiment tests observe",
 	"internal/scheme.Base.Queries":          "carried query copies the scheme and core tests observe",
 	"internal/sim.Driver.ActivePeers":       "open-contact index the driver tests observe",

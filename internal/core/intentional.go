@@ -125,8 +125,10 @@ type Intentional struct {
 
 	stats PushStats
 
-	// bcastFree pools broadcast-query transfer records (bcastXfer).
+	// bcastFree and moveFree pool broadcast-query and migration
+	// transfer records (bcastXfer, moveXfer).
 	bcastFree []*bcastXfer
+	moveFree  []*moveXfer
 	// peer holds the NCLs whose caching subgraph broadcastQueries' peer
 	// may belong to (peerCandidates); unresolved marks the members whose
 	// failover stand-in is still to be checked (peerCaches).

@@ -319,48 +319,89 @@ func (s *Intentional) applyPlan(sess *sim.Session, a, b trace.NodeID,
 // move migrates one cached copy from src to dst over the live contact.
 // The copy stays at src until the transfer completes, so an interrupted
 // contact loses nothing; on arrival the copy keeps its NCL home tag,
-// transit state and request history.
+// transit state and request history. The transfer rides a pooled
+// moveXfer record.
 func (s *Intentional) move(sess *sim.Session, src, dst trace.NodeID,
 	item workload.DataItem, home int, inTransit bool) {
-	e := s.env
 	tk := pushTransfer{holder: src, data: item.ID, ncl: home}
 	if s.inflightPush[tk] {
 		return
 	}
 	s.inflightPush[tk] = true
-	sess.Enqueue(sim.Transfer{
+	x := s.getMove()
+	x.tk, x.dst, x.item, x.inTransit = tk, dst, item, inTransit
+	if !sess.Enqueue(sim.Transfer{
 		From: src, To: dst, Bits: item.SizeBits, Label: "replace",
-		OnDelivered: func(at float64) {
-			delete(s.inflightPush, tk)
-			e.M.DataTransferred(item.SizeBits)
-			if item.Expired(at) {
-				e.Buffers[src].Remove(item.ID)
-				return
-			}
-			en, err := e.Buffers[dst].Put(item, at)
-			if err != nil {
-				// Space changed under us (e.g. pushes landed first);
-				// keep the copy where it was.
-				return
-			}
-			// A migration toward the NCLs is also push progress: the
-			// copy keeps advancing unless it has reached its center.
-			en.Home = home
-			en.InTransit = inTransit && dst != s.centerOf(home)
-			stats := s.base.Stats(dst, item.ID)
-			var merged buffer.RequestStats
-			merged.Merge(stats)
-			en.Requests = merged
-			e.Buffers[src].Remove(item.ID)
-			e.M.ReplacementMove(1)
-			if e.Obs != nil {
-				u := e.Popularity(&en.Requests, item.Expires)
-				e.Obs.CacheEvict(at, int32(src), int64(item.ID), u)
-				e.Obs.CacheInsert(at, int32(dst), int64(item.ID), u)
-			}
-		},
-		OnDropped: func(float64) { delete(s.inflightPush, tk) },
-	})
+		OnDelivered: x.onDelivered, OnDropped: x.onDropped,
+	}) {
+		x.dropped(0)
+	}
+}
+
+// moveXfer is one in-flight replacement migration, pooled on
+// Intentional (moveFree) like bcastXfer: its callbacks are method
+// values bound once per record, and it returns to the pool from
+// whichever one fires.
+type moveXfer struct {
+	s         *Intentional
+	tk        pushTransfer // holder is the source, ncl the copy's home
+	dst       trace.NodeID
+	item      workload.DataItem
+	inTransit bool
+
+	onDelivered, onDropped func(at float64)
+}
+
+// getMove pops a record from the pool or allocates one.
+func (s *Intentional) getMove() *moveXfer {
+	if n := len(s.moveFree); n > 0 {
+		x := s.moveFree[n-1]
+		s.moveFree = s.moveFree[:n-1]
+		return x
+	}
+	x := &moveXfer{s: s}
+	x.onDelivered, x.onDropped = x.delivered, x.dropped
+	return x
+}
+
+// dropped is the record's OnDropped callback: the copy stays at the
+// source, free to move again.
+func (x *moveXfer) dropped(float64) {
+	delete(x.s.inflightPush, x.tk)
+	x.s.moveFree = append(x.s.moveFree, x)
+}
+
+// delivered is the record's OnDelivered callback.
+func (x *moveXfer) delivered(at float64) {
+	s, src, home, dst, item, inTransit := x.s, x.tk.holder, x.tk.ncl, x.dst, x.item, x.inTransit
+	x.dropped(at)
+	e := s.env
+	e.M.DataTransferred(item.SizeBits)
+	if item.Expired(at) {
+		e.Buffers[src].Remove(item.ID)
+		return
+	}
+	en, err := e.Buffers[dst].Put(item, at)
+	if err != nil {
+		// Space changed under us (e.g. pushes landed first); keep the
+		// copy where it was.
+		return
+	}
+	// A migration toward the NCLs is also push progress: the copy keeps
+	// advancing unless it has reached its center.
+	en.Home = home
+	en.InTransit = inTransit && dst != s.centerOf(home)
+	stats := s.base.Stats(dst, item.ID)
+	var merged buffer.RequestStats
+	merged.Merge(stats)
+	en.Requests = merged
+	e.Buffers[src].Remove(item.ID)
+	e.M.ReplacementMove(1)
+	if e.Obs != nil {
+		u := e.Popularity(&en.Requests, item.Expires)
+		e.Obs.CacheEvict(at, int32(src), int64(item.ID), u)
+		e.Obs.CacheInsert(at, int32(dst), int64(item.ID), u)
+	}
 }
 
 // centerOf returns the central node of NCL k, or -1 when k is not a

@@ -302,3 +302,44 @@ func TestBuildPoolZeroAlloc(t *testing.T) {
 		t.Errorf("buildPool + selectFor: %.1f allocs/op, want 0", allocs)
 	}
 }
+
+// TestMigrationAllocs pins the pooled migration records: once warm, a
+// replacement migration's enqueue and delivery allocate only the
+// receiver's buffer entry, which buffer.Put makes for every insertion —
+// no per-transfer OnDelivered/OnDropped closures. No sync.Pool is on
+// the path, so the pin holds under -race too.
+//
+//dtn:allocfree the measured closure allocates only buffer entries
+func TestMigrationAllocs(t *testing.T) {
+	env, s, _ := replacementFixture(t)
+	// Inside the 0-2 contact of [30500, 31100], after the contact's own
+	// 4.8 s push and clear of the sweep and refresh ticks at 30300 and
+	// 30600.
+	env.Sim.RunUntil(30510)
+	sess := env.Driver.Session(0, 2)
+	if sess == nil || len(s.inflightPush) != 0 {
+		t.Fatalf("no idle 0-2 contact (in flight: %v)", s.inflightPush)
+	}
+	item := workload.DataItem{ID: 7, Source: 1, SizeBits: 1000, Created: 30100, Expires: 59000}
+	if _, err := env.Buffers[0].Put(item, env.Sim.Now()); err != nil {
+		t.Fatal(err)
+	}
+	dur := env.XferSec(item.SizeBits)
+	moves := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, hop := range [2][2]trace.NodeID{{0, 2}, {2, 0}} {
+			s.move(sess, hop[0], hop[1], item, 0, false)
+			env.Sim.RunUntil(env.Sim.Now() + dur)
+			if env.Buffers[hop[1]].Has(item.ID) && !env.Buffers[hop[0]].Has(item.ID) {
+				moves++
+			}
+		}
+	})
+	if allocs != 2 {
+		t.Errorf("two migrations: %.1f allocs/op, want 2 (one buffer entry each)", allocs)
+	}
+	if moves != 202 || len(s.inflightPush) != 0 || env.Sim.Now() > 30599 {
+		t.Fatalf("%d of 202 migrations landed (%d still in flight) by t=%v",
+			moves, len(s.inflightPush), env.Sim.Now())
+	}
+}

@@ -8,10 +8,12 @@ import (
 	"dtncache/internal/trace"
 )
 
-// TestMaterializeAllocsPerSource pins the arena: Materialize makes two
-// allocations per source, the Hypoexp slice and the coefficient slab,
-// however many destinations the source reaches.
-func TestMaterializeAllocsPerSource(t *testing.T) {
+// TestPathsIntoAllocsPerSource pins the compact layout: with a warm
+// scratch, PathsInto makes four allocations per source (the Paths, its
+// per-node offsets and path kinds, and one slab for the hop rates and
+// the Eq. (2) coefficients) however many destinations the source
+// reaches, and sizes every slice exactly.
+func TestPathsIntoAllocsPerSource(t *testing.T) {
 	rng := mathx.NewRand(3)
 	for _, n := range []int{2, 12, 300} {
 		g := NewGraph(n)
@@ -20,28 +22,34 @@ func TestMaterializeAllocsPerSource(t *testing.T) {
 			// mostly distinct rates with some repeats.
 			g.SetRate(trace.NodeID(rng.Intn(v)), trace.NodeID(v), float64(1+rng.Intn(50))/3600)
 		}
-		p := g.Paths(0, DefaultMaxHops)
-		reach := 0
+		g.BuildAdjacency()
+		scratch := &PathScratch{}
+		p := g.PathsInto(0, DefaultMaxHops, scratch)
+		reach, hops := 0, 0
 		for v := 1; v < n; v++ {
 			if p.Reachable(trace.NodeID(v)) {
 				reach++
+				hops += p.Hops(trace.NodeID(v))
 			}
 		}
+		if want := 4*(n+1) + 16*hops + n; p.Footprint() != want {
+			t.Errorf("n=%d (%d reachable, %d hops): footprint %d bytes, want %d", n, reach, hops, p.Footprint(), want)
+		}
 		allocs := testing.AllocsPerRun(10, func() {
-			p.dists = nil
-			p.Materialize()
+			p = g.PathsInto(0, DefaultMaxHops, scratch)
 		})
-		if allocs != 2 {
-			t.Errorf("n=%d (%d reachable): Materialize made %.1f allocs, want 2", n, reach, allocs)
+		if allocs != 4 {
+			t.Errorf("n=%d (%d reachable): PathsInto made %.1f allocs, want 4", n, reach, allocs)
 		}
 	}
 }
 
-// TestMaterializedWeightsMatchNewHypoexp checks every arena-built
-// distribution bit for bit against a freshly constructed one, for every
+// TestPreparedWeightsMatchNewHypoexp checks every path weight, which
+// PathsInto prepares once and Weight evaluates through mathx.View, bit
+// for bit against a freshly constructed distribution, for every
 // source and destination of the four Table I presets, at the preset's
 // metric horizon T and three others: a minute, a day and a month.
-func TestMaterializedWeightsMatchNewHypoexp(t *testing.T) {
+func TestPreparedWeightsMatchNewHypoexp(t *testing.T) {
 	metricT := map[trace.Preset]float64{
 		trace.Infocom05: 3600, trace.Infocom06: 900,
 		trace.MITReality: 7 * 86400, trace.UCSD: 3 * 86400,
@@ -55,7 +63,6 @@ func TestMaterializedWeightsMatchNewHypoexp(t *testing.T) {
 		scratch := &PathScratch{}
 		for src := 0; src < g.n; src++ {
 			p := g.PathsInto(trace.NodeID(src), DefaultMaxHops, scratch)
-			p.Materialize()
 			for dst := 0; dst < g.n; dst++ {
 				j := trace.NodeID(dst)
 				if dst == src || !p.Reachable(j) {
@@ -67,7 +74,7 @@ func TestMaterializedWeightsMatchNewHypoexp(t *testing.T) {
 				}
 				for _, at := range horizons {
 					if got, want := p.Weight(j, at), h.CDF(at); math.Float64bits(got) != math.Float64bits(want) {
-						t.Fatalf("%s %d->%d at %g: arena weight %v, NewHypoexp %v", preset, src, dst, at, got, want)
+						t.Fatalf("%s %d->%d at %g: prepared weight %v, NewHypoexp %v", preset, src, dst, at, got, want)
 					}
 				}
 			}

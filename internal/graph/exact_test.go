@@ -103,3 +103,80 @@ func TestHeuristicPathsAgainstExactOracle(t *testing.T) {
 		t.Errorf("heuristic mean quality %.3f below 0.85 of optimal", mean)
 	}
 }
+
+// ExactWeight computes the maximum opportunistic path weight p_ab(T)
+// over *all* simple paths with at most maxHops hops, by exhaustive
+// depth-first search. Appending a hop adds an independent positive delay
+// term, so a path's weight can only decrease as it grows — which makes
+// "current prefix weight <= best complete path found" a valid pruning
+// bound.
+//
+// The search is exponential in the worst case; it is the test oracle
+// for the polynomial minimum-expected-delay heuristic used by Paths.
+func (g *Graph) ExactWeight(a, b trace.NodeID, t float64, maxHops int) float64 {
+	if a == b {
+		if t < 0 {
+			return 0
+		}
+		return 1
+	}
+	if maxHops <= 0 {
+		maxHops = DefaultMaxHops
+	}
+	s := &exactSearch{
+		g:       g,
+		dst:     b,
+		t:       t,
+		maxHops: maxHops,
+		visited: make([]bool, g.n),
+		rates:   make([]float64, 0, maxHops),
+	}
+	s.visited[a] = true
+	s.dfs(a)
+	return s.best
+}
+
+type exactSearch struct {
+	g       *Graph
+	dst     trace.NodeID
+	t       float64
+	maxHops int
+	visited []bool
+	rates   []float64
+	best    float64
+}
+
+func (s *exactSearch) dfs(cur trace.NodeID) {
+	if len(s.rates) >= s.maxHops {
+		return
+	}
+	for _, next := range s.g.Neighbors(cur) {
+		if s.visited[next] {
+			continue
+		}
+		rate := s.g.Rate(cur, next)
+		s.rates = append(s.rates, rate)
+		w := s.pathWeight()
+		if w > s.best {
+			if next == s.dst {
+				s.best = w
+			}
+			// Extensions of this prefix can only have weight <= w, so
+			// recursing is worthwhile only while w beats the incumbent.
+			if next != s.dst {
+				s.visited[next] = true
+				s.dfs(next)
+				s.visited[next] = false
+			}
+		}
+		s.rates = s.rates[:len(s.rates)-1]
+	}
+}
+
+func (s *exactSearch) pathWeight() float64 {
+	w, err := mathx.PathWeight(s.rates, s.t)
+	if err != nil {
+		return 0
+	}
+	return w
+}

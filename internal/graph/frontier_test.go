@@ -109,6 +109,9 @@ func checkFrontierMatchesReference(t *testing.T, g *Graph, src trace.NodeID, max
 				t.Fatalf("src %d dst %d hop %d: rate %v, reference %v", src, v, i, got[i], want[i])
 			}
 		}
+		if got, want := expectedDelay(p, dst), wantDist[maxHops][v]; math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("src %d dst %d: delay %v from the hop rates, reference layer %v", src, v, got, want)
+		}
 	}
 }
 

@@ -8,7 +8,7 @@
 package graph
 
 import (
-	"errors"
+	"slices"
 	"sort"
 
 	"dtncache/internal/mathx"
@@ -128,29 +128,19 @@ func (g *Graph) newAdjacency() *adjacency {
 	return a
 }
 
+// Footprint returns the bytes the graph's slices hold: the dense rate
+// matrix and, when built, the neighbour lists.
+func (g *Graph) Footprint() int {
+	b := 8 * cap(g.rates)
+	if g.adj != nil {
+		b += 4*(cap(g.adj.off)+cap(g.adj.to)) + 8*cap(g.adj.inv)
+	}
+	return b
+}
+
 // NewGraph creates an empty graph over n nodes.
 func NewGraph(n int) *Graph {
 	return &Graph{n: n, rates: make([]float64, n*n)}
-}
-
-// FromMatrix builds a graph from a symmetric rate matrix.
-func FromMatrix(rates [][]float64) (*Graph, error) {
-	n := len(rates)
-	g := NewGraph(n)
-	for i := 0; i < n; i++ {
-		if len(rates[i]) != n {
-			return nil, errors.New("graph: rate matrix not square")
-		}
-		for j := 0; j < n; j++ {
-			if rates[i][j] != rates[j][i] {
-				return nil, errors.New("graph: rate matrix not symmetric")
-			}
-			if i != j && rates[i][j] > 0 {
-				g.rates[i*n+j] = rates[i][j]
-			}
-		}
-	}
-	return g, nil
 }
 
 // Rate returns the contact rate of the pair (0 if never in contact).
@@ -192,23 +182,30 @@ func (g *Graph) Neighbors(v trace.NodeID) []trace.NodeID {
 // other node: hop-capped minimum-expected-delay paths whose weights
 // (delivery probability within T) follow Eqs. (1)-(2).
 //
-// Per-destination data is stored compactly for reachable destinations
-// only: idx maps a destination to its reachable index (-1 otherwise),
-// hop rates live concatenated in one slab sliced by ratesOff, and the
-// hypoexponential cache is indexed by the same compact index. On sparse
-// graphs (a city district reaches only its own community) this keeps a
-// Paths proportional to what the source can actually reach instead of
-// paying three full-width arrays per source. Materialize builds the
-// cache in one arena: one Hypoexp slice, whose rates alias ratesSlab,
-// plus one coefficient slab parallel to it.
+// The hop rates of every path live concatenated in one exactly sized
+// slab, node v's path in ratesSlab[off[v]:off[v+1]] (empty for the
+// source and for unreachable nodes), and the Eq. (2) coefficients in a
+// slab parallel to it. On sparse graphs (a city district reaches only
+// its own community) the slabs stay proportional to what the source
+// can actually reach. Every path is prepared when PathsInto returns,
+// so a Paths is never mutated again and is safe for concurrent use
+// (the contract knowledge snapshots rely on).
 type Paths struct {
 	src       trace.NodeID
-	delay     []float64       // min expected delay per node; +Inf if unreachable
-	idx       []int32         // node -> compact reachable index, or -1
-	ratesOff  []int32         // reach+1 offsets into ratesSlab, in hop order
-	ratesSlab []float64       // concatenated hop rates of every reachable path
-	dists     []mathx.Hypoexp // nil until Materialize
+	off       []int32    // n+1 offsets into ratesSlab and coefSlab
+	ratesSlab []float64  // concatenated hop rates of every path, in hop order
+	coefSlab  []float64  // Eq. (2) coefficients, parallel to ratesSlab; set for pathDistinct only
+	kind      []pathKind // how Weight evaluates each node's path
 }
+
+// pathKind records what mathx.Prepare made of a path's rates.
+type pathKind uint8
+
+const (
+	pathInvalid  pathKind = iota // rates Prepare rejects: weight 0
+	pathGeneral                  // repeated or close rates: no closed form
+	pathDistinct                 // well-separated rates: the closed form of Eq. (2)
+)
 
 // PathScratch holds the layered-DP working arrays of Paths so repeated
 // path computations (the knowledge builder runs one per dirty source
@@ -221,6 +218,8 @@ type PathScratch struct {
 	// changed[h&1][v] == h+1 marks v as improved at layer h; two
 	// arrays, so marking layer h never erases layer h-1's frontier.
 	changed [2][]int32
+	// rates stages the recovered paths until their exact size is known.
+	rates []float64
 }
 
 // layers resizes the scratch to hold maxHops+1 layers of width n and
@@ -324,64 +323,60 @@ func (g *Graph) PathsInto(src trace.NodeID, maxHops int, scratch *PathScratch) *
 			break
 		}
 	}
-	// Copy the final layer out of the scratch: the Paths must own its
-	// delay slice so the scratch can be reused for the next source.
-	final := make([]float64, n)
-	copy(final, dist[maxHops])
-	p := &Paths{
-		src:   src,
-		delay: final,
-		idx:   make([]int32, n),
-	}
-	reach := 0
+	// Recover every reachable path by walking the DP layers downward,
+	// staging its rates in the scratch, then copy them out at exact
+	// size: the Paths never aliases the scratch.
+	final := dist[maxHops]
+	off := make([]int32, n+1)
+	scratch.rates = scratch.rates[:0]
 	for v := 0; v < n; v++ {
-		p.idx[v] = -1
-		if v != int(src) && final[v] < inf {
-			reach++
-		}
-	}
-	p.ratesOff = make([]int32, 1, reach+1)
-	p.ratesSlab = make([]float64, 0, reach*maxHops)
-	buf := make([]float64, 0, maxHops)
-	for v := 0; v < n; v++ {
+		off[v] = int32(len(scratch.rates))
 		if v == int(src) || final[v] >= inf {
 			continue
 		}
-		// Recover the path by walking the DP layers downward.
-		buf = buf[:0]
 		cursor := trace.NodeID(v)
 		for h := maxHops; h > 0 && cursor != src; h-- {
 			u := choice[h][cursor]
 			if u < 0 {
 				continue // value carried from layer h-1
 			}
-			buf = append(buf, g.Rate(u, cursor))
+			scratch.rates = append(scratch.rates, g.Rate(u, cursor))
 			cursor = u
 		}
 		if cursor != src {
-			p.delay[v] = inf
+			scratch.rates = scratch.rates[:off[v]]
 			continue
 		}
 		// Reverse into src->v hop order (the hypoexponential weight does
 		// not depend on order, but diagnostics read better).
-		for i, j := 0, len(buf)-1; i < j; i, j = i+1, j-1 {
-			buf[i], buf[j] = buf[j], buf[i]
+		slices.Reverse(scratch.rates[off[v]:])
+	}
+	hops := len(scratch.rates)
+	off[n] = int32(hops)
+	slab := make([]float64, 2*hops)
+	p := &Paths{src: src, off: off, ratesSlab: slab[:hops:hops], coefSlab: slab[hops:], kind: make([]pathKind, n)}
+	copy(p.ratesSlab, scratch.rates)
+	for v := range p.kind {
+		lo, hi := off[v], off[v+1]
+		if lo == hi {
+			continue
 		}
-		p.idx[v] = int32(len(p.ratesOff) - 1)
-		p.ratesSlab = append(p.ratesSlab, buf...)
-		p.ratesOff = append(p.ratesOff, int32(len(p.ratesSlab)))
+		switch distinct, err := mathx.Prepare(p.ratesSlab[lo:hi], p.coefSlab[lo:hi]); {
+		case err != nil:
+			p.kind[v] = pathInvalid
+		case distinct:
+			p.kind[v] = pathDistinct
+		default:
+			p.kind[v] = pathGeneral
+		}
 	}
 	return p
 }
 
-// hopRates returns the slab range of dst's path, or nil if dst is
+// hopRates returns the slab range of dst's path, empty if dst is
 // unreachable or the source itself.
 func (p *Paths) hopRates(dst trace.NodeID) []float64 {
-	k := p.idx[dst]
-	if k < 0 {
-		return nil
-	}
-	return p.ratesSlab[p.ratesOff[k]:p.ratesOff[k+1]]
+	return p.ratesSlab[p.off[dst]:p.off[dst+1]]
 }
 
 // Source returns the path-tree root.
@@ -389,36 +384,25 @@ func (p *Paths) Source() trace.NodeID { return p.src }
 
 // Reachable reports whether dst has an opportunistic path from the source.
 func (p *Paths) Reachable(dst trace.NodeID) bool {
-	if int(dst) >= len(p.delay) || dst < 0 {
+	if int(dst) >= len(p.kind) || dst < 0 {
 		return false
 	}
-	return dst == p.src || p.idx[dst] >= 0
+	return dst == p.src || p.off[dst] < p.off[dst+1]
 }
-
-// ExpectedDelay returns the expected delay of the shortest opportunistic
-// path to dst (0 for the source itself, +Inf-like 1e300 if unreachable).
-func (p *Paths) ExpectedDelay(dst trace.NodeID) float64 { return p.delay[dst] }
 
 // HopRates returns the contact rates along the path to dst (empty if
 // unreachable or dst == src).
 func (p *Paths) HopRates(dst trace.NodeID) []float64 {
-	rates := p.hopRates(dst)
-	out := make([]float64, len(rates))
-	copy(out, rates)
-	return out
+	return slices.Clone(p.hopRates(dst))
 }
 
 // Hops returns the number of hops to dst (0 for the source, -1 if
 // unreachable).
 func (p *Paths) Hops(dst trace.NodeID) int {
-	if dst == p.src {
-		return 0
-	}
-	k := p.idx[dst]
-	if k < 0 {
+	if !p.Reachable(dst) {
 		return -1
 	}
-	return int(p.ratesOff[k+1] - p.ratesOff[k])
+	return int(p.off[dst+1] - p.off[dst])
 }
 
 // Weight returns the opportunistic path weight p_{src,dst}(T): the
@@ -426,7 +410,7 @@ func (p *Paths) Hops(dst trace.NodeID) int {
 // path within time T (Eq. 2). The weight to the source itself is 1, and 0
 // for unreachable destinations.
 func (p *Paths) Weight(dst trace.NodeID, t float64) float64 {
-	if dst < 0 || int(dst) >= len(p.delay) {
+	if dst < 0 || int(dst) >= len(p.kind) {
 		return 0
 	}
 	if dst == p.src {
@@ -435,30 +419,18 @@ func (p *Paths) Weight(dst trace.NodeID, t float64) float64 {
 		}
 		return 1
 	}
-	k := p.idx[dst]
-	if k < 0 {
+	lo, hi := p.off[dst], p.off[dst+1]
+	if lo == hi || p.kind[dst] == pathInvalid {
 		return 0
 	}
-	p.Materialize()
-	return p.dists[k].CDF(t)
+	h := mathx.View(p.ratesSlab[lo:hi], p.coefSlab[lo:hi], p.kind[dst] == pathDistinct)
+	return h.CDF(t)
 }
 
-// Materialize constructs the hypoexponential distribution of every
-// reachable destination, once. Weight materializes on first use,
-// mutating the receiver; after Materialize every Weight call is
-// read-only, so a materialized Paths is safe for concurrent use (the
-// contract knowledge snapshots rely on). A path with rates Init
-// rejects keeps the zero Hypoexp, of weight 0.
-func (p *Paths) Materialize() {
-	if p.dists != nil {
-		return
-	}
-	p.dists = make([]mathx.Hypoexp, len(p.ratesOff)-1)
-	coef := make([]float64, len(p.ratesSlab))
-	for k := range p.dists {
-		lo, hi := p.ratesOff[k], p.ratesOff[k+1]
-		_ = p.dists[k].Init(p.ratesSlab[lo:hi:hi], coef[lo:hi:hi])
-	}
+// Footprint returns the bytes the path tree's slices hold: their
+// capacities, which PathsInto sizes exactly.
+func (p *Paths) Footprint() int {
+	return 4*cap(p.off) + 8*(cap(p.ratesSlab)+cap(p.coefSlab)) + cap(p.kind)
 }
 
 // AllPaths computes Paths from every node. The graph is undirected, so

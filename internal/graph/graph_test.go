@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -101,8 +102,8 @@ func TestPathsOnLine(t *testing.T) {
 	if !p.Reachable(3) || p.Hops(3) != 3 {
 		t.Errorf("hops = %d, want 3", p.Hops(3))
 	}
-	if want := 1.0 + 0.5 + 0.25; math.Abs(p.ExpectedDelay(3)-want) > 1e-12 {
-		t.Errorf("delay = %v, want %v", p.ExpectedDelay(3), want)
+	if want := 1.0 + 0.5 + 0.25; math.Abs(expectedDelay(p, 3)-want) > 1e-12 {
+		t.Errorf("delay = %v, want %v", expectedDelay(p, 3), want)
 	}
 	rates := p.HopRates(3)
 	if len(rates) != 3 || rates[0] != 1 || rates[1] != 2 || rates[2] != 4 {
@@ -123,8 +124,8 @@ func TestPathsPicksLowerDelayRoute(t *testing.T) {
 	if p.Hops(1) != 2 {
 		t.Errorf("hops = %d, want 2 (relay route)", p.Hops(1))
 	}
-	if math.Abs(p.ExpectedDelay(1)-2) > 1e-12 {
-		t.Errorf("delay = %v, want 2", p.ExpectedDelay(1))
+	if math.Abs(expectedDelay(p, 1)-2) > 1e-12 {
+		t.Errorf("delay = %v, want 2", expectedDelay(p, 1))
 	}
 }
 
@@ -138,8 +139,8 @@ func TestPathsHopCap(t *testing.T) {
 	if p.Hops(1) != 1 {
 		t.Errorf("hops = %d, want 1 under hop cap", p.Hops(1))
 	}
-	if math.Abs(p.ExpectedDelay(1)-10) > 1e-12 {
-		t.Errorf("delay = %v, want 10", p.ExpectedDelay(1))
+	if math.Abs(expectedDelay(p, 1)-10) > 1e-12 {
+		t.Errorf("delay = %v, want 10", expectedDelay(p, 1))
 	}
 }
 
@@ -303,4 +304,24 @@ func BenchmarkPaths100Nodes(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = g.Paths(trace.NodeID(i%100), 0)
 	}
+}
+
+// FromMatrix builds a graph from a symmetric rate matrix.
+func FromMatrix(rates [][]float64) (*Graph, error) {
+	n := len(rates)
+	g := NewGraph(n)
+	for i := 0; i < n; i++ {
+		if len(rates[i]) != n {
+			return nil, errors.New("graph: rate matrix not square")
+		}
+		for j := 0; j < n; j++ {
+			if rates[i][j] != rates[j][i] {
+				return nil, errors.New("graph: rate matrix not symmetric")
+			}
+			if i != j && rates[i][j] > 0 {
+				g.rates[i*n+j] = rates[i][j]
+			}
+		}
+	}
+	return g, nil
 }

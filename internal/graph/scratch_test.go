@@ -25,15 +25,30 @@ func TestPathsIntoMatchesPaths(t *testing.T) {
 		want := g.Paths(trace.NodeID(src), 4)
 		got := g.PathsInto(trace.NodeID(src), 4, scratch)
 		for v := 0; v < n; v++ {
-			if want.ExpectedDelay(trace.NodeID(v)) != got.ExpectedDelay(trace.NodeID(v)) {
+			if expectedDelay(want, trace.NodeID(v)) != expectedDelay(got, trace.NodeID(v)) {
 				t.Fatalf("src %d dst %d: delay %g != %g", src, v,
-					got.ExpectedDelay(trace.NodeID(v)), want.ExpectedDelay(trace.NodeID(v)))
+					expectedDelay(got, trace.NodeID(v)), expectedDelay(want, trace.NodeID(v)))
 			}
 			if ww, gw := want.Weight(trace.NodeID(v), 3600), got.Weight(trace.NodeID(v), 3600); ww != gw {
 				t.Fatalf("src %d dst %d: weight %g != %g", src, v, gw, ww)
 			}
 		}
 	}
+}
+
+// expectedDelay is the expected delay of the shortest opportunistic
+// path to dst (0 for the source itself, 1e300 if unreachable): the sum
+// of the hop delays 1/rate in src->dst order, the same additions the
+// path search made, so it equals the search's layer value bit for bit.
+func expectedDelay(p *Paths, dst trace.NodeID) float64 {
+	if !p.Reachable(dst) {
+		return 1e300
+	}
+	var d float64
+	for _, r := range p.hopRates(dst) {
+		d += 1 / r
+	}
+	return d
 }
 
 // TestPathsIntoResultOwnsDelay: mutating the scratch after PathsInto
@@ -44,9 +59,9 @@ func TestPathsIntoResultOwnsDelay(t *testing.T) {
 	g.SetRate(1, 2, 0.02)
 	scratch := &PathScratch{}
 	p0 := g.PathsInto(0, 3, scratch)
-	d01 := p0.ExpectedDelay(1)
+	d01 := expectedDelay(p0, 1)
 	_ = g.PathsInto(3, 3, scratch) // node 3 is isolated; overwrites the layers
-	if p0.ExpectedDelay(1) != d01 {
-		t.Fatalf("delay changed after scratch reuse: %g != %g", p0.ExpectedDelay(1), d01)
+	if expectedDelay(p0, 1) != d01 {
+		t.Fatalf("delay changed after scratch reuse: %g != %g", expectedDelay(p0, 1), d01)
 	}
 }

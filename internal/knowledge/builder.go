@@ -138,10 +138,9 @@ func (b *Builder) buildFromCounts(counts *graph.RateEstimator, t float64, base *
 
 	// Pass 1 — dirty sources: recompute paths, the Eq. (3) metric, and
 	// the row's non-zero weights, in parallel across index-owned slots.
-	// Evaluating the full weight row also materializes every reachable
-	// hypoexponential, so the published snapshot is never mutated again.
-	// The neighbour lists are built once here, before the fan-out, and
-	// only read by the workers.
+	// PathsInto prepares every path it returns, so the published
+	// snapshot is never mutated again. The neighbour lists are built
+	// once here, before the fan-out, and only read by the workers.
 	if len(dirty) > 0 {
 		s.g.BuildAdjacency()
 	}
@@ -150,7 +149,6 @@ func (b *Builder) buildFromCounts(counts *graph.RateEstimator, t float64, base *
 		scratch := scratchPool.Get().(*graph.PathScratch)
 		p := s.g.PathsInto(trace.NodeID(i), b.params.MaxHops, scratch)
 		scratchPool.Put(scratch)
-		p.Materialize()
 		s.paths[i] = p
 		stage := rowPool.Get().(*weightRow)
 		if cap(stage.cols) < n {

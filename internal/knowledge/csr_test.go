@@ -10,7 +10,7 @@ import (
 // TestCSRMatchesDirectWeights pins the sparse weight matrix to its
 // definition on every Table I preset: each stored entry must equal the
 // path weight p.Weight(j, T) evaluated directly on the snapshot's own
-// materialized paths, the diagonal must be 1, and each metric must be
+// prepared paths, the diagonal must be 1, and each metric must be
 // the exact mean of its off-diagonal row — the values the dense matrix
 // held before the CSR conversion.
 func TestCSRMatchesDirectWeights(t *testing.T) {

@@ -26,11 +26,10 @@
 //     concurrently running schemes of one comparison share each refresh
 //     instead of rebuilding it per scheme.
 //
-// Snapshots are immutable after Build returns: every Paths is
-// materialized (graph.Paths.Materialize), so all reads — Weight,
-// MetricWeight, Metrics — are safe for concurrent use and consumers
-// must never mutate a shared snapshot (see DESIGN.md "Knowledge
-// layer").
+// Snapshots are immutable after Build returns: graph.PathsInto prepares
+// every path it returns, so all reads — Weight, MetricWeight, Metrics —
+// are safe for concurrent use, and consumers must never mutate a shared
+// snapshot (see DESIGN.md "Knowledge layer").
 //
 //dtn:determinism
 package knowledge

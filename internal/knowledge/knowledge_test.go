@@ -74,7 +74,7 @@ func TestSnapshotMatchesSeedPipeline(t *testing.T) {
 							}
 						}
 					}
-					// Off-horizon weights evaluate the materialized paths
+					// Off-horizon weights evaluate the prepared paths
 					// directly; spot-check a diagonal stride, twice, since
 					// a repeated read must not drift.
 					other := 0.37 * metricT
@@ -227,7 +227,7 @@ func TestProviderCachesAndVersions(t *testing.T) {
 // experiment.RunComparison — and checks every consumer
 // observes identical knowledge. Run under -race (scripts/check.sh) this
 // also proves the parallel build fan-out and the off-horizon Weight
-// reads of the materialized paths are data-race free.
+// reads of the prepared paths are data-race free.
 func TestSnapshotSharingConcurrent(t *testing.T) {
 	tr, err := trace.GeneratePreset(trace.Infocom05, 1)
 	if err != nil {

@@ -39,6 +39,16 @@ type Snapshot struct {
 	metrics []float64 // C_i of Eq. (3) per node
 }
 
+// footprint returns the bytes the snapshot retains in slices: the
+// capacities of its rate graph, path trees, CSR slabs and metrics.
+func (s *Snapshot) footprint() int {
+	b := s.g.Footprint() + 8*cap(s.paths) + 4*(cap(s.rowPtr)+cap(s.cols)) + 8*(cap(s.vals)+cap(s.metrics))
+	for _, p := range s.paths {
+		b += p.Footprint()
+	}
+	return b
+}
+
 // Version is the snapshot's sequence number within its Provider,
 // starting at 1 (0 is the empty pre-warm-up snapshot).
 func (s *Snapshot) Version() int { return s.version }
@@ -56,7 +66,7 @@ func (s *Snapshot) ReusedSources() int { return s.reused }
 func (s *Snapshot) Graph() *graph.Graph { return s.g }
 
 // Paths returns the shortest opportunistic paths from src. The value is
-// materialized and shared: read-only.
+// shared: read-only.
 func (s *Snapshot) Paths(src trace.NodeID) *graph.Paths { return s.paths[src] }
 
 // Metrics returns a copy of the NCL selection metric C_i (Eq. 3) for
@@ -120,7 +130,7 @@ func (s *Snapshot) WeightNNZ() int { return len(s.cols) }
 
 // Weight returns the opportunistic path weight p_ab(t): 1 for a == b, a
 // sparse-matrix lookup at the metric horizon, and a direct Paths
-// evaluation for any other horizon. Every Paths is materialized at build
+// evaluation for any other horizon. Every Paths is prepared at build
 // time, so the evaluation is a pure read, safe for concurrent use.
 //
 //dtn:allocfree response-probability hot path (Sec. V-C)

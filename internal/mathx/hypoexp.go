@@ -36,31 +36,47 @@ const hypoexpSeparation = 1e-6
 // NewHypoexp builds the distribution of the sum of exponentials with the
 // given rates. The slice is copied; it must be non-empty and positive.
 func NewHypoexp(rates []float64) (*Hypoexp, error) {
-	h := new(Hypoexp)
-	if err := h.Init(append([]float64(nil), rates...), make([]float64, len(rates))); err != nil {
+	rates = append([]float64(nil), rates...)
+	coef := make([]float64, len(rates))
+	distinct, err := Prepare(rates, coef)
+	if err != nil {
 		return nil, err
 	}
-	return h, nil
+	h := View(rates, coef, distinct)
+	return &h, nil
 }
 
-// Init is NewHypoexp in place and without the copy: h aliases rates,
-// which must not change afterwards, and keeps the Eq. (2) coefficients
-// in coef, which must be at least as long. On error h is left unchanged.
-func (h *Hypoexp) Init(rates, coef []float64) error {
+// Prepare validates rates as NewHypoexp does and, when they are well
+// separated enough for the closed form of Eq. (2), fills coef (as long
+// as rates) with its coefficients and reports distinct. A caller that
+// keeps rates and coef, unchanged, evaluates the distribution through
+// View without preparing it again.
+func Prepare(rates, coef []float64) (distinct bool, err error) {
 	if len(rates) == 0 {
-		return errors.New("mathx: hypoexponential needs at least one rate")
+		return false, errors.New("mathx: hypoexponential needs at least one rate")
 	}
 	for _, r := range rates {
 		if r <= 0 || math.IsNaN(r) || math.IsInf(r, 0) {
-			return ErrBadRate
+			return false, ErrBadRate
 		}
 	}
-	*h = Hypoexp{rates: rates, distinct: ratesSeparated(rates)}
-	if h.distinct {
-		h.coef = coef[:len(rates)]
-		hypoexpCoefficients(rates, h.coef)
+	if !ratesSeparated(rates) {
+		return false, nil
 	}
-	return nil
+	hypoexpCoefficients(rates, coef[:len(rates)])
+	return true, nil
+}
+
+// View returns the distribution of rates that Prepare prepared, reading
+// rates and coef in place: distinct and coef must be what Prepare
+// reported and filled. It computes nothing, so a View on the stack
+// evaluates bit for bit as NewHypoexp on the same rates.
+func View(rates, coef []float64, distinct bool) Hypoexp {
+	h := Hypoexp{rates: rates, distinct: distinct}
+	if distinct {
+		h.coef = coef[:len(rates)]
+	}
+	return h
 }
 
 // CDF returns P(total delay <= t). For a single hop this is the

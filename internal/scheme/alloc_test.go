@@ -41,3 +41,34 @@ func TestReplyTransferZeroAlloc(t *testing.T) {
 			delivered, b.CarriesReply(1, q.ID), env.Sim.Now())
 	}
 }
+
+// TestNoCacheContactZeroAlloc pins the baselines' bound query handlers:
+// once warm, a NoCache contact start — query and reply forwarding in
+// both directions, with a carried query copy visited each time —
+// allocates nothing. The handler passed to ForwardQueries is bound once
+// in Init, not built per contact direction.
+//
+//dtn:allocfree the measured closure may not allocate
+func TestNoCacheContactZeroAlloc(t *testing.T) {
+	tr := lineTrace(1000, 40000)
+	w := manualWorkload(tr, 21000, 39000, 22000, 38000)
+	nc := NewNoCache()
+	env, err := NewEnv(tr, w, testConfig(tr), nc, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Inside the 0-1 contact of [22000, 22300], after the query was
+	// issued at node 2 (which carries it toward the source, node 0).
+	env.Sim.RunUntil(22001)
+	sess := env.Driver.Session(0, 1)
+	if sess == nil {
+		t.Fatal("no live 0-1 contact")
+	}
+	nc.base.CarryQuery(1, &QueryCarry{Q: w.Queries[0], Target: 0, NCL: -1})
+	allocs := testing.AllocsPerRun(100, func() {
+		nc.OnContactStart(sess)
+	})
+	if allocs != 0 {
+		t.Errorf("NoCache contact start: %.1f allocs/op, want 0", allocs)
+	}
+}

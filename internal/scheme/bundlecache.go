@@ -14,8 +14,9 @@ import (
 // incidental (wherever replies happen to travel) rather than
 // intentional.
 type BundleCache struct {
-	base *Base
-	cd   CacheData // reuse the pass-by insertion machinery
+	// cd carries the query and reply handling, which differs from
+	// CacheData's only in the relay caching rule (relayCache).
+	cd CacheData
 
 	// reach[n] is node n's contact capability: its NCL-style metric
 	// normalized to [0,1] against the best node in the network, refreshed
@@ -31,7 +32,10 @@ func (s *BundleCache) Name() string { return "BundleCache" }
 
 // Init implements Scheme.
 func (s *BundleCache) Init(e *Env) error {
-	s.base = NewBase(e)
+	if err := s.cd.Init(e); err != nil {
+		return err
+	}
+	s.cd.onRelay = s.relayCache
 	s.reach = make([]float64, e.N)
 	return nil
 }
@@ -40,29 +44,10 @@ func (s *BundleCache) Init(e *Env) error {
 func (s *BundleCache) OnData(workload.DataItem) {}
 
 // OnQuery implements Scheme.
-func (s *BundleCache) OnQuery(q workload.Query) {
-	item, ok := s.base.E.W.Item(q.Data)
-	if !ok || q.Requester == item.Source {
-		return
-	}
-	s.base.Observe(q.Requester, q.Data, q.Issued)
-	s.base.CarryQuery(q.Requester, &QueryCarry{Q: q, Target: item.Source, NCL: -1})
-}
+func (s *BundleCache) OnQuery(q workload.Query) { s.cd.OnQuery(q) }
 
 // OnContactStart implements Scheme.
-func (s *BundleCache) OnContactStart(sess *sim.Session) {
-	for _, from := range []trace.NodeID{sess.A, sess.B} {
-		from := from
-		s.base.ForwardQueries(sess, from, func(sess *sim.Session, at trace.NodeID, qc *QueryCarry) {
-			s.base.Observe(at, qc.Q.Data, s.base.E.Sim.Now())
-			if s.base.E.HasData(at, qc.Q.Data) && s.base.Respond(at, qc, true) {
-				s.base.DropQuery(at, qc)
-				s.base.ForwardReplies(sess, at, nil, s.relayCache)
-			}
-		})
-		s.base.ForwardReplies(sess, from, nil, s.relayCache)
-	}
-}
+func (s *BundleCache) OnContactStart(sess *sim.Session) { s.cd.OnContactStart(sess) }
 
 // relayCache decides whether this relay caches the pass-by bundle: the
 // probability is the relay's contact capability relative to the
@@ -71,13 +56,9 @@ func (s *BundleCache) OnContactStart(sess *sim.Session) {
 // of [23]). Eviction within the buffer is by popularity, as in
 // CacheData.
 func (s *BundleCache) relayCache(at trace.NodeID, rc *ReplyCarry) {
-	if !s.base.E.Rng.Bernoulli(s.capability(at)) {
-		return
+	if s.cd.base.E.Rng.Bernoulli(s.capability(at)) {
+		s.cd.relayCache(at, rc)
 	}
-	s.cd.CachePassBy(s.base, at, rc.Item, func(id workload.DataID, expires float64) float64 {
-		rs := s.base.Stats(at, id)
-		return s.base.E.Popularity(&rs, expires)
-	})
 }
 
 // capability lazily computes node n's contact metric normalized by the
@@ -87,7 +68,7 @@ func (s *BundleCache) capability(n trace.NodeID) float64 {
 	if s.reach[n] > 0 {
 		return s.reach[n]
 	}
-	e := s.base.E
+	e := s.cd.base.E
 	best := 0.0
 	var all []float64
 	all = e.Knowledge().Metrics()
@@ -118,7 +99,7 @@ func (s *BundleCache) OnSweep(now float64) {
 	for i := range s.reach {
 		s.reach[i] = 0 // recompute lazily against fresh knowledge
 	}
-	s.base.SweepExpired(now)
+	s.cd.OnSweep(now)
 }
 
 var _ Scheme = (*BundleCache)(nil)

@@ -17,6 +17,11 @@ import (
 // queries directly.
 type CacheData struct {
 	base *Base
+	// onQuery and onRelay are the queryArrived and relayCache method
+	// values, bound once in Init so per-contact forwarding does not
+	// allocate them. BundleCache binds its own relay rule.
+	onQuery QueryArrival
+	onRelay ReplyRelay
 }
 
 // NewCacheData creates the scheme.
@@ -28,6 +33,7 @@ func (s *CacheData) Name() string { return "CacheData" }
 // Init implements Scheme.
 func (s *CacheData) Init(e *Env) error {
 	s.base = NewBase(e)
+	s.onQuery, s.onRelay = s.queryArrived, s.relayCache
 	return nil
 }
 
@@ -46,18 +52,21 @@ func (s *CacheData) OnQuery(q workload.Query) {
 
 // OnContactStart implements Scheme.
 func (s *CacheData) OnContactStart(sess *sim.Session) {
-	for _, from := range []trace.NodeID{sess.A, sess.B} {
-		from := from
-		s.base.ForwardQueries(sess, from, func(sess *sim.Session, at trace.NodeID, qc *QueryCarry) {
-			// Relays collect query history as queries pass through them;
-			// this is what drives the popularity-based caching decision.
-			s.base.Observe(at, qc.Q.Data, s.base.E.Sim.Now())
-			if s.base.E.HasData(at, qc.Q.Data) && s.base.Respond(at, qc, true) {
-				s.base.DropQuery(at, qc)
-				s.base.ForwardReplies(sess, at, nil, s.relayCache)
-			}
-		})
-		s.base.ForwardReplies(sess, from, nil, s.relayCache)
+	for _, from := range [2]trace.NodeID{sess.A, sess.B} {
+		s.base.ForwardQueries(sess, from, s.onQuery)
+		s.base.ForwardReplies(sess, from, nil, s.onRelay)
+	}
+}
+
+// queryArrived records the query in the relay's history — relays
+// collect it as queries pass through them, and it drives the
+// popularity-based caching decision — and lets a node holding the data
+// reply and consume the query.
+func (s *CacheData) queryArrived(sess *sim.Session, at trace.NodeID, qc *QueryCarry) {
+	s.base.Observe(at, qc.Q.Data, s.base.E.Sim.Now())
+	if s.base.E.HasData(at, qc.Q.Data) && s.base.Respond(at, qc, true) {
+		s.base.DropQuery(at, qc)
+		s.base.ForwardReplies(sess, at, nil, s.onRelay)
 	}
 }
 
@@ -74,8 +83,8 @@ func (s *CacheData) relayCache(at trace.NodeID, rc *ReplyCarry) {
 // CachePassBy inserts item into node n's buffer if its utility (per the
 // supplied utility function) exceeds that of the entries that would need
 // to be evicted; lower-utility entries are evicted first and only while
-// the incoming item stays strictly more useful. Shared by CacheData and
-// BundleCache, which differ only in the utility function.
+// the incoming item stays strictly more useful. BundleCache reaches it
+// through relayCache too, behind its capability gate.
 func (*CacheData) CachePassBy(b *Base, n trace.NodeID, item workload.DataItem,
 	utility func(id workload.DataID, expires float64) float64) {
 	e := b.E

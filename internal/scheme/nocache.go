@@ -11,6 +11,9 @@ import (
 // returns the data.
 type NoCache struct {
 	base *Base
+	// onQuery is the queryArrived method value, bound once in Init so
+	// per-contact forwarding does not allocate it.
+	onQuery QueryArrival
 }
 
 // NewNoCache creates the scheme.
@@ -22,6 +25,7 @@ func (s *NoCache) Name() string { return "NoCache" }
 // Init implements Scheme.
 func (s *NoCache) Init(e *Env) error {
 	s.base = NewBase(e)
+	s.onQuery = s.queryArrived
 	return nil
 }
 
@@ -45,16 +49,18 @@ func (s *NoCache) OnQuery(q workload.Query) {
 
 // OnContactStart implements Scheme.
 func (s *NoCache) OnContactStart(sess *sim.Session) {
-	for _, from := range []trace.NodeID{sess.A, sess.B} {
-		from := from
-		s.base.ForwardQueries(sess, from, func(sess *sim.Session, at trace.NodeID, qc *QueryCarry) {
-			if at == qc.Target && s.base.Respond(at, qc, true) {
-				s.base.DropQuery(at, qc)
-				// Try to send the fresh reply onward immediately.
-				s.base.ForwardReplies(sess, at, nil, nil)
-			}
-		})
+	for _, from := range [2]trace.NodeID{sess.A, sess.B} {
+		s.base.ForwardQueries(sess, from, s.onQuery)
 		s.base.ForwardReplies(sess, from, nil, nil)
+	}
+}
+
+// queryArrived answers a query copy that reached its target, the data
+// source, and tries to send the fresh reply onward immediately.
+func (s *NoCache) queryArrived(sess *sim.Session, at trace.NodeID, qc *QueryCarry) {
+	if at == qc.Target && s.base.Respond(at, qc, true) {
+		s.base.DropQuery(at, qc)
+		s.base.ForwardReplies(sess, at, nil, nil)
 	}
 }
 

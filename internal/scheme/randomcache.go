@@ -14,6 +14,11 @@ import (
 type RandomCache struct {
 	base   *Base
 	policy buffer.LRU
+	// onQuery and onDeliver are the queryArrived and deliver method
+	// values, bound once in Init so per-contact forwarding does not
+	// allocate them.
+	onQuery   QueryArrival
+	onDeliver ReplyDelivered
 }
 
 // NewRandomCache creates the scheme.
@@ -25,6 +30,7 @@ func (s *RandomCache) Name() string { return "RandomCache" }
 // Init implements Scheme.
 func (s *RandomCache) Init(e *Env) error {
 	s.base = NewBase(e)
+	s.onQuery, s.onDeliver = s.queryArrived, s.deliver
 	return nil
 }
 
@@ -42,16 +48,18 @@ func (s *RandomCache) OnQuery(q workload.Query) {
 
 // OnContactStart implements Scheme.
 func (s *RandomCache) OnContactStart(sess *sim.Session) {
-	for _, from := range []trace.NodeID{sess.A, sess.B} {
-		from := from
-		s.base.ForwardQueries(sess, from, func(sess *sim.Session, at trace.NodeID, qc *QueryCarry) {
-			// Any node holding the data replies and consumes the query.
-			if s.base.E.HasData(at, qc.Q.Data) && s.base.Respond(at, qc, true) {
-				s.base.DropQuery(at, qc)
-				s.base.ForwardReplies(sess, at, s.deliver, nil)
-			}
-		})
-		s.base.ForwardReplies(sess, from, s.deliver, nil)
+	for _, from := range [2]trace.NodeID{sess.A, sess.B} {
+		s.base.ForwardQueries(sess, from, s.onQuery)
+		s.base.ForwardReplies(sess, from, s.onDeliver, nil)
+	}
+}
+
+// queryArrived lets any node holding the data reply and consume the
+// query.
+func (s *RandomCache) queryArrived(sess *sim.Session, at trace.NodeID, qc *QueryCarry) {
+	if s.base.E.HasData(at, qc.Q.Data) && s.base.Respond(at, qc, true) {
+		s.base.DropQuery(at, qc)
+		s.base.ForwardReplies(sess, at, s.onDeliver, nil)
 	}
 }
 
