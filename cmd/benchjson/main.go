@@ -7,18 +7,20 @@
 //	go test ./... -bench . -benchmem | benchjson -o BENCH.json \
 //	    -ratio comparison_speedup=RunComparisonIsolated/RunComparison
 //
-// With -baseline, the summary is compared against a previous BENCH
-// file: every benchmark present in both gets a vs_baseline entry with
-// its speedup (baseline ns/op divided by current ns/op), and
-// -regress-below makes the run fail when any common benchmark's
-// speedup drops under the threshold — the regression gate behind
-// `make bench-compare`. A benchmark present only in the current run
-// produces a warning (the baseline predates it); a baseline benchmark
-// absent from the current run fails the comparison, since the numbers
-// it pinned are no longer measured at all.
+// With -parent, the input is compared against the transcript of the
+// same suite run on the parent revision, on the same machine: the
+// paired mode behind the bench gate in scripts/check.sh. Both
+// transcripts may hold several samples of a benchmark (one per round).
+// Each benchmark gets the median ns/op of each side and the parent's
+// interquartile range, and the run fails when any benchmark is slower
+// than slowerBound times the parent's speed by more than that range. A
+// benchmark only the parent runs is reported as retired, one only the
+// change runs as new; neither fails the run.
 //
 // Input lines that are not benchmark results (goos/pkg headers, PASS,
-// ok) are ignored, so whole `go test` transcripts can be piped in.
+// ok) are ignored, so whole `go test` transcripts can be piped in. A
+// FAIL line in the input fails the run, so a benchmark's own checks,
+// such as a peak-RSS cap, gate it too.
 package main
 
 import (
@@ -30,6 +32,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -70,26 +73,38 @@ type EnvInfo struct {
 	CPUModel   string `json:"cpu_model,omitempty"`
 }
 
-// Compared is one benchmark measured against the same benchmark in a
-// -baseline file. Speedup > 1 means the current run is faster.
-type Compared struct {
-	Name       string  `json:"name"`
-	BaselineNs float64 `json:"baseline_ns_per_op"`
-	CurrentNs  float64 `json:"current_ns_per_op"`
-	Speedup    float64 `json:"speedup"`
+// Paired is one benchmark of the paired mode. Speed is ParentNs /
+// ChangeNs, so below 1 the change is slower.
+type Paired struct {
+	Name      string  `json:"name"`
+	ParentNs  float64 `json:"parent_ns_per_op,omitempty"`
+	ChangeNs  float64 `json:"change_ns_per_op,omitempty"`
+	ParentIQR float64 `json:"parent_iqr_ns,omitempty"`
+	Speed     float64 `json:"speed,omitempty"`
+	// Verdict is "ok", "slower" (fails the run), "new" or "retired".
+	Verdict string `json:"verdict"`
 }
 
+// slowerBound is the paired mode's speed floor: a benchmark fails when
+// it runs below this fraction of the parent's speed and the gap is
+// wider than the parent's interquartile range. A 1.5x slowdown reads
+// 0.67 and trips it.
+const slowerBound = 0.75
+
 // Summary is the emitted JSON document. Env predates Manifest and is
-// kept so committed BENCH_*.json baselines stay loadable; Manifest adds
-// the git revision and config-digest provenance shared with recorded
-// run traces.
+// kept so the committed BENCH_*.json trend records share one format;
+// Manifest adds the git revision and config-digest provenance shared
+// with recorded run traces.
 type Summary struct {
 	Env        *EnvInfo      `json:"env,omitempty"`
 	Manifest   *obs.Manifest `json:"manifest,omitempty"`
 	Benchmarks []Result      `json:"benchmarks"`
 	Ratios     []Ratio       `json:"ratios,omitempty"`
-	Baseline   string        `json:"baseline,omitempty"`
-	VsBaseline []Compared    `json:"vs_baseline,omitempty"`
+	Parent     string        `json:"parent,omitempty"`
+	Paired     []Paired      `json:"paired,omitempty"`
+
+	// failures holds the transcript's FAIL lines.
+	failures []string
 }
 
 func main() {
@@ -106,10 +121,9 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("benchjson", flag.ContinueOnError)
 	var (
-		out      = fs.String("o", "", "write JSON here (default stdout)")
-		baseline = fs.String("baseline", "", "prior BENCH_*.json `file` to compare against")
-		regress  = fs.Float64("regress-below", 0, "fail when any vs-baseline speedup drops below this `threshold` (0 disables)")
-		ratios   []string
+		out    = fs.String("o", "", "write JSON here (default stdout)")
+		parent = fs.String("parent", "", "`transcript` of the same suite on the parent revision: compare paired, and fail on a slowdown")
+		ratios []string
 	)
 	fs.Func("ratio", "derived speedup `name=NumeratorBench/DenominatorBench` (repeatable)", func(v string) error {
 		ratios = append(ratios, v)
@@ -117,9 +131,6 @@ func run(args []string) error {
 	})
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *regress > 0 && *baseline == "" {
-		return errors.New("-regress-below needs -baseline")
 	}
 
 	var in io.Reader = os.Stdin
@@ -157,26 +168,19 @@ func run(args []string) error {
 		}
 		sum.Ratios = append(sum.Ratios, ratio)
 	}
-	var vanished []string
-	if *baseline != "" {
-		base, err := loadSummary(*baseline)
+	if *parent != "" {
+		f, err := os.Open(*parent)
 		if err != nil {
 			return err
 		}
-		sum.Baseline = *baseline
-		warnEnvMismatch(os.Stderr, base, sum)
-		var fresh []string
-		sum.VsBaseline, vanished, fresh = compareBaseline(base.Benchmarks, sum.Benchmarks)
-		if len(sum.VsBaseline) == 0 {
-			return fmt.Errorf("baseline %s shares no benchmarks with the input", *baseline)
+		base, err := parse(f)
+		f.Close()
+		if err != nil {
+			return fmt.Errorf("parent %s: %w", *parent, err)
 		}
-		// A benchmark the baseline has but this run lacks is a gate
-		// escape — the numbers it pinned are no longer measured — so it
-		// fails (below, after the output is written). A benchmark new in
-		// this run merely predates the baseline: warn and move on.
-		for _, n := range fresh {
-			fmt.Fprintf(os.Stderr, "benchjson: warning: benchmark %s not in baseline %s; no speedup computed\n", n, *baseline)
-		}
+		sum.Parent = *parent
+		sum.Paired = pair(base.Benchmarks, sum.Benchmarks)
+		writePaired(os.Stderr, sum.Paired)
 	}
 
 	buf, err := json.MarshalIndent(sum, "", "  ")
@@ -191,57 +195,19 @@ func run(args []string) error {
 	} else if err := os.WriteFile(*out, buf, 0o644); err != nil {
 		return err
 	}
-	if len(vanished) > 0 {
-		return fmt.Errorf("baseline %s has benchmarks absent from the input: %s", *baseline, strings.Join(vanished, ", "))
+	if len(sum.failures) > 0 {
+		return fmt.Errorf("the input reports failures: %s", strings.Join(sum.failures, "; "))
 	}
-	return checkRegressions(sum.VsBaseline, *regress)
-}
-
-// benchEnv extracts the toolchain/parallelism/CPU pins of a summary,
-// preferring the manifest over the legacy env block (the CPU model
-// lives only in the env block). ok is false when the summary carries
-// neither (hand-written or very old baselines).
-func benchEnv(s *Summary) (goVersion string, goMaxProcs int, cpuModel string, ok bool) {
-	if s.Env != nil {
-		cpuModel = s.Env.CPUModel
+	var slower []string
+	for _, p := range sum.Paired {
+		if p.Verdict == "slower" {
+			slower = append(slower, fmt.Sprintf("%s %.3fx", p.Name, p.Speed))
+		}
 	}
-	switch {
-	case s.Manifest != nil:
-		return s.Manifest.GoVersion, s.Manifest.GoMaxProcs, cpuModel, true
-	case s.Env != nil:
-		return s.Env.GoVersion, s.Env.GoMaxProcs, cpuModel, true
+	if len(slower) > 0 {
+		return fmt.Errorf("slower than %.2fx the parent beyond its spread: %s", slowerBound, strings.Join(slower, ", "))
 	}
-	return "", 0, "", false
-}
-
-// cpuLabel renders a possibly-unknown CPU model for a warning line.
-func cpuLabel(m string) string {
-	if m == "" {
-		return "unknown CPU"
-	}
-	return m
-}
-
-// warnEnvMismatch flags baseline comparisons made across different
-// toolchains, parallelism or hardware, which would otherwise be
-// reported as speedups/regressions without comment.
-func warnEnvMismatch(w io.Writer, base, cur *Summary) {
-	bv, bp, bc, ok := benchEnv(base)
-	if !ok {
-		fmt.Fprintln(w, "benchjson: warning: baseline has no environment info; speedups may compare across toolchains")
-		return
-	}
-	cv, cp, cc, _ := benchEnv(cur)
-	if bv != cv {
-		fmt.Fprintf(w, "benchjson: warning: baseline was measured with %s, this run with %s; speedups are not like-for-like\n", bv, cv)
-	}
-	switch {
-	case bp != cp:
-		fmt.Fprintf(w, "benchjson: warning: baseline ran at GOMAXPROCS=%d on %s, this run at %d on %s; speedups are not like-for-like\n",
-			bp, cpuLabel(bc), cp, cpuLabel(cc))
-	case bc != cc && bc != "" && cc != "":
-		fmt.Fprintf(w, "benchjson: warning: baseline was measured on %s, this run on %s; speedups are not like-for-like\n", bc, cc)
-	}
+	return nil
 }
 
 // hostCPUModel names the host CPU from /proc/cpuinfo ("" when the
@@ -264,71 +230,71 @@ func hostCPUModel() string {
 	return ""
 }
 
-// loadSummary reads a previously emitted BENCH_*.json file.
-func loadSummary(path string) (*Summary, error) {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var sum Summary
-	if err := json.Unmarshal(buf, &sum); err != nil {
-		return nil, fmt.Errorf("baseline %s: %w", path, err)
-	}
-	return &sum, nil
-}
-
-// compareBaseline pairs up benchmarks by name and computes speedups,
-// preserving the current run's benchmark order. vanished lists baseline
-// benchmarks the current run no longer measures (in baseline order);
-// fresh lists current benchmarks the baseline predates.
-func compareBaseline(base, cur []Result) (out []Compared, vanished, fresh []string) {
-	byName := make(map[string]Result, len(base))
-	for _, b := range base {
-		byName[b.Name] = b
-	}
-	inCur := make(map[string]bool, len(cur))
-	for _, c := range cur {
-		inCur[c.Name] = true
-		b, ok := byName[c.Name]
+// pair compares the change's samples with the parent's, bench by
+// bench, in the change's order and then the retired benches in the
+// parent's.
+func pair(parent, change []Result) []Paired {
+	ps, porder := samples(parent)
+	cs, corder := samples(change)
+	var out []Paired
+	for _, name := range corder {
+		pv, ok := ps[name]
 		if !ok {
-			fresh = append(fresh, c.Name)
+			out = append(out, Paired{Name: name, ChangeNs: median(cs[name]), Verdict: "new"})
 			continue
 		}
-		if b.NsPerOp == 0 || c.NsPerOp == 0 {
-			continue
+		p := Paired{Name: name, ParentNs: median(pv), ChangeNs: median(cs[name]), Verdict: "ok"}
+		p.ParentIQR = quantile(pv, 0.75) - quantile(pv, 0.25)
+		if p.ChangeNs > 0 {
+			p.Speed = p.ParentNs / p.ChangeNs
 		}
-		out = append(out, Compared{
-			Name:       c.Name,
-			BaselineNs: b.NsPerOp,
-			CurrentNs:  c.NsPerOp,
-			Speedup:    b.NsPerOp / c.NsPerOp,
-		})
+		if p.Speed < slowerBound && p.ChangeNs-p.ParentNs > p.ParentIQR {
+			p.Verdict = "slower"
+		}
+		out = append(out, p)
 	}
-	for _, b := range base {
-		if !inCur[b.Name] {
-			vanished = append(vanished, b.Name)
+	for _, name := range porder {
+		if _, ok := cs[name]; !ok {
+			out = append(out, Paired{Name: name, ParentNs: median(ps[name]), Verdict: "retired"})
 		}
 	}
-	return out, vanished, fresh
+	return out
 }
 
-// checkRegressions fails the run when any compared benchmark fell below
-// the speedup threshold (after the output file was already written, so
-// the numbers remain inspectable).
-func checkRegressions(cmp []Compared, threshold float64) error {
-	if threshold <= 0 {
-		return nil
-	}
-	var bad []string
-	for _, c := range cmp {
-		if c.Speedup < threshold {
-			bad = append(bad, fmt.Sprintf("%s %.3fx", c.Name, c.Speedup))
+// samples groups every ns/op sample by benchmark name, with the names
+// in order of first appearance.
+func samples(rs []Result) (map[string][]float64, []string) {
+	by := make(map[string][]float64)
+	var order []string
+	for _, r := range rs {
+		if _, ok := by[r.Name]; !ok {
+			order = append(order, r.Name)
 		}
+		by[r.Name] = append(by[r.Name], r.NsPerOp)
 	}
-	if len(bad) > 0 {
-		return fmt.Errorf("regression below %.2fx vs baseline: %s", threshold, strings.Join(bad, ", "))
+	return by, order
+}
+
+func median(v []float64) float64 { return quantile(v, 0.5) }
+
+// quantile interpolates linearly between the order statistics of v.
+func quantile(v []float64, q float64) float64 {
+	s := slices.Clone(v)
+	slices.Sort(s)
+	pos := q * float64(len(s)-1)
+	i := int(pos)
+	if i+1 >= len(s) {
+		return s[len(s)-1]
 	}
-	return nil
+	return s[i] + (pos-float64(i))*(s[i+1]-s[i])
+}
+
+// writePaired prints the paired comparison as a table.
+func writePaired(w io.Writer, ps []Paired) {
+	fmt.Fprintf(w, "%-28s %14s %14s %14s %7s  %s\n", "benchmark", "parent ns/op", "change ns/op", "parent IQR", "speed", "verdict")
+	for _, p := range ps {
+		fmt.Fprintf(w, "%-28s %14.4g %14.4g %14.4g %7.3f  %s\n", p.Name, p.ParentNs, p.ChangeNs, p.ParentIQR, p.Speed, p.Verdict)
+	}
 }
 
 // parse extracts benchmark result lines from a `go test -bench`
@@ -338,6 +304,10 @@ func parse(r io.Reader) (*Summary, error) {
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
+		if line == "FAIL" || strings.HasPrefix(line, "FAIL\t") || strings.HasPrefix(line, "--- FAIL") {
+			sum.failures = append(sum.failures, line)
+			continue
+		}
 		if cpu, ok := strings.CutPrefix(line, "cpu:"); ok {
 			sum.Env = &EnvInfo{CPUModel: strings.TrimSpace(cpu)}
 			continue

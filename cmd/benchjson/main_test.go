@@ -2,11 +2,10 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
-
-	"dtncache/internal/obs"
 )
 
 const sample = `goos: linux
@@ -14,7 +13,7 @@ goarch: amd64
 pkg: dtncache/internal/knowledge
 cpu: Intel(R) Xeon(R)
 BenchmarkAllPathsFull             	       2	1925639784 ns/op	89972512 B/op	 1161390 allocs/op
-BenchmarkSnapshotIncremental-4    	       2	 784084922 ns/op	         0.6250 reused-frac	37483776 B/op	  435633 allocs/op
+BenchmarkAllPathsCity-4           	       2	 784084922 ns/op	         0.6250 reachable-frac	37483776 B/op	  435633 allocs/op
 PASS
 ok  	dtncache/internal/knowledge	13.702s
 `
@@ -27,18 +26,18 @@ func TestParse(t *testing.T) {
 	if len(sum.Benchmarks) != 2 {
 		t.Fatalf("parsed %d benchmarks, want 2", len(sum.Benchmarks))
 	}
-	full, incr := sum.Benchmarks[0], sum.Benchmarks[1]
+	full, city := sum.Benchmarks[0], sum.Benchmarks[1]
 	if full.Name != "AllPathsFull" || full.Iterations != 2 || full.NsPerOp != 1925639784 {
 		t.Errorf("full parsed as %+v", full)
 	}
 	if full.AllocsPerOp == nil || *full.AllocsPerOp != 1161390 {
 		t.Errorf("full allocs/op = %v", full.AllocsPerOp)
 	}
-	if incr.Name != "SnapshotIncremental" { // -4 GOMAXPROCS suffix stripped
-		t.Errorf("incremental name = %q", incr.Name)
+	if city.Name != "AllPathsCity" { // -4 GOMAXPROCS suffix stripped
+		t.Errorf("city name = %q", city.Name)
 	}
-	if incr.Metrics["reused-frac"] != 0.625 {
-		t.Errorf("custom metric = %v", incr.Metrics)
+	if city.Metrics["reachable-frac"] != 0.625 {
+		t.Errorf("custom metric = %v", city.Metrics)
 	}
 	if sum.Env == nil || sum.Env.CPUModel != "Intel(R) Xeon(R)" {
 		t.Errorf("cpu: header not captured: %+v", sum.Env)
@@ -50,7 +49,7 @@ func TestComputeRatio(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := computeRatio("incremental_speedup=AllPathsFull/SnapshotIncremental", sum.Benchmarks)
+	r, err := computeRatio("city_speedup=AllPathsFull/AllPathsCity", sum.Benchmarks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,33 +84,101 @@ func TestParseCustomEventsPerSec(t *testing.T) {
 	}
 }
 
-func TestCompareBaseline(t *testing.T) {
-	base := []Result{
-		{Name: "ReplaySingleScheme", NsPerOp: 4000},
-		{Name: "OnlyInBaseline", NsPerOp: 10},
+// transcript renders one `go test -bench` line per sample of name.
+func transcript(name string, ns ...float64) string {
+	var b strings.Builder
+	for _, v := range ns {
+		fmt.Fprintf(&b, "Benchmark%s-2 \t100\t %g ns/op\n", name, v)
 	}
-	cur := []Result{
-		{Name: "ReplaySingleScheme", NsPerOp: 1600},
-		{Name: "OnlyInCurrent", NsPerOp: 5},
+	return b.String()
+}
+
+// parsed parses a synthetic transcript.
+func parsed(t *testing.T, s string) []Result {
+	t.Helper()
+	sum, err := parse(strings.NewReader(s))
+	if err != nil {
+		t.Fatal(err)
 	}
-	cmp, vanished, fresh := compareBaseline(base, cur)
-	if len(cmp) != 1 {
-		t.Fatalf("compared %d benchmarks, want 1 (only the common one)", len(cmp))
+	return sum.Benchmarks
+}
+
+func TestParseKeepsRepeatedSamples(t *testing.T) {
+	rs := parsed(t, "pkg: a\n"+transcript("X", 30, 10)+"PASS\npkg: b\n"+transcript("Y", 5)+transcript("X", 20))
+	var xs []float64
+	for _, r := range rs {
+		if r.Name == "X" {
+			xs = append(xs, r.NsPerOp)
+		}
 	}
-	if cmp[0].Name != "ReplaySingleScheme" || cmp[0].Speedup != 2.5 {
-		t.Errorf("compared = %+v, want ReplaySingleScheme 2.5x", cmp[0])
+	if len(rs) != 4 || fmt.Sprint(xs) != "[30 10 20]" {
+		t.Fatalf("parsed %d results with X samples %v, want 4 with [30 10 20]", len(rs), xs)
 	}
-	if len(vanished) != 1 || vanished[0] != "OnlyInBaseline" {
-		t.Errorf("vanished = %v, want [OnlyInBaseline]", vanished)
-	}
-	if len(fresh) != 1 || fresh[0] != "OnlyInCurrent" {
-		t.Errorf("fresh = %v, want [OnlyInCurrent]", fresh)
+	by, order := samples(rs)
+	if fmt.Sprint(order) != "[X Y]" || median(by["X"]) != 20 {
+		t.Errorf("samples order %v, X median %v; want [X Y] and 20", order, median(by["X"]))
 	}
 }
 
-// TestRunBaselineCoverage pins the run-level asymmetry: a benchmark the
-// baseline lacks only warns, one the current run lacks fails — but the
-// output file is still written either way.
+// TestCompareBaseline: the parent revision is the baseline of the
+// paired mode. A bench only the parent runs is retired, one only the
+// change runs is new, and neither is a slowdown.
+func TestCompareBaseline(t *testing.T) {
+	parent := parsed(t, transcript("Shared", 40, 41, 39)+transcript("OnlyInParent", 10, 10, 10))
+	change := parsed(t, transcript("Shared", 40, 40, 40)+transcript("OnlyInChange", 5, 5, 5))
+	got := pair(parent, change)
+	want := []Paired{
+		{Name: "Shared", ParentNs: 40, ChangeNs: 40, ParentIQR: 1, Speed: 1, Verdict: "ok"},
+		{Name: "OnlyInChange", ChangeNs: 5, Verdict: "new"},
+		{Name: "OnlyInParent", ParentNs: 10, Verdict: "retired"},
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("pair = %+v\nwant   %+v", got, want)
+	}
+}
+
+// TestCheckRegressions pins the paired verdict: a uniform 1.5x slowdown
+// under the same noise fails, the same noise on both sides passes, and
+// a slowdown the parent's own spread covers passes.
+func TestCheckRegressions(t *testing.T) {
+	noise := []float64{1.00, 1.08, 0.95, 1.03, 0.97}
+	scaled := func(f float64) []float64 {
+		v := make([]float64, len(noise))
+		for i, n := range noise {
+			v[i] = 1e6 * f * n
+		}
+		return v
+	}
+	base := parsed(t, transcript("Dispatch", scaled(1)...))
+	cases := []struct {
+		name   string
+		change []float64
+		want   string
+	}{
+		{"same-noise", scaled(1), "ok"},
+		{"same-noise-reordered", []float64{0.97e6, 1.03e6, 1.00e6, 1.08e6, 0.95e6}, "ok"},
+		{"uniform-1.5x", scaled(1.5), "slower"},
+		{"faster", scaled(0.5), "ok"},
+		{"just-inside-bound", scaled(1.3), "ok"},
+	}
+	for _, c := range cases {
+		got := pair(base, parsed(t, transcript("Dispatch", c.change...)))
+		if len(got) != 1 || got[0].Verdict != c.want {
+			t.Errorf("%s: %+v, want verdict %s", c.name, got, c.want)
+		}
+	}
+	// The parent's spread decides: the same 1.5x median gap inside a
+	// wider interquartile range is noise, not a slowdown.
+	wide := parsed(t, transcript("Dispatch", 0.5e6, 0.6e6, 1e6, 1.7e6, 1.8e6))
+	if got := pair(wide, parsed(t, transcript("Dispatch", scaled(1.5)...))); got[0].Verdict != "ok" {
+		t.Errorf("1.5x inside a 1.1e6 ns parent IQR: %+v, want ok", got[0])
+	}
+}
+
+// TestRunBaselineCoverage pins the run-level behaviour of the paired
+// mode against a parent transcript: retired and new benchmarks are
+// reported without failing, a slowdown fails and names the benchmark,
+// and the output file is written either way.
 func TestRunBaselineCoverage(t *testing.T) {
 	dir := t.TempDir()
 	write := func(p, s string) {
@@ -120,110 +187,62 @@ func TestRunBaselineCoverage(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	write(dir+"/base.txt", "BenchmarkShared \t100\t 40 ns/op\nBenchmarkOld \t100\t 40 ns/op\n")
-	write(dir+"/grown.txt", "BenchmarkShared \t100\t 40 ns/op\nBenchmarkOld \t100\t 40 ns/op\nBenchmarkNew \t100\t 40 ns/op\n")
-	write(dir+"/shrunk.txt", "BenchmarkShared \t100\t 40 ns/op\n")
-	basePath := dir + "/base.json"
-	if err := run([]string{"-o", basePath, dir + "/base.txt"}); err != nil {
+	write(dir+"/parent.txt", transcript("Shared", 40, 40, 40)+transcript("Old", 40, 40, 40))
+	write(dir+"/grown.txt", transcript("Shared", 40, 41, 40)+transcript("New", 40, 40, 40))
+	write(dir+"/slower.txt", transcript("Shared", 60, 61, 60)+transcript("Old", 40, 40, 40))
+	if err := run([]string{"-o", dir + "/grown.json", "-parent", dir + "/parent.txt", dir + "/grown.txt"}); err != nil {
+		t.Errorf("retired and new benchmarks must not fail: %v", err)
+	}
+	buf, err := os.ReadFile(dir + "/grown.json")
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Grown suite: the new benchmark is a warning, not a failure.
-	if err := run([]string{"-o", dir + "/grown.json", "-baseline", basePath, dir + "/grown.txt"}); err != nil {
-		t.Errorf("benchmark missing from the baseline must not fail: %v", err)
+	var sum Summary
+	if err := json.Unmarshal(buf, &sum); err != nil {
+		t.Fatal(err)
 	}
-	// Shrunk suite: a baseline benchmark vanished; the gate must fail
-	// and name it, with the output still on disk for inspection.
-	err := run([]string{"-o", dir + "/shrunk.json", "-baseline", basePath, dir + "/shrunk.txt"})
-	if err == nil {
-		t.Fatal("vanished baseline benchmark must fail the comparison")
+	verdicts := map[string]string{}
+	for _, p := range sum.Paired {
+		verdicts[p.Name] = p.Verdict
 	}
-	if !strings.Contains(err.Error(), "Old") {
-		t.Errorf("error must name the vanished benchmark: %v", err)
+	if fmt.Sprint(verdicts) != "map[New:new Old:retired Shared:ok]" {
+		t.Errorf("verdicts = %v", verdicts)
 	}
-	if _, serr := os.Stat(dir + "/shrunk.json"); serr != nil {
+	err = run([]string{"-o", dir + "/slower.json", "-parent", dir + "/parent.txt", dir + "/slower.txt"})
+	if err == nil || !strings.Contains(err.Error(), "Shared") {
+		t.Errorf("a 1.5x slower benchmark must fail and be named: %v", err)
+	}
+	if _, serr := os.Stat(dir + "/slower.json"); serr != nil {
 		t.Errorf("output must be written even when the gate fails: %v", serr)
 	}
 }
 
-func TestCheckRegressions(t *testing.T) {
-	cmp := []Compared{
-		{Name: "Fast", Speedup: 2.0},
-		{Name: "Slow", Speedup: 0.7},
+// TestRunFailLines: a FAIL line in the input fails the run, so a
+// benchmark's own checks (a peak-RSS cap) gate it.
+func TestRunFailLines(t *testing.T) {
+	dir := t.TempDir()
+	in := transcript("Shared", 40) + "--- FAIL: BenchmarkCityScaleReplay-2\n    bench_test.go:9: peak RSS over cap\nFAIL\tdtncache/internal/sim\t3.1s\n"
+	if err := os.WriteFile(dir+"/in.txt", []byte(in), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if err := checkRegressions(cmp, 0); err != nil {
-		t.Errorf("threshold 0 must disable the gate, got %v", err)
-	}
-	if err := checkRegressions(cmp, 0.9); err == nil {
-		t.Error("0.7x speedup under 0.9 threshold must fail")
-	} else if !strings.Contains(err.Error(), "Slow") {
-		t.Errorf("error must name the regressed benchmark: %v", err)
-	}
-	if err := checkRegressions(cmp[:1], 0.9); err != nil {
-		t.Errorf("no regressions, got %v", err)
-	}
-}
-
-func TestWarnEnvMismatch(t *testing.T) {
-	mk := func(v string, p int) *Summary {
-		return &Summary{Env: &EnvInfo{GoVersion: v, GoMaxProcs: p}}
-	}
-	mkCPU := func(p int, cpu string) *Summary {
-		return &Summary{Env: &EnvInfo{GoVersion: "go1.24.0", GoMaxProcs: p, CPUModel: cpu}}
-	}
-	cases := []struct {
-		name      string
-		base, cur *Summary
-		want      []string
-	}{
-		{"identical", mk("go1.24.0", 4), mk("go1.24.0", 4), nil},
-		{"go-version", mk("go1.23.1", 4), mk("go1.24.0", 4), []string{"go1.23.1", "go1.24.0"}},
-		{"gomaxprocs", mk("go1.24.0", 2), mk("go1.24.0", 8), []string{"GOMAXPROCS=2", "at 8", "unknown CPU"}},
-		{"gomaxprocs-names-cpus", mkCPU(2, "Xeon E5"), mkCPU(8, "EPYC 7B12"),
-			[]string{"GOMAXPROCS=2", "at 8", "Xeon E5", "EPYC 7B12"}},
-		{"cpu-model", mkCPU(4, "Xeon E5"), mkCPU(4, "EPYC 7B12"),
-			[]string{"measured on Xeon E5", "this run on EPYC 7B12"}},
-		{"cpu-unknown-side-quiet", mkCPU(4, ""), mkCPU(4, "EPYC 7B12"), nil},
-		{"no-env", &Summary{}, mk("go1.24.0", 4), []string{"no environment info"}},
-		{"manifest-preferred", // manifest pins win over a stale env block
-			&Summary{Env: &EnvInfo{GoVersion: "go1.1", GoMaxProcs: 1},
-				Manifest: &obs.Manifest{GoVersion: "go1.24.0", GoMaxProcs: 4}},
-			mk("go1.24.0", 4), nil},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			var buf strings.Builder
-			warnEnvMismatch(&buf, c.base, c.cur)
-			out := buf.String()
-			if len(c.want) == 0 && out != "" {
-				t.Errorf("unexpected warning: %q", out)
-			}
-			for _, w := range c.want {
-				if !strings.Contains(out, w) {
-					t.Errorf("warning %q missing %q", out, w)
-				}
-			}
-		})
+	err := run([]string{"-o", dir + "/out.json", dir + "/in.txt"})
+	if err == nil || !strings.Contains(err.Error(), "CityScaleReplay") {
+		t.Errorf("a failed benchmark must fail the run and be named: %v", err)
 	}
 }
 
 func TestRunBaselineRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	basePath := dir + "/base.json"
 	outPath := dir + "/out.json"
-	const baseRun = "BenchmarkReplayDispatch \t100\t 40 ns/op\n"
-	const curRun = "BenchmarkReplayDispatch \t100\t 10 ns/op\n"
 	write := func(p, s string) {
 		t.Helper()
 		if err := os.WriteFile(p, []byte(s), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	write(dir+"/base.txt", baseRun)
-	write(dir+"/cur.txt", curRun)
-	if err := run([]string{"-o", basePath, dir + "/base.txt"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-o", outPath, "-baseline", basePath, "-regress-below", "0.9", dir + "/cur.txt"}); err != nil {
+	write(dir+"/parent.txt", transcript("ReplayDispatch", 40, 40))
+	write(dir+"/change.txt", transcript("ReplayDispatch", 10, 10))
+	if err := run([]string{"-o", outPath, "-parent", dir + "/parent.txt", dir + "/change.txt"}); err != nil {
 		t.Fatal(err)
 	}
 	buf, err := os.ReadFile(outPath)
@@ -240,19 +259,19 @@ func TestRunBaselineRoundTrip(t *testing.T) {
 	if sum.Manifest == nil || sum.Manifest.GoVersion == "" || sum.Manifest.GoMaxProcs < 1 {
 		t.Errorf("manifest missing or incomplete: %+v", sum.Manifest)
 	}
-	if len(sum.VsBaseline) != 1 || sum.VsBaseline[0].Speedup != 4 {
-		t.Errorf("vs_baseline = %+v, want one 4x entry", sum.VsBaseline)
+	if sum.Parent != dir+"/parent.txt" || len(sum.Paired) != 1 || sum.Paired[0].Speed != 4 {
+		t.Errorf("parent %q, paired = %+v, want one 4x entry", sum.Parent, sum.Paired)
 	}
-	// The inverse comparison regresses 4x and must fail — but still
+	// The inverse comparison is 4x slower and must fail — but still
 	// write the output file for inspection.
 	failPath := dir + "/fail.json"
-	if err := run([]string{"-o", failPath, "-baseline", outPath, "-regress-below", "0.9", dir + "/base.txt"}); err == nil {
-		t.Error("4x regression under 0.9 threshold must fail")
+	if err := run([]string{"-o", failPath, "-parent", dir + "/change.txt", dir + "/parent.txt"}); err == nil {
+		t.Error("4x slowdown must fail")
 	}
 	if _, err := os.Stat(failPath); err != nil {
 		t.Errorf("output must be written even when the gate fails: %v", err)
 	}
-	if err := run([]string{"-regress-below", "0.9", dir + "/cur.txt"}); err == nil {
-		t.Error("-regress-below without -baseline must be rejected")
+	if err := run([]string{"-parent", dir + "/missing.txt", dir + "/change.txt"}); err == nil {
+		t.Error("a missing parent transcript must be rejected")
 	}
 }

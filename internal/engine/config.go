@@ -6,7 +6,7 @@
 // API — Publish, Query, Advance, Report, Close. There is exactly
 // one replay code path: the engine owns the pooled event heap
 // (internal/sim), the scheme and core protocol state, the knowledge
-// Provider with its incremental NCL recompute, the obs Recorder and
+// Provider with its per-refresh NCL recompute, the obs Recorder and
 // the fault Engine; drivers differ only in where publishes, queries
 // and clock advancement come from.
 //
@@ -287,9 +287,9 @@ func Factory(name string) (func() scheme.Scheme, error) {
 
 // SharedKnowledge builds a knowledge provider for tr that concurrent
 // engines share via Config.Knowledge: one contact-rate → paths →
-// NCL-metric pipeline per trace instead of one per environment. The
-// provider is exact (Epsilon 0), so shared results are bit-identical to
-// isolated ones. It keeps the whole refresh grid cached (shared
+// NCL-metric pipeline per trace instead of one per environment. A
+// snapshot is a pure function of its build time, so shared results are
+// bit-identical to isolated ones. It keeps the whole refresh grid cached (shared
 // retention), since its consumers walk the grid out of lockstep; a run
 // without one builds a private provider that keeps only its newest
 // snapshot. metricT = 0 picks the trace's default horizon, the same

@@ -61,9 +61,9 @@ func Run(s engine.Config, schemeName string) (metrics.Report, error) {
 
 // SharedKnowledge builds a knowledge provider for tr that concurrent
 // Run cells share via Config.Knowledge: one contact-rate → paths →
-// NCL-metric pipeline per trace instead of one per environment. The
-// provider is exact (Epsilon 0), so shared results are bit-identical to
-// isolated ones. metricT = 0 picks the trace's default horizon, the
+// NCL-metric pipeline per trace instead of one per environment. A
+// snapshot is a pure function of its build time, so shared results are
+// bit-identical to isolated ones. metricT = 0 picks the trace's default horizon, the
 // same rule Config normalization applies.
 func SharedKnowledge(tr *trace.Trace, metricT float64) *knowledge.Provider {
 	return engine.SharedKnowledge(tr, metricT)

@@ -180,3 +180,16 @@ func (s *exactSearch) pathWeight() float64 {
 	}
 	return w
 }
+
+// Neighbors returns the nodes with a positive contact rate to v, in
+// ascending order: the oracle's branching set.
+func (g *Graph) Neighbors(v trace.NodeID) []trace.NodeID {
+	var out []trace.NodeID
+	row := g.rates[int(v)*g.n : int(v)*g.n+g.n]
+	for j, r := range row {
+		if r > 0 {
+			out = append(out, trace.NodeID(j))
+		}
+	}
+	return out
+}

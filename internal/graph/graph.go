@@ -128,16 +128,6 @@ func (g *Graph) newAdjacency() *adjacency {
 	return a
 }
 
-// Footprint returns the bytes the graph's slices hold: the dense rate
-// matrix and, when built, the neighbour lists.
-func (g *Graph) Footprint() int {
-	b := 8 * cap(g.rates)
-	if g.adj != nil {
-		b += 4*(cap(g.adj.off)+cap(g.adj.to)) + 8*cap(g.adj.inv)
-	}
-	return b
-}
-
 // NewGraph creates an empty graph over n nodes.
 func NewGraph(n int) *Graph {
 	return &Graph{n: n, rates: make([]float64, n*n)}
@@ -165,17 +155,18 @@ func (g *Graph) SetRate(a, b trace.NodeID, rate float64) {
 	g.adj = nil
 }
 
-// Neighbors returns the nodes with a positive contact rate to v, in
-// ascending order.
-func (g *Graph) Neighbors(v trace.NodeID) []trace.NodeID {
-	var out []trace.NodeID
-	row := g.rates[int(v)*g.n : int(v)*g.n+g.n]
-	for j, r := range row {
-		if r > 0 {
-			out = append(out, trace.NodeID(j))
-		}
+// Degrees returns, per node, the number of nodes it has a positive
+// contact rate to, read off the neighbour lists.
+func (g *Graph) Degrees() []int32 {
+	adj := g.adj
+	if adj == nil {
+		adj = g.newAdjacency()
 	}
-	return out
+	d := make([]int32, g.n)
+	for u := range d {
+		d[u] = adj.off[u+1] - adj.off[u]
+	}
+	return d
 }
 
 // Paths holds the shortest opportunistic paths from one source to every

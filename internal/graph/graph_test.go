@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"dtncache/internal/trace"
@@ -81,6 +82,16 @@ func TestNeighbors(t *testing.T) {
 	}
 	if g.Neighbors(2) != nil {
 		t.Error("isolated node should have no neighbors")
+	}
+	// Degrees counts the same neighbours, with or without the lists.
+	want := []int32{1, 2, 0, 1}
+	for _, built := range []bool{false, true} {
+		if built {
+			g.BuildAdjacency()
+		}
+		if d := g.Degrees(); !slices.Equal(d, want) {
+			t.Errorf("Degrees (adjacency built %v) = %v, want %v", built, d, want)
+		}
 	}
 }
 

@@ -25,7 +25,7 @@ func TestSnapshotWeightZeroAlloc(t *testing.T) {
 		{A: 4, B: 5, Start: 50, End: 52},
 	}
 	const metricT = 100
-	snap := knowledge.NewBuilder(knowledge.Params{Nodes: 6, MetricT: metricT}, contacts).Build(60, nil, 1)
+	snap := knowledge.NewBuilder(knowledge.Params{Nodes: 6, MetricT: metricT}, contacts).Build(60, 1)
 	cases := []struct {
 		name     string
 		src, dst trace.NodeID

@@ -9,11 +9,10 @@ import (
 	"dtncache/internal/trace"
 )
 
-// The refresh benchmarks replay a fine-grained knowledge-refresh grid —
+// The refresh benchmark replays a fine-grained knowledge-refresh grid —
 // a 3-hour RefreshSec over the last three days of the MIT Reality trace
 // (the scheme's RefreshSec is a free parameter; duration/100 is only
-// its default) — and compare rebuilding every snapshot from scratch
-// against incremental builds chained through their predecessor.
+// its default) — building every snapshot of it.
 const benchSteps = 24
 
 var (
@@ -57,45 +56,7 @@ func BenchmarkAllPathsFull(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for v, t := range grid {
-			builder.Build(t, nil, v+1)
-		}
-	}
-}
-
-// BenchmarkSnapshotIncremental chains each refresh off the previous
-// snapshot with the relative rate tolerance Epsilon = 0.05, so
-// components whose rates barely moved keep their paths and weight rows.
-func BenchmarkSnapshotIncremental(b *testing.B) {
-	tr, params := benchSetup(b)
-	grid := benchGrid(tr)
-	params.Epsilon = 0.05
-	builder := knowledge.NewBuilder(params, tr.Contacts)
-	b.ResetTimer()
-	reusedTotal := 0
-	for i := 0; i < b.N; i++ {
-		var base *knowledge.Snapshot
-		for v, t := range grid {
-			s := builder.Build(t, base, v+1)
-			reusedTotal += s.ReusedSources()
-			base = s
-		}
-	}
-	b.ReportMetric(float64(reusedTotal)/float64(b.N*benchSteps*tr.Nodes), "reused-frac")
-}
-
-// BenchmarkSnapshotIncrementalExact is the Epsilon = 0 contract mode:
-// on a connected trace elapsed-time rescaling dirties every component,
-// so this bounds the incremental bookkeeping overhead rather than
-// showing reuse.
-func BenchmarkSnapshotIncrementalExact(b *testing.B) {
-	tr, params := benchSetup(b)
-	grid := benchGrid(tr)
-	builder := knowledge.NewBuilder(params, tr.Contacts)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var base *knowledge.Snapshot
-		for v, t := range grid {
-			base = builder.Build(t, base, v+1)
+			builder.Build(t, v+1)
 		}
 	}
 }
@@ -123,7 +84,7 @@ func BenchmarkAllPathsCity(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for v, t := range grid {
-			builder.Build(t, nil, v+1)
+			builder.Build(t, v+1)
 		}
 	}
 }

@@ -10,15 +10,15 @@ import (
 
 // Builder turns contact-trace prefixes into Snapshots. It holds no
 // mutable state of its own — Build is a pure function of (contacts,
-// build time, base snapshot) — so one Builder may serve concurrent
-// Build calls for different times.
+// build time) — so one Builder may serve concurrent Build calls for
+// different times.
 //
 // The contact list must be sorted by start time; Build counts every
-// contact in it, raw or merged as the caller supplies it. Build is the
-// full recompute from a contact slice: the reference the Provider's
-// incremental fold is tested against and the entry point of the
-// all-paths benchmarks. A Provider builds through the same
-// buildFromCounts with counts from its contact feed.
+// contact in it, raw or merged as the caller supplies it. Build counts
+// from a contact slice: the reference the Provider's incremental
+// contact fold is tested against and the entry point of the all-paths
+// benchmarks. A Provider builds through the same buildFromCounts with
+// counts from its contact feed.
 //
 //dtn:shared one Builder serves every scheme and sweep cell
 type Builder struct {
@@ -50,17 +50,14 @@ func (b *Builder) counts(t float64) *graph.RateEstimator {
 	return est
 }
 
-// Build produces the snapshot at time t. With base == nil every source
-// is computed from scratch; with a base, sources whose connected
-// component is unchanged within Epsilon reuse the base's paths, weight
-// row and metric (see dirtySources). version is recorded on the
+// Build produces the snapshot at time t. version is recorded on the
 // snapshot; the Provider passes its own monotone counter.
-func (b *Builder) Build(t float64, base *Snapshot, version int) *Snapshot {
+func (b *Builder) Build(t float64, version int) *Snapshot {
 	var counts *graph.RateEstimator
 	if t > 0 {
 		counts = b.counts(t)
 	}
-	return b.buildFromCounts(counts, t, base, version)
+	return b.buildFromCounts(counts, t, version)
 }
 
 // scratchPool recycles the layered-DP working arrays across path
@@ -82,15 +79,16 @@ var rowPool = sync.Pool{New: func() any { return new(weightRow) }}
 // contact slice. counts, whose observation window starts at 0, may be
 // nil when t <= 0.
 //
-// Each weight is evaluated once. Pass 1 computes each dirty source's
-// paths and its Eq. (3) metric, summing every off-diagonal weight,
-// zeros included, in the same order as the dense build (bit-identical
-// by construction). The same loop stages the row's non-zero (column,
+// Each weight is evaluated once. Pass 1 computes each source's paths
+// and its Eq. (3) metric, summing every off-diagonal weight, zeros
+// included, in the same order as the dense build (bit-identical by
+// construction). The same loop stages the row's non-zero (column,
 // weight) pairs in a pooled length-n row and copies them out at exact
-// size, so no append growth is left behind. Clean rows are subslices
-// of the base's slabs. Once every row's length is known, a prefix sum
-// sizes the CSR slabs and pass 2 copies the rows into them in order.
-func (b *Builder) buildFromCounts(counts *graph.RateEstimator, t float64, base *Snapshot, version int) *Snapshot {
+// size, so no append growth is left behind. Once every row's length is
+// known, a prefix sum sizes the CSR slabs and pass 2 copies the rows
+// into them in order. The rate graph is dropped with the build: the
+// snapshot keeps only each node's degree of it.
+func (b *Builder) buildFromCounts(counts *graph.RateEstimator, t float64, version int) *Snapshot {
 	n := b.params.Nodes
 	s := &Snapshot{
 		params:  b.params,
@@ -99,55 +97,26 @@ func (b *Builder) buildFromCounts(counts *graph.RateEstimator, t float64, base *
 		paths:   make([]*graph.Paths, n),
 		metrics: make([]float64, n),
 	}
+	var g *graph.Graph
 	if t > 0 && counts != nil {
-		s.g = counts.Snapshot(t)
+		g = counts.Snapshot(t)
 	} else {
-		s.g = graph.NewGraph(n)
+		g = graph.NewGraph(n)
 	}
-
-	var dirty []int
-	if base != nil && base.params == b.params && len(base.paths) == n {
-		dirty = b.dirtySources(base.g, s.g)
-	} else {
-		dirty = make([]int, n)
-		for i := range dirty {
-			dirty[i] = i
-		}
-	}
-	isDirty := make([]bool, n)
-	for _, i := range dirty {
-		isDirty[i] = true
-	}
+	// The neighbour lists are built once here, before the fan-out, and
+	// only read by the workers.
+	g.BuildAdjacency()
+	s.degree = g.Degrees()
 
 	// rows[i] holds source i's non-zero weights until pass 2.
 	rows := make([]weightRow, n)
 
-	// Clean sources: carry the base's artifacts over unchanged.
-	if len(dirty) < n {
-		for i := 0; i < n; i++ {
-			if isDirty[i] {
-				continue
-			}
-			s.paths[i] = base.paths[i]
-			s.metrics[i] = base.metrics[i]
-			lo, hi := base.rowPtr[i], base.rowPtr[i+1]
-			rows[i] = weightRow{cols: base.cols[lo:hi], vals: base.vals[lo:hi]}
-			s.reused++
-		}
-	}
-
-	// Pass 1 — dirty sources: recompute paths, the Eq. (3) metric, and
-	// the row's non-zero weights, in parallel across index-owned slots.
-	// PathsInto prepares every path it returns, so the published
-	// snapshot is never mutated again. The neighbour lists are built
-	// once here, before the fan-out, and only read by the workers.
-	if len(dirty) > 0 {
-		s.g.BuildAdjacency()
-	}
-	forEachSource(len(dirty), func(k int) {
-		i := dirty[k]
+	// Pass 1: paths, the Eq. (3) metric and the row's non-zero weights,
+	// in parallel across index-owned slots. PathsInto prepares every
+	// path it returns, so the published snapshot is never mutated again.
+	forEachSource(n, func(i int) {
 		scratch := scratchPool.Get().(*graph.PathScratch)
-		p := s.g.PathsInto(trace.NodeID(i), b.params.MaxHops, scratch)
+		p := g.PathsInto(trace.NodeID(i), b.params.MaxHops, scratch)
 		scratchPool.Put(scratch)
 		s.paths[i] = p
 		stage := rowPool.Get().(*weightRow)
@@ -193,89 +162,4 @@ func (b *Builder) buildFromCounts(counts *graph.RateEstimator, t float64, base *
 		s.vals = append(s.vals, row.vals...)
 	}
 	return s
-}
-
-// dirtySources decides which sources must be recomputed when moving
-// from the rates of old to the rates of new. A single changed edge
-// anywhere in a source's connected component can reroute its shortest
-// opportunistic paths, so dirtiness propagates over components of the
-// union graph (edges present in either old or new — covering nodes that
-// joined or left a component). Per-source paths, weights and metrics
-// depend only on the source's own component (the layered DP never
-// relaxes an edge out of it, and weights to other components are 0), so
-// a component whose rates are unchanged within Epsilon is reused whole.
-// With Epsilon = 0 "unchanged" means bitwise equal, which makes reuse
-// bit-identical to recomputation.
-func (b *Builder) dirtySources(prevG, nextG *graph.Graph) []int {
-	n := b.params.Nodes
-	comp := newDSU(n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			or := prevG.Rate(trace.NodeID(i), trace.NodeID(j))
-			nr := nextG.Rate(trace.NodeID(i), trace.NodeID(j))
-			if or > 0 || nr > 0 {
-				comp.union(i, j)
-			}
-		}
-	}
-	changed := make([]bool, n) // indexed by component root
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			or := prevG.Rate(trace.NodeID(i), trace.NodeID(j))
-			nr := nextG.Rate(trace.NodeID(i), trace.NodeID(j))
-			if (or > 0 || nr > 0) && !b.closeEnough(or, nr) {
-				changed[comp.find(i)] = true
-			}
-		}
-	}
-	var dirty []int
-	for i := 0; i < n; i++ {
-		if changed[comp.find(i)] {
-			dirty = append(dirty, i)
-		}
-	}
-	return dirty
-}
-
-// closeEnough reports whether an edge rate moving prev -> next counts
-// as unchanged under the configured Epsilon.
-func (b *Builder) closeEnough(prev, next float64) bool {
-	if b.params.Epsilon == 0 {
-		return prev == next
-	}
-	diff := next - prev
-	if diff < 0 {
-		diff = -diff
-	}
-	ref := prev
-	if next > ref {
-		ref = next
-	}
-	return diff <= b.params.Epsilon*ref
-}
-
-// dsu is a union-find over node indices with path halving.
-type dsu []int
-
-func newDSU(n int) dsu {
-	d := make(dsu, n)
-	for i := range d {
-		d[i] = i
-	}
-	return d
-}
-
-func (d dsu) find(x int) int {
-	for d[x] != x {
-		d[x] = d[d[x]]
-		x = d[x]
-	}
-	return x
-}
-
-func (d dsu) union(a, b int) {
-	ra, rb := d.find(a), d.find(b)
-	if ra != rb {
-		d[ra] = rb
-	}
 }

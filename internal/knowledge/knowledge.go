@@ -9,19 +9,18 @@
 // package centralizes the artifact:
 //
 //   - A Builder turns a prefix of the contact trace (all contacts with
-//     Start <= t) into a Snapshot: the rate graph, per-source shortest
-//     opportunistic paths, the dense n×n weight matrix at the metric
-//     horizon T, and the Eq. (3) NCL metric per node. The arithmetic
-//     reproduces graph.RateEstimator.Snapshot + Graph.AllPaths +
-//     Graph.Metrics bit-for-bit.
-//   - Builds are incremental: given a base snapshot, only sources whose
-//     connected component (in the union of the old and new edge sets)
-//     has a rate change beyond the relative Epsilon are recomputed;
-//     clean sources reuse the base's Paths, weight row and metric.
-//     Epsilon = 0 means bitwise comparison, so reuse happens only when
-//     the recomputation would be bit-identical anyway.
-//   - Dirty sources fan out across GOMAXPROCS workers writing
-//     index-owned slots, so parallelism cannot reorder results.
+//     Start <= t) into a Snapshot: each node's degree in the rate graph,
+//     per-source shortest opportunistic paths, the sparse weight matrix
+//     at the metric horizon T, and the Eq. (3) NCL metric per node. The
+//     arithmetic reproduces graph.RateEstimator.Snapshot +
+//     Graph.AllPaths + Graph.Metrics bit-for-bit.
+//   - Every build is a full build of its refresh time. A rate is a
+//     contact count divided by the elapsed time, so between any two
+//     refreshes every edge changes, and with it every path. Only a node
+//     with no contact yet keeps its (empty) paths, and those cost
+//     nothing to rebuild.
+//   - Sources fan out across GOMAXPROCS workers writing index-owned
+//     slots, so parallelism cannot reorder results.
 //   - A Provider caches snapshots by build time behind a mutex so
 //     concurrently running schemes of one comparison share each refresh
 //     instead of rebuilding it per scheme.
@@ -49,24 +48,13 @@ type Params struct {
 	// MaxHops caps opportunistic path length (graph.DefaultMaxHops if
 	// <= 0, mirroring graph.Paths).
 	MaxHops int
-	// Epsilon is the relative rate-change threshold for incremental
-	// builds. 0 (the default) is exact mode: a source is reused only
-	// when its whole component's rates are bitwise unchanged, so every
-	// snapshot is bit-identical to a full recompute. Epsilon > 0 is an
-	// explicit approximation: components whose rates all moved by less
-	// than Epsilon (relative to the larger magnitude) keep their stale
-	// paths and weights.
-	Epsilon float64
 }
 
-// Normalized fills defaults (MaxHops, clamped Epsilon) so equivalent
-// pipeline configurations compare equal with ==.
+// Normalized fills the MaxHops default so equivalent pipeline
+// configurations compare equal with ==.
 func (p Params) Normalized() Params {
 	if p.MaxHops <= 0 {
 		p.MaxHops = graph.DefaultMaxHops
-	}
-	if p.Epsilon < 0 {
-		p.Epsilon = 0
 	}
 	return p
 }

@@ -15,31 +15,26 @@ import (
 // another — so a bound smaller than the grid makes each later consumer
 // miss every time (a sequential scan over an undersized cache evicts
 // entries just before their reuse). Evicting the oldest beyond the
-// bound merely costs a rebuild if a very late consumer asks again; with
-// Epsilon = 0 a rebuild is bit-identical, so eviction never changes
-// results. A private provider keeps one snapshot instead (see
-// Provider).
+// bound merely costs a rebuild if a very late consumer asks again; a
+// rebuild is bit-identical, so eviction never changes results. A
+// private provider keeps one snapshot instead (see Provider).
 const maxCached = 128
 
 // Provider builds and caches snapshots for one (contact source, Params)
 // pipeline. It is safe for concurrent use: schemes in a comparison
 // share a provider, and whichever requests a refresh time first builds
-// it (incrementally, against the newest earlier snapshot) while the
-// rest reuse the cached value.
+// it while the rest reuse the cached value.
 //
 // Retention follows ownership. A shared provider (NewStreamProvider,
 // which engine.SharedKnowledge builds) keeps up to maxCached snapshots,
 // the whole refresh grid its consumers walk out of lockstep. A private
 // provider (NewPrivateStreamProvider, which a scheme environment builds
 // for its own run, and NewProvider) has one consumer walking the grid
-// forward, so it keeps only its newest snapshot: the next build's
-// incremental base, and all that consumer reads again.
+// forward, so it keeps only its newest snapshot: all that consumer
+// reads again.
 //
-// With Epsilon = 0 every snapshot is bit-identical to a full recompute,
-// so results never depend on which consumer built what or on eviction
-// timing. With Epsilon > 0 a snapshot depends on its incremental base;
-// that approximate mode is deterministic only for a single consumer
-// requesting monotonically increasing times.
+// A snapshot is a pure function of its build time, so results never
+// depend on which consumer built what or on eviction timing.
 //
 //dtn:shared the mutex-guarded snapshot cache crosses sweep cells
 type Provider struct {
@@ -154,14 +149,13 @@ func (pr *Provider) Empty() *Snapshot {
 	pr.mu.Lock()
 	defer pr.mu.Unlock()
 	if pr.empty == nil {
-		pr.empty = pr.builder.Build(0, nil, 0)
+		pr.empty = pr.builder.Build(0, 0)
 	}
 	return pr.empty
 }
 
 // At returns the snapshot of the contact prefix up to time t, building
-// it on first request. The build is incremental against the newest
-// cached snapshot older than t when one exists.
+// it on first request.
 func (pr *Provider) At(t float64) *Snapshot {
 	pr.mu.Lock()
 	defer pr.mu.Unlock()
@@ -169,18 +163,13 @@ func (pr *Provider) At(t float64) *Snapshot {
 		pr.cHits.Inc()
 		return s
 	}
-	var base *Snapshot
-	// The newest cached time strictly before t, if any.
-	if i := sort.SearchFloat64s(pr.times, t); i > 0 {
-		base = pr.byTime[pr.times[i-1]]
-	}
 	pr.version++
 	done := pr.rec.Phase("knowledge-build")
 	counts, err := pr.feed.countsAt(t)
 	if err != nil && pr.streamErr == nil {
 		pr.streamErr = err
 	}
-	s := pr.builder.buildFromCounts(counts, t, base, pr.version)
+	s := pr.builder.buildFromCounts(counts, t, pr.version)
 	done()
 	pr.cBuilds.Inc()
 	pr.byTime[t] = s

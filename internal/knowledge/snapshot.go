@@ -6,10 +6,10 @@ import (
 )
 
 // Snapshot is one immutable, versioned view of the network knowledge at
-// a build time: the contact-rate graph, shortest opportunistic paths
-// from every source, the path-weight matrix at the metric horizon T in
-// compressed-sparse-row form, and the Eq. (3) NCL selection metric of
-// every node.
+// a build time: each node's degree in the contact-rate graph, shortest
+// opportunistic paths from every source, the path-weight matrix at the
+// metric horizon T in compressed-sparse-row form, and the Eq. (3) NCL
+// selection metric of every node.
 //
 // The weight matrix stores only non-zero off-diagonal entries: row i's
 // columns live in cols[rowPtr[i]:rowPtr[i+1]] in ascending order, with
@@ -29,9 +29,8 @@ type Snapshot struct {
 	params  Params
 	version int
 	builtAt float64
-	reused  int
 
-	g       *graph.Graph
+	degree  []int32 // neighbours per node in the rate graph
 	paths   []*graph.Paths
 	rowPtr  []int32   // n+1 row offsets into cols/vals
 	cols    []int32   // ascending column indices of non-zero weights
@@ -40,9 +39,9 @@ type Snapshot struct {
 }
 
 // footprint returns the bytes the snapshot retains in slices: the
-// capacities of its rate graph, path trees, CSR slabs and metrics.
+// capacities of its degrees, path trees, CSR slabs and metrics.
 func (s *Snapshot) footprint() int {
-	b := s.g.Footprint() + 8*cap(s.paths) + 4*(cap(s.rowPtr)+cap(s.cols)) + 8*(cap(s.vals)+cap(s.metrics))
+	b := 4*(cap(s.degree)+cap(s.rowPtr)+cap(s.cols)) + 8*(cap(s.paths)+cap(s.vals)+cap(s.metrics))
 	for _, p := range s.paths {
 		b += p.Footprint()
 	}
@@ -57,13 +56,8 @@ func (s *Snapshot) Version() int { return s.version }
 // built from.
 func (s *Snapshot) BuiltAt() float64 { return s.builtAt }
 
-// ReusedSources reports how many sources were carried over unchanged
-// from the incremental base (0 for a full build).
-func (s *Snapshot) ReusedSources() int { return s.reused }
-
-// Graph returns the contact-rate graph. The graph is shared, not
-// copied: callers must not SetRate on it.
-func (s *Snapshot) Graph() *graph.Graph { return s.g }
+// Degree returns the number of nodes n has a positive contact rate to.
+func (s *Snapshot) Degree(n trace.NodeID) int { return int(s.degree[n]) }
 
 // Paths returns the shortest opportunistic paths from src. The value is
 // shared: read-only.

@@ -71,9 +71,9 @@ func TestStreamProviderMatchesMaterialized(t *testing.T) {
 		// forward again.
 		times := []float64{tr.Duration / 4, tr.Duration / 2, tr.Duration / 3, tr.Duration * 0.9}
 		for i, at := range times {
-			compareSnapshots(t, ref.Build(at, nil, i+1), tc.pr.At(at), tr.Nodes, tc.name)
+			compareSnapshots(t, ref.Build(at, i+1), tc.pr.At(at), tr.Nodes, tc.name)
 		}
-		compareSnapshots(t, ref.Build(0, nil, 0), tc.pr.Empty(), tr.Nodes, tc.name+" empty")
+		compareSnapshots(t, ref.Build(0, 0), tc.pr.Empty(), tr.Nodes, tc.name+" empty")
 		if err := tc.pr.StreamErr(); err != nil {
 			t.Fatal(err)
 		}

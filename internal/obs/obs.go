@@ -51,8 +51,7 @@ const (
 	// index).
 	KindPush
 	// KindKnowledge: a knowledge snapshot refresh was applied
-	// (aux = snapshot version, v = number of reused source
-	// computations).
+	// (aux = snapshot version).
 	KindKnowledge
 	// KindCell: one sweep cell of an experiment run completed
 	// (aux = completion index, v = wall seconds; cmd/experiments only,
@@ -334,8 +333,8 @@ func (r *Recorder) Push(t float64, from, to int32, dataID int64, ncl int64) {
 }
 
 // Knowledge records a knowledge snapshot refresh being applied.
-func (r *Recorder) Knowledge(t float64, version int64, reusedSources float64) {
-	r.Event(KindKnowledge, t, -1, -1, -1, version, reusedSources, "")
+func (r *Recorder) Knowledge(t float64, version int64) {
+	r.Event(KindKnowledge, t, -1, -1, -1, version, 0, "")
 }
 
 // Cell records one experiment sweep cell completing after wallSec

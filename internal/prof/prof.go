@@ -1,8 +1,8 @@
 // Package prof wires the standard runtime/pprof file profiles into the
 // repo's CLIs (`-cpuprofile` / `-memprofile` on dtnsim and
 // experiments), the entry point of the replay-performance workflow
-// described in DESIGN.md: profile, optimize, then gate with
-// `make bench-compare`.
+// described in DESIGN.md: profile, optimize, then gate with the bench
+// gate of scripts/check.sh.
 package prof
 
 import (

@@ -298,9 +298,8 @@ type Env struct {
 }
 
 // KnowledgeParams returns the knowledge pipeline configuration an Env
-// with this Config over nodes nodes requires: exact mode (Epsilon 0),
-// so every snapshot is bit-identical to a full recompute. A shared
-// provider must have exactly these Params.
+// with this Config over nodes nodes requires. A shared provider must
+// have exactly these Params.
 func (c Config) KnowledgeParams(nodes int) knowledge.Params {
 	return knowledge.Params{
 		Nodes:   nodes,
@@ -721,7 +720,7 @@ func (e *Env) scheduleMaintenance() error {
 func (e *Env) refreshKnowledge() {
 	now := e.Sim.Now()
 	e.snap = e.kb.At(now)
-	e.Obs.Knowledge(now, int64(e.snap.Version()), float64(e.snap.ReusedSources()))
+	e.Obs.Knowledge(now, int64(e.snap.Version()))
 	if e.ncls == nil && e.Cfg.NCLCount > 0 {
 		// One-time NCL selection at the end of warm-up; the paper keeps
 		// the selected NCLs fixed during data access (Sec. IV-A).
@@ -826,7 +825,7 @@ func (e *Env) selectNCLs() []trace.NodeID {
 	switch e.Cfg.NCLSelection {
 	case NCLByDegree:
 		for n := 0; n < e.N; n++ {
-			scores[n] = float64(len(e.snap.Graph().Neighbors(trace.NodeID(n))))
+			scores[n] = float64(e.snap.Degree(trace.NodeID(n)))
 		}
 	case NCLByContacts:
 		for n, c := range e.met {

@@ -13,6 +13,8 @@
 #                       regression test under racing workers
 #   fuzz corpora      — replays the checked-in fuzz seed corpora as
 #                       unit tests (short mode)
+#   bench gate        — the benchmark suite on this tree and on its
+#                       base revision, same machine, paired
 #
 # Set CHECK_FUZZ_TIME (e.g. CHECK_FUZZ_TIME=30s) to additionally run
 # each fuzz target for that long.
@@ -157,16 +159,44 @@ if [[ -z "${CHECK_SKIP_CRASH:-}" ]]; then
     ./scripts/crash_smoke.sh
 fi
 
-# Benchmark regression gate: rerun the suite — including the city-scale
-# streaming replay with its in-bench peak-RSS cap — and compare against
-# the committed post-optimization PR 8 numbers, failing on any >2x
-# slowdown (-regress-below 0.5). This pins the PR 8 wins: undoing the
-# session pooling (ReplayContacts, 6x) or the CSR build (AllPathsCity)
-# trips the bound, and a baseline benchmark vanishing from the suite is
-# itself a failure. Set CHECK_SKIP_BENCH=1 to skip on very slow machines.
+# Benchmark gate, same machine and parent-relative: export the base
+# revision under .bench_build, run this checkout's suite (make
+# bench-suite) in both trees for five rounds that alternate which side
+# goes first, and let benchjson -parent compare the per-bench medians.
+# A bench fails when it runs below 0.75x the base's speed by more than
+# the base's own interquartile range, so a 1.5x slowdown trips it; a
+# FAIL line (the CityScaleReplay peak-RSS cap, a failed build) fails it
+# too. Benches only the base runs are reported as retired, only the
+# change runs as new. The base is CHECK_BENCH_BASE, by default HEAD
+# when the working tree has changes and HEAD~1 when it is clean. Set
+# CHECK_SKIP_BENCH=1 to skip on very slow machines.
 if [[ -z "${CHECK_SKIP_BENCH:-}" ]]; then
-    echo "== make bench-compare BASELINE=BENCH_pr8.json"
-    make bench-compare BASELINE=BENCH_pr8.json
+    base=${CHECK_BENCH_BASE:-}
+    if [[ -z "$base" ]]; then
+        base=HEAD~1
+        [[ -n "$(git status --porcelain)" ]] && base=HEAD
+    fi
+    gate=.bench_build/gate
+    echo "== bench gate: this tree vs $base ($(git rev-parse --short "$base")), 5 rounds"
+    rm -rf "$gate"
+    mkdir -p "$gate/base"
+    git archive --format=tar "$base" | tar -x -C "$gate/base"
+    : > "$gate/base.txt"
+    : > "$gate/change.txt"
+    for round in 1 2 3 4 5; do
+        sides=(base change)
+        (( round % 2 == 0 )) && sides=(change base)
+        for side in "${sides[@]}"; do
+            tree=.
+            [[ $side == base ]] && tree=$gate/base
+            echo "bench gate: round $round: $side"
+            # A failing base is the base's problem: its missing benches
+            # show as new. A failing change fails the gate.
+            make --no-print-directory -s -C "$tree" -f "$PWD/Makefile" bench-suite >> "$gate/$side.txt" ||
+                [[ $side == base ]]
+        done
+    done
+    go run ./cmd/benchjson -o "$gate/gate.json" -parent "$gate/base.txt" "$gate/change.txt"
 fi
 
 if [[ -n "${CHECK_FUZZ_TIME:-}" ]]; then
