@@ -49,11 +49,13 @@ crash-smoke:
 # pooled event-loop microbenchmarks and the city-scale streaming replay
 # with its peak-RSS gate (internal/sim), the end-to-end replay-bound
 # single-scheme run (internal/experiment), the knowledge pipeline
-# benches including the CSR city build (internal/knowledge), and the
-# PR 2 comparison benches for continuity.
+# benches including the CSR city build (internal/knowledge), the
+# retained span store (internal/provenance), and the PR 2 comparison
+# benches for continuity.
 BENCH_CMDS = $(GO) test ./internal/sim -run '^$$' -bench Replay -benchmem; \
 	$(GO) test ./internal/experiment -run '^$$' -bench Replay -benchtime 1x -benchmem; \
 	$(GO) test ./internal/knowledge -run '^$$' -bench . -benchtime 2x -benchmem; \
+	$(GO) test ./internal/provenance -run '^$$' -bench Tracer -benchmem; \
 	$(GO) test ./internal/experiment -run '^$$' -bench RunComparison -benchtime 1x -benchmem;
 
 # The suite summarized as JSON on stdout, with the speedup of one

@@ -125,10 +125,11 @@ type Intentional struct {
 
 	stats PushStats
 
-	// bcastFree and moveFree pool broadcast-query and migration
-	// transfer records (bcastXfer, moveXfer).
+	// bcastFree, moveFree and pushFree pool broadcast-query, migration
+	// and push transfer records (bcastXfer, moveXfer, pushXfer).
 	bcastFree []*bcastXfer
 	moveFree  []*moveXfer
+	pushFree  []*pushXfer
 	// peer holds the NCLs whose caching subgraph broadcastQueries' peer
 	// may belong to (peerCandidates); unresolved marks the members whose
 	// failover stand-in is still to be checked (peerCaches).
@@ -556,30 +557,7 @@ func (s *Intentional) pushFromSource(sess *sim.Session, from trace.NodeID) {
 			s.stats.AbandonedPushes++
 			return
 		}
-		s.inflightPush[tk] = true
-		s.cPushes.Inc()
-		s.env.Obs.Push(now, int32(from), int32(to), int64(key.Data), int64(key.NCL))
-		sess.Enqueue(sim.Transfer{
-			From: from, To: to, Bits: item.SizeBits, Label: "push",
-			OnDelivered: func(at float64) {
-				delete(s.inflightPush, tk)
-				s.env.M.DataTransferred(item.SizeBits)
-				if item.Expired(at) {
-					return
-				}
-				if !s.pendingHas(from, key) {
-					return // another path already placed this copy
-				}
-				if s.tryCache(to, item, key.NCL, to != center) {
-					s.pendingDelete(from, key)
-					s.stats.SourceDepartures++
-					if to == center {
-						s.stats.CachedAtCenter++
-					}
-				}
-			},
-			OnDropped: func(float64) { delete(s.inflightPush, tk) },
-		})
+		s.push(sess, tk, to, center, item, false)
 	})
 }
 
@@ -591,7 +569,6 @@ func (s *Intentional) pushFromRelay(sess *sim.Session, from trace.NodeID) {
 	now := s.env.Sim.Now()
 	ncls := s.env.NCLs()
 	for _, en := range s.env.Buffers[from].Entries() {
-		en := en
 		if !en.InTransit || en.Data.Expired(now) {
 			continue
 		}
@@ -618,42 +595,104 @@ func (s *Intentional) pushFromRelay(sess *sim.Session, from trace.NodeID) {
 			s.stats.StoppedAtRelay++
 			continue
 		}
-		item := en.Data
-		home := en.Home
-		tk := pushTransfer{holder: from, data: item.ID, ncl: home}
+		tk := pushTransfer{holder: from, data: en.Data.ID, ncl: en.Home}
 		if s.inflightPush[tk] {
 			continue
 		}
-		s.inflightPush[tk] = true
-		s.cPushes.Inc()
-		s.env.Obs.Push(now, int32(from), int32(to), int64(item.ID), int64(home))
-		sess.Enqueue(sim.Transfer{
-			From: from, To: to, Bits: item.SizeBits, Label: "push",
-			OnDelivered: func(at float64) {
-				delete(s.inflightPush, tk)
-				s.env.M.DataTransferred(item.SizeBits)
-				if item.Expired(at) {
-					s.env.Buffers[from].Remove(item.ID)
-					return
-				}
-				cur := s.env.Buffers[from].Get(item.ID)
-				if cur == nil || !cur.InTransit {
-					return // moved or settled meanwhile (e.g. replacement)
-				}
-				if s.tryCache(to, item, home, to != center) {
-					// Relay deletes its own copy after forwarding.
-					s.env.Buffers[from].Remove(item.ID)
-					s.stats.RelayHops++
-					if to == center {
-						s.stats.CachedAtCenter++
-					}
-				} else {
-					// Receiver could not cache after all: stop here.
-					cur.InTransit = false
-				}
-			},
-			OnDropped: func(float64) { delete(s.inflightPush, tk) },
-		})
+		s.push(sess, tk, to, center, en.Data, true)
+	}
+}
+
+// push sends a push copy of item from tk's holder to the peer to,
+// toward center, over the live contact: from the data source's pending
+// copies, or from a relay's buffer. The transfer rides a pooled
+// pushXfer record; a refused transfer gives its in-flight key up at
+// once.
+func (s *Intentional) push(sess *sim.Session, tk pushTransfer, to, center trace.NodeID,
+	item workload.DataItem, relay bool) {
+	s.inflightPush[tk] = true
+	s.cPushes.Inc()
+	s.env.Obs.Push(s.env.Sim.Now(), int32(tk.holder), int32(to), int64(tk.data), int64(tk.ncl))
+	x := s.getPush()
+	x.tk, x.to, x.center, x.item, x.relay = tk, to, center, item, relay
+	if !sess.Enqueue(sim.Transfer{
+		From: tk.holder, To: to, Bits: item.SizeBits, Label: "push",
+		OnDelivered: x.onDelivered, OnDropped: x.onDropped,
+	}) {
+		x.dropped(0)
+	}
+}
+
+// pushXfer is one in-flight push copy, pooled on Intentional
+// (pushFree) like moveXfer: its callbacks are method values bound once
+// per record, and it returns to the pool from whichever one fires.
+type pushXfer struct {
+	s          *Intentional
+	tk         pushTransfer // holder is the sender, ncl the copy's home
+	to, center trace.NodeID
+	item       workload.DataItem
+	relay      bool // sent from a relay's buffer, not a source's pending copies
+
+	onDelivered, onDropped func(at float64)
+}
+
+// getPush pops a record from the pool or allocates one.
+func (s *Intentional) getPush() *pushXfer {
+	if n := len(s.pushFree); n > 0 {
+		x := s.pushFree[n-1]
+		s.pushFree = s.pushFree[:n-1]
+		return x
+	}
+	x := &pushXfer{s: s}
+	x.onDelivered, x.onDropped = x.delivered, x.dropped
+	return x
+}
+
+// dropped is the record's OnDropped callback: the copy stays with its
+// sender, free to be pushed again.
+func (x *pushXfer) dropped(float64) {
+	delete(x.s.inflightPush, x.tk)
+	x.s.pushFree = append(x.s.pushFree, x)
+}
+
+// delivered is the record's OnDelivered callback. The receiver caches
+// the copy, in transit unless it is the center, and the sender gives
+// its copy up: a source its pending copy, a relay its buffered one.
+func (x *pushXfer) delivered(at float64) {
+	s, from, to, center, item, relay := x.s, x.tk.holder, x.to, x.center, x.item, x.relay
+	key := pushKey{Data: x.tk.data, NCL: x.tk.ncl}
+	x.dropped(at)
+	s.env.M.DataTransferred(item.SizeBits)
+	buf := s.env.Buffers[from]
+	var cur *buffer.Entry
+	switch {
+	case !relay:
+		if item.Expired(at) || !s.pendingHas(from, key) {
+			return // expired, or another path already placed this copy
+		}
+	case item.Expired(at):
+		buf.Remove(item.ID)
+		return
+	default:
+		if cur = buf.Get(item.ID); cur == nil || !cur.InTransit {
+			return // moved or settled meanwhile (e.g. replacement)
+		}
+	}
+	if !s.tryCache(to, item, key.NCL, to != center) {
+		if relay {
+			cur.InTransit = false // the receiver could not cache after all: stop here
+		}
+		return
+	}
+	if relay {
+		buf.Remove(item.ID) // the relay deletes its own copy after forwarding
+		s.stats.RelayHops++
+	} else {
+		s.pendingDelete(from, key)
+		s.stats.SourceDepartures++
+	}
+	if to == center {
+		s.stats.CachedAtCenter++
 	}
 }
 

@@ -343,3 +343,42 @@ func TestMigrationAllocs(t *testing.T) {
 			moves, len(s.inflightPush), env.Sim.Now())
 	}
 }
+
+// TestPushAllocs pins the pooled push records: once warm, a push from a
+// data source's pending copies and a push from a relay's buffer each
+// allocate only the receiver's buffer entry — no per-transfer
+// OnDelivered/OnDropped closures. No sync.Pool is on the path, so the
+// pin holds under -race too.
+//
+//dtn:allocfree the measured closure allocates only buffer entries
+func TestPushAllocs(t *testing.T) {
+	env, s, _ := replacementFixture(t)
+	env.Sim.RunUntil(30510) // inside the idle 0-2 contact, as in TestMigrationAllocs
+	sess := env.Driver.Session(0, 2)
+	if sess == nil || len(s.inflightPush) != 0 {
+		t.Fatalf("no idle 0-2 contact (in flight: %v)", s.inflightPush)
+	}
+	item := workload.DataItem{ID: 7, Source: 0, SizeBits: 1000, Created: 30100, Expires: 59000}
+	key := pushKey{Data: item.ID, NCL: 0}
+	// Center 1 is on neither end, so each copy lands still in transit
+	// and the relay on 2 forwards it again.
+	const center = trace.NodeID(1)
+	dur := env.XferSec(item.SizeBits)
+	before := s.stats
+	allocs := testing.AllocsPerRun(100, func() {
+		s.pendingSet(0, key, item)
+		s.push(sess, pushTransfer{holder: 0, data: item.ID, ncl: 0}, 2, center, item, false)
+		env.Sim.RunUntil(env.Sim.Now() + dur)
+		s.push(sess, pushTransfer{holder: 2, data: item.ID, ncl: 0}, 0, center, item, true)
+		env.Sim.RunUntil(env.Sim.Now() + dur)
+		env.Buffers[0].Remove(item.ID)
+	})
+	if allocs != 2 {
+		t.Errorf("a source push and a relay push: %.1f allocs/op, want 2 (one buffer entry each)", allocs)
+	}
+	departed, relayed := s.stats.SourceDepartures-before.SourceDepartures, s.stats.RelayHops-before.RelayHops
+	if departed != 101 || relayed != 101 || len(s.inflightPush) != 0 || env.Sim.Now() > 30599 {
+		t.Fatalf("%d source and %d relay pushes of 101 landed (%d still in flight) by t=%v",
+			departed, relayed, len(s.inflightPush), env.Sim.Now())
+	}
+}

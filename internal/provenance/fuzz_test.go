@@ -239,6 +239,38 @@ func (t *refTracer) SpanTree(id workload.QueryID) ([]obs.SpanEvent, bool) {
 // calls collide on the same query, copy and carrier often.
 const fuzzIDs, fuzzNodes, fuzzTargets = 6, 6, 3
 
+// multiBlockSeed is a FuzzTracer input whose trees span several span
+// blocks. Query 0 takes 30 hops, a reply hop from a carrier without
+// reply custody (its parent is the root, so it starts at its enqueue),
+// a pull and the first delivery, which emits the root mid-stream, then
+// a retry, a miss and 20 more hops, whose IDs skip the root's. Query 1
+// takes 30 hops. Sweeps compare both trees in flight, then close them,
+// and retention 1 evicts query 0's tree.
+func multiBlockSeed() []byte {
+	in := []byte{1}
+	step := func(op, id, target, a, b, flags byte) { in = append(in, op, id, target, a, b, flags) }
+	// Runs of four hops along one target chain custody from hop to hop.
+	hops := func(id byte, n int) {
+		for i := range n {
+			step(1+byte(i%2), id, byte(i/4%fuzzTargets), byte(i%fuzzNodes), byte((i+1)%fuzzNodes), byte(i))
+		}
+	}
+	step(0, 0, 0, 2, 0, 15) // query 0, requester 2, deadline 16
+	hops(0, 30)
+	step(5, 0, 0, 3, 4, 1)  // reply hop 3->4, enqueued at 1: no reply custody at 3
+	step(4, 0, 1, 4, 1, 0)  // pull at 4
+	step(5, 0, 0, 4, 2, 48) // first delivery to the requester
+	step(6, 0, 0, 2, 0, 1)  // retry
+	step(3, 0, 1, 5, 0, 0)  // miss at 5
+	hops(0, 20)
+	step(0, 1, 0, 3, 0, 15) // query 1, deadline 16
+	hops(1, 30)
+	for range 3 {
+		step(7, 0, 0, 0, 0, 7) // sweep at 7, 14, 21
+	}
+	return in
+}
+
 // FuzzTracer applies one call sequence, decoded from the input bytes,
 // to the tracer and to the map-based reference model above. Both must
 // write the same span lines and answer SpanTree identically for every
@@ -247,6 +279,7 @@ func FuzzTracer(f *testing.F) {
 	f.Add([]byte{2, 0, 0, 1, 2, 1, 2, 3, 4, 9, 3, 0, 2, 2, 5, 4, 2, 0, 1, 0, 7})
 	f.Add([]byte{1, 0, 0, 0, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0, 0, 0, 1, 2, 5, 0, 2, 1, 3, 7, 1, 4, 0, 0, 7, 0, 5, 0})
 	f.Add(bytes.Repeat([]byte{0, 1, 1, 2, 3, 1, 4, 2, 5, 7, 2, 6}, 6))
+	f.Add(multiBlockSeed())
 	f.Fuzz(func(t *testing.T, in []byte) {
 		if len(in) == 0 {
 			return

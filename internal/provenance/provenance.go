@@ -29,7 +29,9 @@
 package provenance
 
 import (
+	"math"
 	"slices"
+	"unsafe"
 
 	"dtncache/internal/obs"
 	"dtncache/internal/trace"
@@ -100,10 +102,8 @@ func TraceID(seed int64, id workload.QueryID) uint64 {
 // and which span put it there. A negative parent marks it absent.
 type custody struct {
 	arrival float64
-	parent  int64
+	parent  int32
 }
-
-var absent = custody{parent: -1}
 
 // replyTarget is the reserved target reply custody is kept under.
 const replyTarget trace.NodeID = -1
@@ -115,16 +115,23 @@ func custodyKey(target, node trace.NodeID) uint64 {
 }
 
 // custodySlot holds a copy's first arrival on its carrier, which its
-// next hop extends, and its most recent one, for cache decisions.
+// next hop extends, and its most recent one, for cache decisions: 32
+// bytes, the two instants and the two parents side by side so the
+// int32 parents pack into one word.
 type custodySlot struct {
-	key         uint64 // custodyKey + 1; 0 marks a free slot
-	first, last custody
+	key             uint64 // custodyKey + 1; 0 marks a free slot
+	firstAt, lastAt float64
+	firstPa, lastPa int32
 }
 
+func (s *custodySlot) first() custody { return custody{s.firstAt, s.firstPa} }
+func (s *custodySlot) last() custody  { return custody{s.lastAt, s.lastPa} }
+
 // slot returns key's slot in the query's linear-probing custody table,
-// adding one with both sides absent when add is set, else nil.
+// at most 3/4 full, adding one with both sides absent when add is set,
+// else nil.
 func (qt *queryTrace) slot(key uint64, add bool) *custodySlot {
-	if add && 2*(qt.used+1) > len(qt.slots) {
+	if add && 4*(int(qt.used)+1) > 3*len(qt.slots) {
 		old := qt.slots
 		qt.slots, qt.used = make([]custodySlot, max(8, 2*len(old))), 0
 		for _, s := range old {
@@ -147,7 +154,7 @@ func (qt *queryTrace) slot(key uint64, add bool) *custodySlot {
 				return nil
 			}
 			qt.used++
-			*s = custodySlot{key: key, first: absent, last: absent}
+			*s = custodySlot{key: key, firstPa: -1, lastPa: -1}
 			return s
 		}
 	}
@@ -156,10 +163,10 @@ func (qt *queryTrace) slot(key uint64, add bool) *custodySlot {
 // leave returns the pending segment of the copy key names, or def when
 // it has none; moved gives the copy up.
 func (qt *queryTrace) leave(key uint64, def custody, moved bool) custody {
-	if s := qt.slot(key, false); s != nil && s.first.parent >= 0 {
-		def = s.first
+	if s := qt.slot(key, false); s != nil && s.firstPa >= 0 {
+		def = s.first()
 		if moved {
-			s.first = absent
+			s.firstPa = -1
 		}
 	}
 	return def
@@ -170,25 +177,28 @@ func (qt *queryTrace) leave(key uint64, def custody, moved bool) custody {
 // discarded, as the scheme discards them.
 func (qt *queryTrace) arrive(key uint64, cu custody) *custodySlot {
 	s := qt.slot(key, true)
-	if s.first.parent < 0 {
-		s.first = cu
+	if s.firstPa < 0 {
+		s.firstAt, s.firstPa = cu.arrival, cu.parent
 	}
 	return s
 }
 
-// spanRec is a retained span without pointers, which the garbage
-// collector need not scan; SpanTree restores Trace, Op and Query.
-type spanRec struct {
-	id, parent      int64
-	start, end, enq float64
-	a, b            int32
-	aux             int64
-	v               float64
-	op              uint8
-}
+// Span op codes: a retained record keeps its op as an index into opNames.
+const (
+	opIssue uint8 = iota
+	opQuerySeg
+	opQuerySpray
+	opQueryBcast
+	opNCLMiss
+	opPull
+	opReplySeg
+	opDeliver
+	opRetry
+)
 
-var opNames = [...]string{OpIssue, OpQuerySeg, OpQuerySpray, OpQueryBcast,
-	OpNCLMiss, OpPull, OpReplySeg, OpDeliver, OpRetry}
+var opNames = [...]string{opIssue: OpIssue, opQuerySeg: OpQuerySeg,
+	opQuerySpray: OpQuerySpray, opQueryBcast: OpQueryBcast, opNCLMiss: OpNCLMiss,
+	opPull: OpPull, opReplySeg: OpReplySeg, opDeliver: OpDeliver, opRetry: OpRetry}
 
 func opCode(op string) uint8 {
 	for i, name := range opNames {
@@ -199,19 +209,55 @@ func opCode(op string) uint8 {
 	panic("provenance: unknown span op " + op)
 }
 
+// spanRec is a retained span in 48 bytes without pointers, which the
+// garbage collector need not scan. It keeps only what SpanTree cannot
+// derive: Trace and Query come from the query, ID from the record's
+// rank and Start from its op and parent (see SpanTree).
+type spanRec struct {
+	end, enq float64
+	aux      int64
+	v        float64
+	parent   int32
+	a, b     int32
+	op       uint8
+}
+
+// blockSpans is the number of records in one spanBlock.
+const blockSpans = 13
+
+// spanBlock is one link of a query's chain of retained spans. The chain
+// grows a block at a time, so retention neither copies records nor
+// holds more than one partly filled block per query.
+type spanBlock struct {
+	next *spanBlock // first, so the collector scans one word
+	recs [blockSpans]spanRec
+}
+
 // queryTrace is the per-query tracer state.
 type queryTrace struct {
-	traceID   uint64
-	issued    float64
-	deadline  float64
-	requester trace.NodeID
-	data      int64
-	next      int64         // next span ID; root 0 is reserved for OpIssue
-	slots     []custodySlot // custody table; nil until the first hop
-	used      int           // occupied slots
-	spans     []spanRec     // retained emissions (retain > 0 only)
-	done      bool          // first on-time delivery seen
-	closed    bool          // past deadline and swept
+	traceID    uint64
+	issued     float64
+	deadline   float64
+	data       int64
+	requester  int32
+	next       int32         // next span ID; root 0 is reserved for OpIssue
+	nspans     int32         // retained records (retain > 0 only)
+	used       int32         // occupied custody slots
+	slots      []custodySlot // custody table; nil until the first hop
+	head, tail *spanBlock    // retained records in emission order
+	done       bool          // first on-time delivery seen
+	closed     bool          // past deadline and swept
+}
+
+// newSpan takes the query's next non-root span ID. Span IDs are int32
+// in retained records and custody slots, so a query may emit at most
+// MaxInt32 spans.
+func (qt *queryTrace) newSpan() int64 {
+	if qt.next == math.MaxInt32 {
+		panic("provenance: a query exceeded MaxInt32 spans")
+	}
+	qt.next++
+	return int64(qt.next - 1)
 }
 
 // arrivalCustody resolves the most recent arrival of the copy at a
@@ -225,7 +271,7 @@ type queryTrace struct {
 // caching center.
 func (qt *queryTrace) arrivalCustody(target, node trace.NodeID) custody {
 	if s := qt.slot(custodyKey(target, node), false); s != nil {
-		return s.last
+		return s.last()
 	}
 	return custody{arrival: qt.issued, parent: rootSpanID}
 }
@@ -254,6 +300,23 @@ func NewTracer(rec *obs.Recorder, seed int64, retain int) *Tracer {
 	return &Tracer{rec: rec, seed: seed, retain: retain}
 }
 
+// footprint returns the bytes the tracer retains: its query index and
+// retention FIFO, and each known query's state, custody table and span
+// blocks.
+func (t *Tracer) footprint() int {
+	b := 8 * (cap(t.qt) + cap(t.doneOrder))
+	for _, qt := range t.qt {
+		if qt == nil {
+			continue
+		}
+		b += int(unsafe.Sizeof(*qt)) + cap(qt.slots)*int(unsafe.Sizeof(custodySlot{}))
+		for blk := qt.head; blk != nil; blk = blk.next {
+			b += int(unsafe.Sizeof(*blk))
+		}
+	}
+	return b
+}
+
 // lookup returns the state of query id: nil when it is unknown or, with
 // live set, closed.
 func (t *Tracer) lookup(id workload.QueryID, live bool) *queryTrace {
@@ -268,11 +331,22 @@ func (t *Tracer) lookup(id workload.QueryID, live bool) *queryTrace {
 func (t *Tracer) emit(qt *queryTrace, ev obs.SpanEvent) {
 	ev.Trace = qt.traceID
 	t.rec.Span(ev)
-	if t.retain > 0 {
-		qt.spans = append(qt.spans, spanRec{id: ev.ID, parent: ev.Parent,
-			start: ev.Start, end: ev.End, enq: ev.Enq, a: ev.A, b: ev.B,
-			aux: ev.Aux, v: ev.V, op: opCode(ev.Op)})
+	if t.retain == 0 {
+		return
 	}
+	i := qt.nspans % blockSpans
+	if i == 0 {
+		b := new(spanBlock)
+		if qt.tail == nil {
+			qt.head = b
+		} else {
+			qt.tail.next = b
+		}
+		qt.tail = b
+	}
+	qt.tail.recs[i] = spanRec{end: ev.End, enq: ev.Enq, aux: ev.Aux, v: ev.V,
+		parent: int32(ev.Parent), a: ev.A, b: ev.B, op: opCode(ev.Op)}
+	qt.nspans++
 }
 
 // QueryIssued opens the span tree of a freshly issued query.
@@ -287,7 +361,7 @@ func (t *Tracer) QueryIssued(q workload.Query) {
 		traceID:   TraceID(t.seed, q.ID),
 		issued:    q.Issued,
 		deadline:  q.Deadline,
-		requester: q.Requester,
+		requester: int32(q.Requester),
 		data:      int64(q.Data),
 		next:      rootSpanID + 1,
 	}
@@ -301,8 +375,7 @@ func (t *Tracer) QueryRetry(q workload.Query, at float64, attempt int) {
 	if qt == nil {
 		return
 	}
-	sp := qt.next
-	qt.next++
+	sp := qt.newSpan()
 	t.emit(qt, obs.SpanEvent{ID: sp, Parent: rootSpanID, Op: OpRetry,
 		Start: at, End: at, Enq: at,
 		A: int32(q.Requester), B: -1, Query: int64(q.ID), Aux: int64(attempt)})
@@ -324,14 +397,13 @@ func (t *Tracer) QueryHop(id workload.QueryID, target, from, to trace.NodeID,
 	}
 	st := qt.leave(custodyKey(target, from),
 		custody{arrival: qt.issued, parent: rootSpanID}, moved)
-	sp := qt.next
-	qt.next++
-	t.emit(qt, obs.SpanEvent{ID: sp, Parent: st.parent, Op: op,
+	sp := qt.newSpan()
+	t.emit(qt, obs.SpanEvent{ID: sp, Parent: int64(st.parent), Op: op,
 		Start: st.arrival, End: delivered, Enq: enq,
 		A: int32(from), B: int32(to), Query: int64(id),
 		Aux: int64(target), V: xferSec})
-	cu := custody{arrival: delivered, parent: sp}
-	qt.arrive(custodyKey(target, to), cu).last = cu
+	s := qt.arrive(custodyKey(target, to), custody{arrival: delivered, parent: int32(sp)})
+	s.lastAt, s.lastPa = delivered, int32(sp)
 }
 
 // NCLMiss records the query reaching caching center without finding
@@ -343,9 +415,8 @@ func (t *Tracer) NCLMiss(id workload.QueryID, target, center trace.NodeID,
 		return
 	}
 	st := qt.arrivalCustody(target, center)
-	sp := qt.next
-	qt.next++
-	t.emit(qt, obs.SpanEvent{ID: sp, Parent: st.parent, Op: OpNCLMiss,
+	sp := qt.newSpan()
+	t.emit(qt, obs.SpanEvent{ID: sp, Parent: int64(st.parent), Op: OpNCLMiss,
 		Start: at, End: at, Enq: at,
 		A: int32(center), B: -1, Query: int64(id), Aux: int64(ncl)})
 }
@@ -361,12 +432,11 @@ func (t *Tracer) Pull(id workload.QueryID, target, responder trace.NodeID,
 		return
 	}
 	st := qt.arrivalCustody(target, responder)
-	sp := qt.next
-	qt.next++
-	t.emit(qt, obs.SpanEvent{ID: sp, Parent: st.parent, Op: OpPull,
+	sp := qt.newSpan()
+	t.emit(qt, obs.SpanEvent{ID: sp, Parent: int64(st.parent), Op: OpPull,
 		Start: at, End: at, Enq: at,
 		A: int32(responder), B: -1, Query: int64(id), Aux: dataID, V: utility})
-	qt.arrive(custodyKey(replyTarget, responder), custody{arrival: at, parent: sp})
+	qt.arrive(custodyKey(replyTarget, responder), custody{arrival: at, parent: int32(sp)})
 }
 
 // ReplyHop closes the sender's reply custody segment. moved says
@@ -383,27 +453,25 @@ func (t *Tracer) ReplyHop(id workload.QueryID, from, to trace.NodeID,
 	}
 	st := qt.leave(custodyKey(replyTarget, from),
 		custody{arrival: enq, parent: rootSpanID}, moved)
-	sp := qt.next
-	qt.next++
-	t.emit(qt, obs.SpanEvent{ID: sp, Parent: st.parent, Op: OpReplySeg,
+	sp := qt.newSpan()
+	t.emit(qt, obs.SpanEvent{ID: sp, Parent: int64(st.parent), Op: OpReplySeg,
 		Start: st.arrival, End: delivered, Enq: enq,
 		A: int32(from), B: int32(to), Query: int64(id), V: xferSec})
 	if toRequester {
 		if first && !qt.done {
 			qt.done = true
-			d := qt.next
-			qt.next++
+			d := qt.newSpan()
 			t.emit(qt, obs.SpanEvent{ID: d, Parent: sp, Op: OpDeliver,
 				Start: delivered, End: delivered, Enq: delivered,
 				A: int32(to), B: -1, Query: int64(id),
 				V: delivered - qt.issued})
 			t.emit(qt, obs.SpanEvent{ID: rootSpanID, Parent: -1, Op: OpIssue,
 				Start: qt.issued, End: delivered, Enq: qt.issued,
-				A: int32(qt.requester), B: -1, Query: int64(id), Aux: qt.data})
+				A: qt.requester, B: -1, Query: int64(id), Aux: qt.data})
 		}
 		return
 	}
-	qt.arrive(custodyKey(replyTarget, to), custody{arrival: delivered, parent: sp})
+	qt.arrive(custodyKey(replyTarget, to), custody{arrival: delivered, parent: int32(sp)})
 }
 
 // Sweep retires queries whose deadline has passed: their custody
@@ -438,16 +506,50 @@ func (t *Tracer) Sweep(now float64) {
 // SpanTree returns a copy of the retained spans of the query, in
 // emission order, and whether the query is known. Retention must be on
 // (NewTracer retain > 0) for spans to be present.
+//
+// The fields a record does not keep are exact functions of it and of
+// the spans before it. Every non-root span takes the next ID just
+// before it is emitted, so a record's ID is 1 + its rank among the
+// query's non-root records, and the issue root, emitted at most once,
+// is ID 0. A point span starts at its end and the root at the issue
+// instant. A hop whose parent is the root left the custody a carrier
+// holds from issue: the issue instant for a query copy, the enqueue for
+// a reply. Any other hop left a custody that its parent span stored as
+// its own end, and that parent precedes it in the output.
 func (t *Tracer) SpanTree(id workload.QueryID) ([]obs.SpanEvent, bool) {
 	qt := t.lookup(id, false)
 	if qt == nil {
 		return nil, false
 	}
-	out := slices.Grow([]obs.SpanEvent(nil), len(qt.spans)) // nil when empty
-	for _, r := range qt.spans {
-		out = append(out, obs.SpanEvent{Trace: qt.traceID, ID: r.id, Parent: r.parent,
-			Op: opNames[r.op], Start: r.start, End: r.end, Enq: r.enq,
-			A: r.a, B: r.b, Query: int64(id), Aux: r.aux, V: r.v})
+	out := slices.Grow([]obs.SpanEvent(nil), int(qt.nspans)) // nil when empty
+	root := math.MaxInt                                      // the root's output index, once seen
+	for b, n := qt.head, int(qt.nspans); n > 0; b, n = b.next, n-blockSpans {
+		for i := range min(n, blockSpans) {
+			r := &b.recs[i]
+			ev := obs.SpanEvent{Trace: qt.traceID, ID: int64(len(out) + 1), Parent: int64(r.parent),
+				Op: opNames[r.op], Start: r.end, End: r.end, Enq: r.enq,
+				A: r.a, B: r.b, Query: int64(id), Aux: r.aux, V: r.v}
+			if len(out) > root {
+				ev.ID-- // the root took an output slot but no rank
+			}
+			switch {
+			case r.op == opIssue:
+				ev.ID, ev.Start, root = rootSpanID, qt.issued, len(out)
+			case r.op == opNCLMiss || r.op == opPull || r.op == opDeliver || r.op == opRetry:
+				// a point span: it starts at its end
+			case r.parent != rootSpanID:
+				p := int(r.parent) - 1 // the parent's rank
+				if p >= root {
+					p++
+				}
+				ev.Start = out[p].End
+			case r.op == opReplySeg:
+				ev.Start = r.enq
+			default:
+				ev.Start = qt.issued
+			}
+			out = append(out, ev)
+		}
 	}
 	return out, true
 }

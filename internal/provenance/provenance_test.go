@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"dtncache/internal/obs"
 	"dtncache/internal/trace"
@@ -260,10 +261,16 @@ func TestSpanZeroAlloc(t *testing.T) {
 }
 
 // TestTracerHopAllocs pins the retained hop path: once both carriers
-// of a copy are in the query's custody table, a QueryHop allocates
-// only when its span slice grows, amortized by append's doubling.
+// of a copy are in the query's custody table, QueryHops allocate only
+// the span blocks their records fill, one per blockSpans hops, and copy
+// nothing, so they allocate about one record's 48 bytes per hop. The
+// slice the blocks replaced grew by doubling and copied every record
+// on each growth, which allocates about twice the records' bytes.
 func TestTracerHopAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if rec, slot := unsafe.Sizeof(spanRec{}), unsafe.Sizeof(custodySlot{}); rec != 48 || slot != 32 {
+		t.Fatalf("span record %d bytes, custody slot %d, want 48 and 32", rec, slot)
+	}
 	tr := NewTracer(nil, 1, 8)
 	tr.QueryIssued(q(0, 2, 7, 10, 1e9))
 	tr.QueryHop(0, 9, 2, 5, 40, 50, 1, OpQuerySeg, false) // adds (9, 5)
@@ -271,29 +278,73 @@ func TestTracerHopAllocs(t *testing.T) {
 	qt := tr.qt[0]
 	const hops = 3000
 	ops := [...]string{OpQuerySeg, OpQuerySpray, OpQueryBcast}
-	growths := 0
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < hops; i++ {
-		c := cap(qt.spans)
 		from, to := trace.NodeID(2), trace.NodeID(5)
 		if i%2 == 1 {
 			from, to = to, from
 		}
 		at := 100 + float64(i)
 		tr.QueryHop(0, 9, from, to, at, at+1, 1, ops[i%3], i%4 < 2)
-		if cap(qt.spans) != c {
-			growths++
-		}
 	}
 	runtime.ReadMemStats(&after)
 	if len(qt.slots) != 8 {
 		t.Fatalf("custody table has %d slots, want the initial 8", len(qt.slots))
 	}
-	if mallocs := after.Mallocs - before.Mallocs; mallocs > uint64(growths) {
-		t.Errorf("%d hops allocated %d times, want at most the %d span slice growths", hops, mallocs, growths)
+	if qt.nspans != hops+2 {
+		t.Fatalf("%d spans retained, want %d", qt.nspans, hops+2)
 	}
-	if growths > 16 {
-		t.Errorf("span slice grew %d times over %d hops: not amortized", growths, hops)
+	blocks := (hops + blockSpans - 1) / blockSpans
+	if mallocs := after.Mallocs - before.Mallocs; mallocs > uint64(blocks) {
+		t.Errorf("%d hops allocated %d times, want at most %d: one span block per %d hops", hops, mallocs, blocks, blockSpans)
+	}
+	perHop := float64(after.TotalAlloc-before.TotalAlloc) / hops
+	if limit := 1.1 * float64(unsafe.Sizeof(spanRec{})); perHop > limit {
+		t.Errorf("%d hops allocated %.1f bytes each, want at most %.1f: records are copied or blocks waste their size class", hops, perHop, limit)
+	}
+}
+
+// BenchmarkTracerRetain measures the retained span store in steady
+// state. Each op issues 64 queries; each takes a chain of 40 hops
+// toward its center (four span blocks), a miss, a pull and the reply
+// that delivers it. A sweep then closes all 64 into a retention FIFO of
+// 256 trees that is already full, evicting the oldest, and SpanTree
+// rebuilds every tree just closed.
+func BenchmarkTracerRetain(b *testing.B) {
+	const perOp, hops = 64, 40
+	tr := NewTracer(nil, 1, 256)
+	ops := [...]string{OpQuerySeg, OpQuerySpray, OpQueryBcast}
+	next, now := 0, 0.0
+	round := func() {
+		first := next
+		for range perOp {
+			id := workload.QueryID(next)
+			next++
+			tr.QueryIssued(q(int(id), 0, 7, now, now+100))
+			for h := range hops {
+				at := now + float64(h)
+				tr.QueryHop(id, 9, trace.NodeID(h), trace.NodeID(h+1), at, at+0.5, 0.25, ops[h%3], h%2 == 0)
+			}
+			at := now + hops
+			tr.NCLMiss(id, 9, hops, at, 0)
+			tr.Pull(id, 9, hops, at, 7, 0.5)
+			tr.ReplyHop(id, hops, 0, at+1, at+2, 0.5, true, true, true)
+		}
+		now += 100
+		tr.Sweep(now)
+		for id := first; id < next; id++ {
+			if spans, ok := tr.SpanTree(workload.QueryID(id)); !ok || len(spans) != hops+5 {
+				b.Fatalf("query %d: %d spans (known %v), want %d", id, len(spans), ok, hops+5)
+			}
+		}
+	}
+	for range 4 {
+		round() // fill the retention FIFO
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		round()
 	}
 }
