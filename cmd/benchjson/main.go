@@ -12,10 +12,12 @@
 // paired mode behind the bench gate in scripts/check.sh. Both
 // transcripts may hold several samples of a benchmark (one per round).
 // Each benchmark gets the median ns/op of each side and the parent's
-// interquartile range, and the run fails when any benchmark is slower
-// than slowerBound times the parent's speed by more than that range. A
-// benchmark only the parent runs is reported as retired, one only the
-// change runs as new; neither fails the run.
+// interquartile range, and the run fails when any benchmark reads
+// slower than slowerBound times the parent's speed: as slower when the
+// gap is wider than that range, and as unresolved when the parent's
+// own spread is too wide to tell a slowdown from noise. A benchmark
+// only the parent runs is reported as retired, one only the change
+// runs as new; neither fails the run.
 //
 // Input lines that are not benchmark results (goos/pkg headers, PASS,
 // ok) are ignored, so whole `go test` transcripts can be piped in. A
@@ -81,14 +83,14 @@ type Paired struct {
 	ChangeNs  float64 `json:"change_ns_per_op,omitempty"`
 	ParentIQR float64 `json:"parent_iqr_ns,omitempty"`
 	Speed     float64 `json:"speed,omitempty"`
-	// Verdict is "ok", "slower" (fails the run), "new" or "retired".
+	// Verdict is "ok", "slower" or "unresolved" (both fail the run),
+	// "new" or "retired".
 	Verdict string `json:"verdict"`
 }
 
 // slowerBound is the paired mode's speed floor: a benchmark fails when
-// it runs below this fraction of the parent's speed and the gap is
-// wider than the parent's interquartile range. A 1.5x slowdown reads
-// 0.67 and trips it.
+// it runs below this fraction of the parent's speed. A 1.5x slowdown
+// reads 0.67 and trips it.
 const slowerBound = 0.75
 
 // Summary is the emitted JSON document. Env predates Manifest and is
@@ -198,14 +200,15 @@ func run(args []string) error {
 	if len(sum.failures) > 0 {
 		return fmt.Errorf("the input reports failures: %s", strings.Join(sum.failures, "; "))
 	}
-	var slower []string
+	var below []string
 	for _, p := range sum.Paired {
-		if p.Verdict == "slower" {
-			slower = append(slower, fmt.Sprintf("%s %.3fx", p.Name, p.Speed))
+		if p.Verdict == "slower" || p.Verdict == "unresolved" {
+			below = append(below, fmt.Sprintf("%s %.3fx (%s)", p.Name, p.Speed, p.Verdict))
 		}
 	}
-	if len(slower) > 0 {
-		return fmt.Errorf("slower than %.2fx the parent beyond its spread: %s", slowerBound, strings.Join(slower, ", "))
+	if len(below) > 0 {
+		return fmt.Errorf("below %.2fx the parent's speed (slower: beyond its spread; unresolved: inside it, too noisy to judge): %s",
+			slowerBound, strings.Join(below, ", "))
 	}
 	return nil
 }
@@ -248,8 +251,13 @@ func pair(parent, change []Result) []Paired {
 		if p.ChangeNs > 0 {
 			p.Speed = p.ParentNs / p.ChangeNs
 		}
-		if p.Speed < slowerBound && p.ChangeNs-p.ParentNs > p.ParentIQR {
-			p.Verdict = "slower"
+		// A gap inside the parent's spread is not forgiven: a loaded
+		// host widens the spread enough to hide a real slowdown.
+		if p.Speed < slowerBound {
+			p.Verdict = "unresolved"
+			if p.ChangeNs-p.ParentNs > p.ParentIQR {
+				p.Verdict = "slower"
+			}
 		}
 		out = append(out, p)
 	}

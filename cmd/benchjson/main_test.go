@@ -139,7 +139,7 @@ func TestCompareBaseline(t *testing.T) {
 
 // TestCheckRegressions pins the paired verdict: a uniform 1.5x slowdown
 // under the same noise fails, the same noise on both sides passes, and
-// a slowdown the parent's own spread covers passes.
+// a slowdown the parent's own spread covers is unresolved.
 func TestCheckRegressions(t *testing.T) {
 	noise := []float64{1.00, 1.08, 0.95, 1.03, 0.97}
 	scaled := func(f float64) []float64 {
@@ -167,11 +167,47 @@ func TestCheckRegressions(t *testing.T) {
 			t.Errorf("%s: %+v, want verdict %s", c.name, got, c.want)
 		}
 	}
-	// The parent's spread decides: the same 1.5x median gap inside a
-	// wider interquartile range is noise, not a slowdown.
+	// The parent's spread cannot excuse a median below the floor: the
+	// same 1.5x gap inside a wider interquartile range is unresolved.
 	wide := parsed(t, transcript("Dispatch", 0.5e6, 0.6e6, 1e6, 1.7e6, 1.8e6))
-	if got := pair(wide, parsed(t, transcript("Dispatch", scaled(1.5)...))); got[0].Verdict != "ok" {
-		t.Errorf("1.5x inside a 1.1e6 ns parent IQR: %+v, want ok", got[0])
+	if got := pair(wide, parsed(t, transcript("Dispatch", scaled(1.5)...))); got[0].Verdict != "unresolved" {
+		t.Errorf("1.5x inside a 1.1e6 ns parent IQR: %+v, want unresolved", got[0])
+	}
+}
+
+// TestNoisyParentUnresolved replays a loaded-host gate: the parent's
+// ReplayContacts samples read a 33.7 ms median with a 13.2 ms
+// interquartile range, and a change at 0.718x its speed has a gap
+// just inside that range. The gap cannot be told from noise, so the
+// verdict is unresolved and fails the run; against a quiet parent the
+// same change is slower, and the same noise on both sides is ok.
+func TestNoisyParentUnresolved(t *testing.T) {
+	noisyText := transcript("ReplayContacts", 24.0e6, 27.0e6, 33.7e6, 40.24e6, 45.0e6)
+	changeText := transcript("ReplayContacts", 46.0e6, 46.5e6, 46.93e6, 47.4e6, 48.0e6)
+	noisy, change := parsed(t, noisyText), parsed(t, changeText)
+	quiet := parsed(t, transcript("ReplayContacts", 33.5e6, 33.6e6, 33.7e6, 33.8e6, 33.9e6))
+	got := pair(noisy, change)[0]
+	if got.Verdict != "unresolved" || fmt.Sprintf("%.3f %.1f", got.Speed, got.ParentIQR/1e6) != "0.718 13.2" {
+		t.Errorf("noisy parent: %+v, want unresolved at 0.718x with a 13.2 ms IQR", got)
+	}
+	if got := pair(quiet, change)[0]; got.Verdict != "slower" {
+		t.Errorf("quiet parent: %+v, want slower", got)
+	}
+	same := parsed(t, transcript("ReplayContacts", 45.0e6, 33.7e6, 24.0e6, 40.24e6, 27.0e6))
+	if got := pair(noisy, same)[0]; got.Verdict != "ok" {
+		t.Errorf("same noise on both sides: %+v, want ok", got)
+	}
+
+	dir := t.TempDir()
+	if err := os.WriteFile(dir+"/parent.txt", []byte(noisyText), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir+"/change.txt", []byte(changeText), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := run([]string{"-o", dir + "/out.json", "-parent", dir + "/parent.txt", dir + "/change.txt"})
+	if err == nil || !strings.Contains(err.Error(), "ReplayContacts") || !strings.Contains(err.Error(), "(unresolved)") {
+		t.Errorf("an unresolved benchmark must fail the run and be named: %v", err)
 	}
 }
 

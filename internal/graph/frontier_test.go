@@ -79,11 +79,21 @@ func referenceHopRates(g *Graph, choice [][]trace.NodeID, src, dst trace.NodeID)
 
 // checkFrontierMatchesReference runs PathsInto from src and compares
 // every DP layer (dist and choice) and every recovered path against the
-// dense reference, bitwise.
+// dense reference, bitwise. It also checks the path tree: it holds at
+// most one state per hop of its paths, and every weight PathsInto
+// evaluated during recovery, at the farthest node's expected delay,
+// equals Paths.Weight's read-back bit for bit.
 func checkFrontierMatchesReference(t *testing.T, g *Graph, src trace.NodeID, maxHops int, scratch *PathScratch) {
 	t.Helper()
-	p := g.PathsInto(src, maxHops, scratch)
 	wantDist, wantChoice := referenceLayers(g, src, maxHops)
+	horizon := 1.0
+	for _, d := range wantDist[maxHops] {
+		if d < 1e300 && d > horizon {
+			horizon = d
+		}
+	}
+	weights := make([]float64, g.n)
+	p := g.PathsInto(src, maxHops, scratch, horizon, weights)
 	for h := range wantDist {
 		for v := range wantDist[h] {
 			if got, want := scratch.dist[h][v], wantDist[h][v]; math.Float64bits(got) != math.Float64bits(want) {
@@ -94,6 +104,7 @@ func checkFrontierMatchesReference(t *testing.T, g *Graph, src trace.NodeID, max
 			}
 		}
 	}
+	hops := 0
 	for v := 0; v < g.n; v++ {
 		dst := trace.NodeID(v)
 		want := referenceHopRates(g, wantChoice, src, dst)
@@ -112,6 +123,13 @@ func checkFrontierMatchesReference(t *testing.T, g *Graph, src trace.NodeID, max
 		if got, want := expectedDelay(p, dst), wantDist[maxHops][v]; math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("src %d dst %d: delay %v from the hop rates, reference layer %v", src, v, got, want)
 		}
+		if got, want := weights[v], p.Weight(dst, horizon); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("src %d dst %d: recovery weight %v at %g, Weight %v", src, v, got, horizon, want)
+		}
+		hops += len(want)
+	}
+	if states := len(p.rate); states > hops {
+		t.Fatalf("src %d: %d tree states for %d path hops", src, states, hops)
 	}
 }
 
@@ -178,6 +196,32 @@ func presetGraph(t *testing.T, p trace.Preset) *Graph {
 	g := est.Snapshot(at)
 	g.BuildAdjacency()
 	return g
+}
+
+// TestLongPathWeightMatchesNewHypoexp checks a path longer than the
+// stack buffers Weight gathers into: a ten-hop line with well-separated
+// rates, searched with a hop cap of 10, reads back the rates and
+// weights of a fresh distribution bit for bit at four horizons.
+func TestLongPathWeightMatchesNewHypoexp(t *testing.T) {
+	rates := make([]float64, 10)
+	for k := range rates {
+		rates[k] = float64(k+1) / 3600
+	}
+	g := lineGraph(rates...)
+	checkFrontierMatchesReference(t, g, 0, 10, &PathScratch{})
+	p := g.Paths(0, 10)
+	if got := p.Hops(10); got != 10 || p.kind[10] != pathDistinct {
+		t.Fatalf("path 0->10: %d hops of kind %d, want 10 distinct-rate hops", got, p.kind[10])
+	}
+	h, err := mathx.NewHypoexp(p.HopRates(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, at := range []float64{600, 3 * 3600, 86400, 7 * 86400} {
+		if got, want := p.Weight(10, at), h.CDF(at); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("weight 0->10 at %g = %v, NewHypoexp %v", at, got, want)
+		}
+	}
 }
 
 // TestSetRateDropsAdjacency: neighbour lists built before a rate change

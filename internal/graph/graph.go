@@ -173,20 +173,25 @@ func (g *Graph) Degrees() []int32 {
 // other node: hop-capped minimum-expected-delay paths whose weights
 // (delivery probability within T) follow Eqs. (1)-(2).
 //
-// The hop rates of every path live concatenated in one exactly sized
-// slab, node v's path in ratesSlab[off[v]:off[v+1]] (empty for the
-// source and for unreachable nodes), and the Eq. (2) coefficients in a
-// slab parallel to it. On sparse graphs (a city district reaches only
-// its own community) the slabs stay proportional to what the source
-// can actually reach. Every path is prepared when PathsInto returns,
-// so a Paths is never mutated again and is safe for concurrent use
-// (the contract knowledge snapshots rely on).
+// The paths are stored as a tree of DP states. A state is a (node,
+// layer) cell of the layered search where it took a hop
+// (choice[h][v] >= 0); it keeps that hop's rate and the state of the
+// hop's upstream node, -1 when the hop leaves the source. The choice
+// arrays fix everything below a cell, so every path through it shares
+// its state and the prefix behind it exactly, and each node keeps only
+// the last state of its path (its leaf) and what mathx.Prepare made of
+// the path's rates. On sparse graphs (a city district reaches only its
+// own community) the tree stays proportional to what the source can
+// actually reach. The Eq. (2) coefficients are not stored: Weight
+// recomputes them from the rates it reads back. A Paths is never
+// mutated after PathsInto returns and is safe for concurrent use (the
+// contract knowledge snapshots rely on).
 type Paths struct {
-	src       trace.NodeID
-	off       []int32    // n+1 offsets into ratesSlab and coefSlab
-	ratesSlab []float64  // concatenated hop rates of every path, in hop order
-	coefSlab  []float64  // Eq. (2) coefficients, parallel to ratesSlab; set for pathDistinct only
-	kind      []pathKind // how Weight evaluates each node's path
+	src    trace.NodeID
+	rate   []float64  // per state: the rate of the hop into its node
+	parent []int32    // per state: the upstream node's state, -1 at the source
+	leaf   []int32    // per node: the last state of its path, -1 if none (the source too)
+	kind   []pathKind // per node: how Weight evaluates its path
 }
 
 // pathKind records what mathx.Prepare made of a path's rates.
@@ -198,6 +203,10 @@ const (
 	pathDistinct                 // well-separated rates: the closed form of Eq. (2)
 )
 
+// weightStackHops is the longest path whose rates and coefficients
+// Weight gathers on the stack; longer paths allocate them.
+const weightStackHops = 8
+
 // PathScratch holds the layered-DP working arrays of Paths so repeated
 // path computations (the knowledge builder runs one per dirty source
 // per snapshot) reuse them instead of reallocating. A scratch is not
@@ -206,31 +215,47 @@ const (
 type PathScratch struct {
 	dist   [][]float64
 	choice [][]trace.NodeID
+	// state[h][v] is the tree state of cell (v, h), -1 until a
+	// recovered path takes that hop.
+	state [][]int32
 	// changed[h&1][v] == h+1 marks v as improved at layer h; two
 	// arrays, so marking layer h never erases layer h-1's frontier.
 	changed [2][]int32
-	// rates stages the recovered paths until their exact size is known.
-	rates []float64
+	// path and coef hold one recovered path's hop rates and Eq. (2)
+	// coefficients; cells its hops that have no state yet.
+	path, coef []float64
+	cells      []cell
+	// rate and link stage the tree until its exact size is known: link
+	// holds the n leaves, then one parent per state.
+	rate []float64
+	link []int32
 }
+
+// cell is one (node, layer) cell of the layered DP.
+type cell struct{ h, v int32 }
 
 // layers resizes the scratch to hold maxHops+1 layers of width n and
 // returns them. Contents are not cleared; PathsInto re-initializes
 // every cell it reads.
-func (ps *PathScratch) layers(maxHops, n int) ([][]float64, [][]trace.NodeID) {
+func (ps *PathScratch) layers(maxHops, n int) ([][]float64, [][]trace.NodeID, [][]int32) {
 	h := maxHops + 1
 	if cap(ps.dist) < h {
 		ps.dist = make([][]float64, h)
 		ps.choice = make([][]trace.NodeID, h)
+		ps.state = make([][]int32, h)
 	}
 	ps.dist = ps.dist[:h]
 	ps.choice = ps.choice[:h]
+	ps.state = ps.state[:h]
 	for i := 0; i < h; i++ {
 		if cap(ps.dist[i]) < n {
 			ps.dist[i] = make([]float64, n)
 			ps.choice[i] = make([]trace.NodeID, n)
+			ps.state[i] = make([]int32, n)
 		}
 		ps.dist[i] = ps.dist[i][:n]
 		ps.choice[i] = ps.choice[i][:n]
+		ps.state[i] = ps.state[i][:n]
 	}
 	for i := range ps.changed {
 		if cap(ps.changed[i]) < n {
@@ -239,7 +264,7 @@ func (ps *PathScratch) layers(maxHops, n int) ([][]float64, [][]trace.NodeID) {
 		ps.changed[i] = ps.changed[i][:n]
 		clear(ps.changed[i])
 	}
-	return ps.dist, ps.choice
+	return ps.dist, ps.choice, ps.state
 }
 
 // Paths computes shortest opportunistic paths from src with at most
@@ -247,14 +272,20 @@ func (ps *PathScratch) layers(maxHops, n int) ([][]float64, [][]trace.NodeID) {
 // relaxation over hop counts, which is exact for hop-capped minimum
 // expected delay.
 func (g *Graph) Paths(src trace.NodeID, maxHops int) *Paths {
-	return g.PathsInto(src, maxHops, nil)
+	return g.PathsInto(src, maxHops, nil, 0, nil)
 }
 
 // PathsInto is Paths with caller-provided working memory: scratch (nil
 // for one-shot use) supplies the DP layers, so a pooled scratch makes
 // repeated calls allocate only the returned Paths. The result never
 // aliases the scratch and scratch identity never affects the result.
-func (g *Graph) PathsInto(src trace.NodeID, maxHops int, scratch *PathScratch) *Paths {
+//
+// A non-nil weights, of length n, receives every node's path weight at
+// horizon t: weights[v] == p.Weight(v, t) bit for bit. They are
+// evaluated while each path's rates and coefficients are at hand, so a
+// caller that needs every weight at one horizon pays one Prepare and
+// one CDF per path.
+func (g *Graph) PathsInto(src trace.NodeID, maxHops int, scratch *PathScratch, t float64, weights []float64) *Paths {
 	if maxHops <= 0 {
 		maxHops = DefaultMaxHops
 	}
@@ -278,11 +309,12 @@ func (g *Graph) PathsInto(src trace.NodeID, maxHops int, scratch *PathScratch) *
 	// change neither dist nor choice. The frontier is relaxed in
 	// ascending node order, so among equal proposals the lowest
 	// upstream node wins, exactly as in a scan over all nodes.
-	dist, choice := scratch.layers(maxHops, n)
+	dist, choice, state := scratch.layers(maxHops, n)
 	for h := range dist {
 		for v := range dist[h] {
 			dist[h][v] = inf
 			choice[h][v] = -1
+			state[h][v] = -1
 		}
 	}
 	dist[0][src] = 0
@@ -314,60 +346,92 @@ func (g *Graph) PathsInto(src trace.NodeID, maxHops int, scratch *PathScratch) *
 			break
 		}
 	}
-	// Recover every reachable path by walking the DP layers downward,
-	// staging its rates in the scratch, then copy them out at exact
+	// Recover every reachable path by walking the DP layers downward
+	// until the walk meets a hop an earlier path took, whose state
+	// carries the rest of the path. The hops before it get new states,
+	// linked to the one met (or to the source). The whole path's rates
+	// are staged too, prepared in src->v hop order, and weighed if
+	// asked. The tree is staged in the scratch and copied out at exact
 	// size: the Paths never aliases the scratch.
 	final := dist[maxHops]
-	off := make([]int32, n+1)
-	scratch.rates = scratch.rates[:0]
+	kind := make([]pathKind, n)
+	scratch.rate = scratch.rate[:0]
+	scratch.link = slices.Grow(scratch.link[:0], n)[:n]
 	for v := 0; v < n; v++ {
-		off[v] = int32(len(scratch.rates))
+		scratch.link[v] = -1
+		if weights != nil {
+			weights[v] = 0
+		}
 		if v == int(src) || final[v] >= inf {
 			continue
 		}
+		path, cells := scratch.path[:0], scratch.cells[:0]
+		parent := int32(-1)
 		cursor := trace.NodeID(v)
 		for h := maxHops; h > 0 && cursor != src; h-- {
 			u := choice[h][cursor]
 			if u < 0 {
 				continue // value carried from layer h-1
 			}
-			scratch.rates = append(scratch.rates, g.Rate(u, cursor))
+			if parent = state[h][cursor]; parent >= 0 {
+				break
+			}
+			path = append(path, g.Rate(u, cursor))
+			cells = append(cells, cell{int32(h), int32(cursor)})
 			cursor = u
 		}
-		if cursor != src {
-			scratch.rates = scratch.rates[:off[v]]
+		if parent < 0 && cursor != src {
 			continue
 		}
-		// Reverse into src->v hop order (the hypoexponential weight does
-		// not depend on order, but diagnostics read better).
-		slices.Reverse(scratch.rates[off[v]:])
+		for s := parent; s >= 0; s = scratch.link[n+int(s)] {
+			path = append(path, scratch.rate[s])
+		}
+		scratch.path, scratch.cells = path, cells
+		// cells[k] took hop path[k]; create them root side first.
+		for k := len(cells) - 1; k >= 0; k-- {
+			id := int32(len(scratch.rate))
+			scratch.rate = append(scratch.rate, path[k])
+			scratch.link = append(scratch.link, parent)
+			state[cells[k].h][cells[k].v] = id
+			parent = id
+		}
+		scratch.link[v] = parent
+		// Reverse into src->v hop order, the order Weight reads back.
+		slices.Reverse(path)
+		scratch.coef = slices.Grow(scratch.coef[:0], len(path))[:len(path)]
+		distinct, err := mathx.Prepare(path, scratch.coef)
+		if err != nil {
+			continue // pathInvalid: weight 0
+		}
+		kind[v] = pathGeneral
+		if distinct {
+			kind[v] = pathDistinct
+		}
+		if weights != nil {
+			h := mathx.View(path, scratch.coef, distinct)
+			weights[v] = h.CDF(t)
+		}
 	}
-	hops := len(scratch.rates)
-	off[n] = int32(hops)
-	slab := make([]float64, 2*hops)
-	p := &Paths{src: src, off: off, ratesSlab: slab[:hops:hops], coefSlab: slab[hops:], kind: make([]pathKind, n)}
-	copy(p.ratesSlab, scratch.rates)
-	for v := range p.kind {
-		lo, hi := off[v], off[v+1]
-		if lo == hi {
-			continue
-		}
-		switch distinct, err := mathx.Prepare(p.ratesSlab[lo:hi], p.coefSlab[lo:hi]); {
-		case err != nil:
-			p.kind[v] = pathInvalid
-		case distinct:
-			p.kind[v] = pathDistinct
-		default:
-			p.kind[v] = pathGeneral
-		}
+	rate := make([]float64, len(scratch.rate))
+	copy(rate, scratch.rate)
+	link := make([]int32, len(scratch.link))
+	copy(link, scratch.link)
+	p := &Paths{src: src, rate: rate, parent: link[n:], leaf: link[:n:n], kind: kind}
+	if weights != nil {
+		weights[src] = p.Weight(src, t)
 	}
 	return p
 }
 
-// hopRates returns the slab range of dst's path, empty if dst is
-// unreachable or the source itself.
-func (p *Paths) hopRates(dst trace.NodeID) []float64 {
-	return p.ratesSlab[p.off[dst]:p.off[dst+1]]
+// appendRates appends the hop rates of the path ending in state s to
+// buf, in src->dst hop order.
+func (p *Paths) appendRates(buf []float64, s int32) []float64 {
+	start := len(buf)
+	for ; s >= 0; s = p.parent[s] {
+		buf = append(buf, p.rate[s])
+	}
+	slices.Reverse(buf[start:])
+	return buf
 }
 
 // Source returns the path-tree root.
@@ -375,16 +439,19 @@ func (p *Paths) Source() trace.NodeID { return p.src }
 
 // Reachable reports whether dst has an opportunistic path from the source.
 func (p *Paths) Reachable(dst trace.NodeID) bool {
-	if int(dst) >= len(p.kind) || dst < 0 {
+	if int(dst) >= len(p.leaf) || dst < 0 {
 		return false
 	}
-	return dst == p.src || p.off[dst] < p.off[dst+1]
+	return dst == p.src || p.leaf[dst] >= 0
 }
 
 // HopRates returns the contact rates along the path to dst (empty if
 // unreachable or dst == src).
 func (p *Paths) HopRates(dst trace.NodeID) []float64 {
-	return slices.Clone(p.hopRates(dst))
+	if !p.Reachable(dst) {
+		return nil
+	}
+	return p.appendRates(nil, p.leaf[dst])
 }
 
 // Hops returns the number of hops to dst (0 for the source, -1 if
@@ -393,15 +460,24 @@ func (p *Paths) Hops(dst trace.NodeID) int {
 	if !p.Reachable(dst) {
 		return -1
 	}
-	return int(p.off[dst+1] - p.off[dst])
+	hops := 0
+	for s := p.leaf[dst]; s >= 0; s = p.parent[s] {
+		hops++
+	}
+	return hops
 }
 
 // Weight returns the opportunistic path weight p_{src,dst}(T): the
 // probability that data is transmitted along the shortest opportunistic
 // path within time T (Eq. 2). The weight to the source itself is 1, and 0
 // for unreachable destinations.
+//
+// Weight reads the path's rates back from the tree into a stack buffer
+// in src->dst order and, for a path with distinct rates, recomputes
+// their Eq. (2) coefficients: the operands PathsInto prepared, so the
+// same bits. It allocates nothing up to weightStackHops hops.
 func (p *Paths) Weight(dst trace.NodeID, t float64) float64 {
-	if dst < 0 || int(dst) >= len(p.kind) {
+	if dst < 0 || int(dst) >= len(p.leaf) {
 		return 0
 	}
 	if dst == p.src {
@@ -410,18 +486,28 @@ func (p *Paths) Weight(dst trace.NodeID, t float64) float64 {
 		}
 		return 1
 	}
-	lo, hi := p.off[dst], p.off[dst+1]
-	if lo == hi || p.kind[dst] == pathInvalid {
+	leaf, kind := p.leaf[dst], p.kind[dst]
+	if leaf < 0 || kind == pathInvalid {
 		return 0
 	}
-	h := mathx.View(p.ratesSlab[lo:hi], p.coefSlab[lo:hi], p.kind[dst] == pathDistinct)
+	var rateBuf, coefBuf [weightStackHops]float64
+	rates := p.appendRates(rateBuf[:0], leaf)
+	var coef []float64
+	if kind == pathDistinct {
+		coef = coefBuf[:]
+		if len(rates) > len(coef) {
+			coef = make([]float64, len(rates))
+		}
+		mathx.Coefficients(rates, coef)
+	}
+	h := mathx.View(rates, coef, kind == pathDistinct)
 	return h.CDF(t)
 }
 
 // Footprint returns the bytes the path tree's slices hold: their
 // capacities, which PathsInto sizes exactly.
 func (p *Paths) Footprint() int {
-	return 4*cap(p.off) + 8*(cap(p.ratesSlab)+cap(p.coefSlab)) + cap(p.kind)
+	return 8*cap(p.rate) + 4*(cap(p.parent)+cap(p.leaf)) + cap(p.kind)
 }
 
 // AllPaths computes Paths from every node. The graph is undirected, so
@@ -442,13 +528,14 @@ func (g *Graph) Metric(i trace.NodeID, t float64, maxHops int) float64 {
 	if g.n <= 1 {
 		return 0
 	}
-	p := g.Paths(i, maxHops)
+	w := make([]float64, g.n)
+	g.PathsInto(i, maxHops, nil, t, w)
 	var sum float64
-	for j := 0; j < g.n; j++ {
+	for j, wj := range w {
 		if trace.NodeID(j) == i {
 			continue
 		}
-		sum += p.Weight(trace.NodeID(j), t)
+		sum += wj
 	}
 	return sum / float64(g.n-1)
 }

@@ -23,7 +23,7 @@ func TestPathsIntoMatchesPaths(t *testing.T) {
 	scratch := &PathScratch{}
 	for src := 0; src < n; src++ {
 		want := g.Paths(trace.NodeID(src), 4)
-		got := g.PathsInto(trace.NodeID(src), 4, scratch)
+		got := g.PathsInto(trace.NodeID(src), 4, scratch, 0, nil)
 		for v := 0; v < n; v++ {
 			if expectedDelay(want, trace.NodeID(v)) != expectedDelay(got, trace.NodeID(v)) {
 				t.Fatalf("src %d dst %d: delay %g != %g", src, v,
@@ -45,7 +45,7 @@ func expectedDelay(p *Paths, dst trace.NodeID) float64 {
 		return 1e300
 	}
 	var d float64
-	for _, r := range p.hopRates(dst) {
+	for _, r := range p.HopRates(dst) {
 		d += 1 / r
 	}
 	return d
@@ -58,9 +58,9 @@ func TestPathsIntoResultOwnsDelay(t *testing.T) {
 	g.SetRate(0, 1, 0.01)
 	g.SetRate(1, 2, 0.02)
 	scratch := &PathScratch{}
-	p0 := g.PathsInto(0, 3, scratch)
+	p0 := g.PathsInto(0, 3, scratch, 0, nil)
 	d01 := expectedDelay(p0, 1)
-	_ = g.PathsInto(3, 3, scratch) // node 3 is isolated; overwrites the layers
+	_ = g.PathsInto(3, 3, scratch, 0, nil) // node 3 is isolated; overwrites the layers
 	if expectedDelay(p0, 1) != d01 {
 		t.Fatalf("delay changed after scratch reuse: %g != %g", expectedDelay(p0, 1), d01)
 	}

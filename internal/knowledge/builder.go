@@ -79,14 +79,15 @@ var rowPool = sync.Pool{New: func() any { return new(weightRow) }}
 // contact slice. counts, whose observation window starts at 0, may be
 // nil when t <= 0.
 //
-// Each weight is evaluated once. Pass 1 computes each source's paths
-// and its Eq. (3) metric, summing every off-diagonal weight, zeros
-// included, in the same order as the dense build (bit-identical by
-// construction). The same loop stages the row's non-zero (column,
-// weight) pairs in a pooled length-n row and copies them out at exact
-// size, so no append growth is left behind. Once every row's length is
-// known, a prefix sum sizes the CSR slabs and pass 2 copies the rows
-// into them in order. The rate graph is dropped with the build: the
+// Each weight is evaluated once, by PathsInto while it recovers the
+// path. Pass 1 computes each source's paths with their weights at the
+// metric horizon and its Eq. (3) metric, summing every off-diagonal
+// weight, zeros included, in the same order as the dense build
+// (bit-identical by construction). The same loop stages the row's
+// non-zero (column, weight) pairs in a pooled length-n row and copies
+// them out at exact size, so no append growth is left behind. Once
+// every row's length is known, a prefix sum sizes the CSR slabs and
+// pass 2 copies the rows into them in order. The rate graph is dropped with the build: the
 // snapshot keeps only each node's degree of it.
 func (b *Builder) buildFromCounts(counts *graph.RateEstimator, t float64, version int) *Snapshot {
 	n := b.params.Nodes
@@ -112,24 +113,25 @@ func (b *Builder) buildFromCounts(counts *graph.RateEstimator, t float64, versio
 	rows := make([]weightRow, n)
 
 	// Pass 1: paths, the Eq. (3) metric and the row's non-zero weights,
-	// in parallel across index-owned slots. PathsInto prepares every
-	// path it returns, so the published snapshot is never mutated again.
+	// in parallel across index-owned slots. PathsInto finishes every
+	// path tree it returns, so the published snapshot is never mutated
+	// again.
 	forEachSource(n, func(i int) {
-		scratch := scratchPool.Get().(*graph.PathScratch)
-		p := g.PathsInto(trace.NodeID(i), b.params.MaxHops, scratch)
-		scratchPool.Put(scratch)
-		s.paths[i] = p
 		stage := rowPool.Get().(*weightRow)
 		if cap(stage.cols) < n {
 			stage.cols, stage.vals = make([]int32, n), make([]float64, n)
 		}
+		// PathsInto fills vals with the whole row; the loop compacts its
+		// non-zero weights to the front in place (nnz <= j).
+		scratch := scratchPool.Get().(*graph.PathScratch)
+		s.paths[i] = g.PathsInto(trace.NodeID(i), b.params.MaxHops, scratch, b.params.MetricT, stage.vals[:n])
+		scratchPool.Put(scratch)
 		var sum float64
 		nnz := 0
-		for j := 0; j < n; j++ {
+		for j, w := range stage.vals[:n] {
 			if j == i {
 				continue
 			}
-			w := p.Weight(trace.NodeID(j), b.params.MetricT)
 			sum += w
 			if w != 0 {
 				stage.cols[nnz] = int32(j)

@@ -50,14 +50,16 @@ func TestSnapshotWeightBits(t *testing.T) {
 }
 
 // TestSnapshotFootprint pins the bytes a mid-trace MIT Reality snapshot
-// retains in slices below 0.8 MB. A shared provider keeps one snapshot
+// retains in slices below 0.35 MB. A shared provider keeps one snapshot
 // per refresh-grid point, so this is what a sweep's live heap grows by
 // per grid point. The layout with a Hypoexp header per path, a rates
 // slab sized for maxHops per path and a per-source delay row retained
 // 1,546,680 bytes here; the compact layout retained 852,633 with the
-// rate graph, and retains 767,117 with only each node's degree of it.
+// rate graph, and 767,117 with only each node's degree of it; the path
+// trees, which share each source's hop prefixes and keep no Eq. (2)
+// coefficients, retain 296,685.
 func TestSnapshotFootprint(t *testing.T) {
-	const limit = 800_000
+	const limit = 350_000
 	s := midTraceSnapshot(t, trace.MITReality, 7*86400)
 	if got := s.footprint(); got >= limit {
 		t.Errorf("mid-trace MIT Reality snapshot retains %d bytes, want < %d", got, limit)

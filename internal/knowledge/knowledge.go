@@ -25,10 +25,12 @@
 //     concurrently running schemes of one comparison share each refresh
 //     instead of rebuilding it per scheme.
 //
-// Snapshots are immutable after Build returns: graph.PathsInto prepares
-// every path it returns, so all reads — Weight, MetricWeight, Metrics —
-// are safe for concurrent use, and consumers must never mutate a shared
-// snapshot (see DESIGN.md "Knowledge layer").
+// Snapshots are immutable after Build returns: graph.PathsInto finishes
+// every path tree it returns, and the build takes the metric-horizon
+// weights from it as it recovers the paths, so all reads — Weight,
+// MetricWeight, Metrics — are safe for concurrent use, and consumers
+// must never mutate a shared snapshot (see DESIGN.md "Knowledge
+// layer").
 //
 //dtn:determinism
 package knowledge

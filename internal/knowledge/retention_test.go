@@ -132,3 +132,28 @@ func TestSharedProviderKeepsGrid(t *testing.T) {
 		t.Errorf("%d snapshots cached, want %d", n, len(grid))
 	}
 }
+
+// TestSharedGridFootprint pins what a sweep's shared provider retains:
+// the whole default refresh grid of seed-1 MIT Reality snapshots, 51
+// of them, stays below 17 MB in slices. With the Eq. (2) coefficients
+// and every path's hop rates stored per path it held 39.2 MB; the path
+// trees hold 15.2 MB.
+func TestSharedGridFootprint(t *testing.T) {
+	const limit = 17_000_000
+	tr, err := trace.GeneratePreset(trace.MITReality, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := refreshGrid(tr)
+	if len(grid) != 51 {
+		t.Fatalf("default refresh grid has %d points, want 51", len(grid))
+	}
+	pr := engine.SharedKnowledge(tr, 0)
+	total := 0
+	for _, at := range grid {
+		total += knowledge.Footprint(pr.At(at))
+	}
+	if total >= limit {
+		t.Errorf("shared MIT Reality grid retains %d bytes over %d snapshots, want < %d", total, len(grid), limit)
+	}
+}

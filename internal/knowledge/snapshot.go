@@ -124,10 +124,12 @@ func (s *Snapshot) WeightNNZ() int { return len(s.cols) }
 
 // Weight returns the opportunistic path weight p_ab(t): 1 for a == b, a
 // sparse-matrix lookup at the metric horizon, and a direct Paths
-// evaluation for any other horizon. Every Paths is prepared at build
-// time, so the evaluation is a pure read, safe for concurrent use.
+// evaluation for any other horizon. Paths.Weight reads the path's rates
+// back from the tree onto the stack and recomputes its Eq. (2)
+// coefficients there, so the evaluation is a pure read, safe for
+// concurrent use.
 //
-//dtn:allocfree response-probability hot path (Sec. V-C)
+//dtn:allocfree response-probability hot path (Sec. V-C); Paths.Weight gathers on the stack up to 8 hops
 func (s *Snapshot) Weight(a, b trace.NodeID, t float64) float64 {
 	if a == b {
 		return 1

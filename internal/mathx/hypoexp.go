@@ -67,10 +67,18 @@ func Prepare(rates, coef []float64) (distinct bool, err error) {
 	return true, nil
 }
 
+// Coefficients fills coef (as long as rates) with the Eq. (2)
+// coefficients of rates, as Prepare does for rates it reports distinct.
+// A caller that kept only the rates and Prepare's verdict recomputes
+// the coefficients here, bit for bit, instead of storing them.
+func Coefficients(rates, coef []float64) {
+	hypoexpCoefficients(rates, coef[:len(rates)])
+}
+
 // View returns the distribution of rates that Prepare prepared, reading
-// rates and coef in place: distinct and coef must be what Prepare
-// reported and filled. It computes nothing, so a View on the stack
-// evaluates bit for bit as NewHypoexp on the same rates.
+// rates and coef in place: distinct must be what Prepare reported, and
+// coef what it or Coefficients filled. It computes nothing, so a View
+// on the stack evaluates bit for bit as NewHypoexp on the same rates.
 func View(rates, coef []float64, distinct bool) Hypoexp {
 	h := Hypoexp{rates: rates, distinct: distinct}
 	if distinct {

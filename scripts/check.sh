@@ -163,8 +163,9 @@ fi
 # revision under .bench_build, run this checkout's suite (make
 # bench-suite) in both trees for five rounds that alternate which side
 # goes first, and let benchjson -parent compare the per-bench medians.
-# A bench fails when it runs below 0.75x the base's speed by more than
-# the base's own interquartile range, so a 1.5x slowdown trips it; a
+# A bench fails when it runs below 0.75x the base's speed, so a 1.5x
+# slowdown trips it: as slower when the gap exceeds the base's own
+# interquartile range, as unresolved when a noisy base covers it. A
 # FAIL line (the CityScaleReplay peak-RSS cap, a failed build) fails it
 # too. Benches only the base runs are reported as retired, only the
 # change runs as new. The base is CHECK_BENCH_BASE, by default HEAD
