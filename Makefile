@@ -5,7 +5,7 @@
 GO ?= go
 CMDS := dtnsim nclstat experiments tracegen dtnlint benchjson obsdump dtnserved dtnload
 
-.PHONY: build test check smoke serve-smoke crash-smoke fuzz lint lint-fix-check bench bench-suite clean
+.PHONY: build test check smoke serve-smoke crash-smoke fuzz lint lint-fix-check bench bench-suite loc clean
 
 build:
 	$(GO) build ./...
@@ -74,6 +74,13 @@ bench-suite:
 
 fuzz:
 	CHECK_FUZZ_TIME=$${CHECK_FUZZ_TIME:-30s} ./scripts/check.sh
+
+# Non-test Go lines outside bench/ and testdata/ (hidden directories,
+# such as the bench gate's exported base tree, excluded): the size
+# figure CHANGES.md quotes for each change's net line delta.
+loc:
+	@find . -name '.?*' -prune -o -path ./bench -prune -o -name testdata -prune -o \
+		-name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l
 
 clean:
 	rm -rf bin

@@ -16,11 +16,11 @@ import (
 	"os"
 	"sort"
 
-	"dtncache/internal/engine"
 	"dtncache/internal/experiment"
 	"dtncache/internal/graph"
 	"dtncache/internal/knowledge"
 	"dtncache/internal/mathx"
+	"dtncache/internal/scheme"
 	"dtncache/internal/trace"
 )
 
@@ -76,7 +76,7 @@ func run(args []string) error {
 
 	t := *horizon
 	if t == 0 {
-		t = engine.DefaultMetricT(tr.Name)
+		t = scheme.DefaultMetricT(tr.Name)
 	}
 	// Whole-trace knowledge snapshot over the raw contact list, the
 	// Sec. IV-B offline analysis convention.

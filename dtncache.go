@@ -55,8 +55,11 @@ type (
 	RWPConfig = trace.RWPConfig
 	// Preset names one of the paper's four traces.
 	Preset = trace.Preset
-	// Setup describes one simulation run (trace + workload + protocol
-	// parameters; zero values pick the paper's defaults).
+	// Setup describes one simulation run: the trace, the scheme, the
+	// workload and protocol parameters, and optionally a shared
+	// knowledge provider, a contact stream and a recorder. It is the
+	// engine's one run config under a stable name; zero values pick the
+	// paper's defaults.
 	Setup = engine.Config
 	// Report is the metric summary of one run.
 	Report = metrics.Report
@@ -215,4 +218,4 @@ func NCLMetrics(tr *Trace, metricT float64) ([]float64, error) {
 
 // DefaultMetricT returns the paper's (adaptively chosen) path-weight
 // horizon for a trace name.
-func DefaultMetricT(name string) float64 { return engine.DefaultMetricT(name) }
+func DefaultMetricT(name string) float64 { return scheme.DefaultMetricT(name) }

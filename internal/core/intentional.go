@@ -199,8 +199,8 @@ func (s *Intentional) Name() string {
 
 // Init implements scheme.Scheme.
 func (s *Intentional) Init(e *scheme.Env) error {
-	if e.Cfg.NCLCount < 1 {
-		return errors.New("core: intentional caching needs NCLCount >= 1")
+	if e.Cfg.K < 1 {
+		return errors.New("core: intentional caching needs K >= 1")
 	}
 	s.env = e
 	s.base = scheme.NewBase(e)
@@ -362,7 +362,7 @@ func (s *Intentional) broadcastQueries(sess *sim.Session, from trace.NodeID) {
 		x.qc, x.sess, x.from, x.to, x.sent = qc, sess, from, to, now
 		x.held = cur.Custody(qc)
 		if !sess.Enqueue(sim.Transfer{
-			From: from, To: to, Bits: s.env.Cfg.QueryBits, Label: "bcast-query",
+			From: from, To: to, Bits: scheme.QueryBits, Label: "bcast-query",
 			OnDelivered: x.onDelivered, OnDropped: x.onDropped,
 		}) {
 			x.release()
@@ -479,7 +479,7 @@ func (x *bcastXfer) delivered(at float64) {
 	s, qc, sess, from, to, sent, held := x.s, x.qc, x.sess, x.from, x.to, x.sent, x.held
 	x.release()
 	e := s.env
-	e.M.ControlTransferred(e.Cfg.QueryBits)
+	e.M.ControlTransferred(scheme.QueryBits)
 	if qc.Q.Deadline <= at {
 		return
 	}
@@ -488,7 +488,7 @@ func (x *bcastXfer) delivered(at float64) {
 	}
 	if e.Prov != nil {
 		e.Prov.QueryHop(qc.Q.ID, qc.Target, from, to,
-			sent, at, e.XferSec(e.Cfg.QueryBits), provenance.OpQueryBcast, false)
+			sent, at, e.XferSec(scheme.QueryBits), provenance.OpQueryBcast, false)
 	}
 	s.base.Observe(to, qc.Q.Data, at)
 	if s.base.Respond(to, qc, false) {

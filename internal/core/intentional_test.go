@@ -41,8 +41,9 @@ func manualWorkload(tr *trace.Trace) *workload.Workload {
 
 func lineConfig(tr *trace.Trace) scheme.Config {
 	cfg := scheme.DefaultConfig(tr.Duration)
+	cfg.Trace = tr
 	cfg.MetricT = 3600
-	cfg.NCLCount = 1
+	cfg.K = 1
 	return cfg
 }
 
@@ -50,9 +51,9 @@ func TestInitRequiresNCLs(t *testing.T) {
 	tr := lineTrace(1000, 40000)
 	w := manualWorkload(tr)
 	cfg := lineConfig(tr)
-	cfg.NCLCount = 0
-	if _, err := scheme.NewEnv(tr, w, cfg, New(), nil, nil); err == nil {
-		t.Error("NCLCount=0 accepted")
+	cfg.K = 0
+	if _, err := scheme.NewEnv(cfg, w, New()); err == nil {
+		t.Error("K=0 accepted")
 	}
 }
 
@@ -60,7 +61,7 @@ func TestIntentionalEndToEnd(t *testing.T) {
 	tr := lineTrace(1000, 40000)
 	w := manualWorkload(tr)
 	s := New()
-	env, err := scheme.NewEnv(tr, w, lineConfig(tr), s, nil, nil)
+	env, err := scheme.NewEnv(lineConfig(tr), w, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestPushLandsAtCenter(t *testing.T) {
 	tr := lineTrace(1000, 40000)
 	w := manualWorkload(tr)
 	s := New()
-	env, err := scheme.NewEnv(tr, w, lineConfig(tr), s, nil, nil)
+	env, err := scheme.NewEnv(lineConfig(tr), w, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,9 +128,10 @@ func TestIntentionalDeterministic(t *testing.T) {
 	}
 	run := func() interface{} {
 		cfg := scheme.DefaultConfig(tr.Duration)
+		cfg.Trace = tr
 		cfg.MetricT = 3600
-		cfg.NCLCount = 3
-		env, err := scheme.NewEnv(tr, w, cfg, New(), nil, nil)
+		cfg.K = 3
+		env, err := scheme.NewEnv(cfg, w, New())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,9 +157,10 @@ func TestIntentionalOnInfocom05BeatsNoCache(t *testing.T) {
 	}
 	runScheme := func(s scheme.Scheme) float64 {
 		cfg := scheme.DefaultConfig(tr.Duration)
+		cfg.Trace = tr
 		cfg.MetricT = 3600
-		cfg.NCLCount = 5
-		env, err := scheme.NewEnv(tr, w, cfg, s, nil, nil)
+		cfg.K = 5
+		env, err := scheme.NewEnv(cfg, w, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,7 +178,7 @@ func TestEvictionPolicyVariantRuns(t *testing.T) {
 	w := manualWorkload(tr)
 	for _, p := range []buffer.Policy{buffer.FIFO{}, buffer.LRU{}, &buffer.GreedyDualSize{}} {
 		s := New(WithEvictionPolicy(p))
-		env, err := scheme.NewEnv(tr, w, lineConfig(tr), s, nil, nil)
+		env, err := scheme.NewEnv(lineConfig(tr), w, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +193,7 @@ func TestReplacementDisabled(t *testing.T) {
 	tr := lineTrace(1000, 40000)
 	w := manualWorkload(tr)
 	s := New(WithReplacement(false))
-	env, err := scheme.NewEnv(tr, w, lineConfig(tr), s, nil, nil)
+	env, err := scheme.NewEnv(lineConfig(tr), w, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,9 +232,10 @@ func TestPopularDataMigratesTowardCenter(t *testing.T) {
 	}
 	run := func(replacement bool) float64 {
 		cfg := scheme.DefaultConfig(tr.Duration)
+		cfg.Trace = tr
 		cfg.MetricT = 3600
-		cfg.NCLCount = 5
-		env, err := scheme.NewEnv(tr, w, cfg, New(WithReplacement(replacement)), nil, nil)
+		cfg.K = 5
+		env, err := scheme.NewEnv(cfg, w, New(WithReplacement(replacement)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,7 +253,7 @@ func TestQuerySprayOption(t *testing.T) {
 	tr := lineTrace(1000, 40000)
 	w := manualWorkload(tr)
 	s := New(WithQuerySpray(4))
-	env, err := scheme.NewEnv(tr, w, lineConfig(tr), s, nil, nil)
+	env, err := scheme.NewEnv(lineConfig(tr), w, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,15 +278,16 @@ func TestQuerySprayOnPreset(t *testing.T) {
 	}
 	run := func(spray int) float64 {
 		cfg := scheme.DefaultConfig(tr.Duration)
+		cfg.Trace = tr
 		cfg.MetricT = 3600
-		cfg.NCLCount = 3
+		cfg.K = 3
 		var s *Intentional
 		if spray > 1 {
 			s = New(WithQuerySpray(spray))
 		} else {
 			s = New()
 		}
-		env, err := scheme.NewEnv(tr, w, cfg, s, nil, nil)
+		env, err := scheme.NewEnv(cfg, w, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -301,7 +306,7 @@ func TestCoreHelpers(t *testing.T) {
 	tr := lineTrace(1000, 40000)
 	w := manualWorkload(tr)
 	s := New()
-	env, err := scheme.NewEnv(tr, w, lineConfig(tr), s, nil, nil)
+	env, err := scheme.NewEnv(lineConfig(tr), w, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +346,7 @@ func TestBroadcastDeliveryCarries(t *testing.T) {
 	tr := lineTrace(1000, 40000)
 	w := manualWorkload(tr)
 	s := New()
-	env, err := scheme.NewEnv(tr, w, lineConfig(tr), s, nil, nil)
+	env, err := scheme.NewEnv(lineConfig(tr), w, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +405,7 @@ func TestBroadcastCustodyHandOff(t *testing.T) {
 			tr := lineTrace(1000, 40000)
 			w := manualWorkload(tr)
 			s := New()
-			env, err := scheme.NewEnv(tr, w, lineConfig(tr), s, nil, nil)
+			env, err := scheme.NewEnv(lineConfig(tr), w, s)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -435,7 +440,7 @@ func TestPeerCandidatesExact(t *testing.T) {
 	tr := lineTrace(1000, 40000)
 	w := manualWorkload(tr)
 	s := New()
-	env, err := scheme.NewEnv(tr, w, lineConfig(tr), s, nil, nil)
+	env, err := scheme.NewEnv(lineConfig(tr), w, s)
 	if err != nil {
 		t.Fatal(err)
 	}

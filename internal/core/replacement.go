@@ -25,6 +25,10 @@ type poolItem struct {
 	transitB bool
 }
 
+// quantBits is the knapsack size quantum: Eq. (7) counts item sizes and
+// buffer capacities in 5 Mb units.
+const quantBits = 5e6
+
 // replace runs the paper's cache replacement (Sec. V-D) on a contact:
 // pool the settled (non-transit) cached entries of both nodes, let the
 // node nearer the NCLs pick the best subset by solving the knapsack of
@@ -49,18 +53,17 @@ func (s *Intentional) replace(sess *sim.Session) {
 	}
 
 	sc := &s.repl
-	quant := e.Cfg.QuantBits
 	items := sc.items[:0]
 	for i, p := range pool {
 		items = append(items, knapsack.Item{
 			ID:    i,
-			Size:  int(math.Ceil(p.item.SizeBits / quant)),
+			Size:  int(math.Ceil(p.item.SizeBits / quantBits)),
 			Value: p.utility,
 		})
 	}
 	sc.items = items
 	inA, inB := cleared(&sc.inA, len(pool)), cleared(&sc.inB, len(pool))
-	capA, capB := s.replCapacity(a, pinnedA, quant), s.replCapacity(b, pinnedB, quant)
+	capA, capB := s.replCapacity(a, pinnedA), s.replCapacity(b, pinnedB)
 	for _, i := range s.selectFor(items, capA) {
 		inA[i] = true
 		capA -= items[i].Size
@@ -229,7 +232,7 @@ func (s *Intentional) poolable(n trace.NodeID, en *buffer.Entry, now float64) bo
 // replCapacity is the knapsack capacity of node n in quanta: total
 // buffer capacity minus space pinned by copies with outstanding
 // transfers and by extraPinned (pool-excluded duplicates).
-func (s *Intentional) replCapacity(n trace.NodeID, extraPinned, quant float64) int {
+func (s *Intentional) replCapacity(n trace.NodeID, extraPinned float64) int {
 	buf := s.env.Buffers[n]
 	pinned := extraPinned
 	for _, en := range buf.Entries() {
@@ -237,7 +240,7 @@ func (s *Intentional) replCapacity(n trace.NodeID, extraPinned, quant float64) i
 			pinned += en.Data.SizeBits
 		}
 	}
-	c := int(math.Floor((buf.Capacity() - pinned) / quant))
+	c := int(math.Floor((buf.Capacity() - pinned) / quantBits))
 	if c < 0 {
 		c = 0
 	}
@@ -253,7 +256,7 @@ func (s *Intentional) selectFor(items []knapsack.Item, capacity int) []int {
 	if len(items) == 0 || capacity <= 0 {
 		return nil
 	}
-	if s.env.Cfg.ProbabilisticSelection {
+	if !s.env.Cfg.DisableProbabilisticSelection {
 		sel, err := knapsack.ProbabilisticSelect(s.repl.sel[:0], items, capacity, func(it knapsack.Item) bool {
 			p := it.Value
 			if p > 1 {

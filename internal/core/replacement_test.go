@@ -51,10 +51,10 @@ func replacementFixture(t *testing.T, opts ...Option) (*scheme.Env, *Intentional
 	}
 	s := New(opts...)
 	cfg := scheme.DefaultConfig(tr.Duration)
+	cfg.Trace = tr
 	cfg.MetricT = 3600
-	cfg.NCLCount = 1
-	cfg.QuantBits = 1e6
-	env, err := scheme.NewEnv(tr, w, cfg, s, nil, nil)
+	cfg.K = 1
+	env, err := scheme.NewEnv(cfg, w, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestReplacementCollapsesSameHomeDuplicates(t *testing.T) {
 
 func TestSelectForDeterministicWithoutBernoulli(t *testing.T) {
 	env, s, w := replacementFixture(t)
-	env.Cfg.ProbabilisticSelection = false
+	env.Cfg.DisableProbabilisticSelection = true
 	now := env.Sim.Now()
 	en, err := env.Buffers[0].Put(w.Data[0], now)
 	if err != nil {
@@ -286,7 +286,7 @@ func TestBuildPoolZeroAlloc(t *testing.T) {
 		items[i] = knapsack.Item{ID: i, Size: int(math.Ceil(p.item.SizeBits / 1e6)), Value: max(p.utility, 0.5)}
 		total += items[i].Size
 	}
-	if !env.Cfg.ProbabilisticSelection {
+	if env.Cfg.DisableProbabilisticSelection {
 		t.Fatal("the fixture runs without Algorithm 1")
 	}
 	if len(s.selectFor(items, total/2)) == 0 {

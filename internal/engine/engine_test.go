@@ -10,6 +10,7 @@ import (
 	"dtncache/internal/engine"
 	"dtncache/internal/experiment"
 	"dtncache/internal/obs"
+	"dtncache/internal/scheme"
 	"dtncache/internal/trace"
 	"dtncache/internal/workload"
 )
@@ -41,6 +42,41 @@ func TestNewRequiresTrace(t *testing.T) {
 	}
 }
 
+// TestNewRejectsBadConfig: one Validate covers batch and Live engines
+// alike, so a non-finite knob or a workload parameter no publish could
+// satisfy fails New with an error naming the field, instead of running
+// with empty buffers, no queries or failing every default publish.
+func TestNewRejectsBadConfig(t *testing.T) {
+	tr, nan := infocom(t), math.NaN()
+	cases := []struct {
+		field  string
+		mutate func(*engine.Config)
+	}{
+		{"BufferMinBits", func(c *engine.Config) { c.BufferMinBits = nan }},
+		{"BufferMaxBits", func(c *engine.Config) { c.BufferMaxBits = nan }},
+		{"ZipfExponent", func(c *engine.Config) { c.ZipfExponent = nan }},
+		{"AvgSizeBits", func(c *engine.Config) { c.AvgSizeBits = nan }},
+		{"QueryRetrySec", func(c *engine.Config) { c.QueryRetrySec = nan }},
+		{"MetricT", func(c *engine.Config) { c.MetricT = math.Inf(1) }},
+		{"AvgSizeBits", func(c *engine.Config) { c.AvgSizeBits = -1 }},
+		{"GenProb", func(c *engine.Config) { c.GenProb = 2 }},
+		{"AvgLifetime", func(c *engine.Config) { c.AvgLifetime = -3600; c.Response = scheme.ResponseAlways }},
+		{"AvgLifetime", func(c *engine.Config) { c.AvgLifetime = -3600 }},
+		{"UtilityFloor", func(c *engine.Config) { c.UtilityFloor = -0.5 }},
+		{"QuerySprayCopies", func(c *engine.Config) { c.QuerySprayCopies = -4 }},
+	}
+	for _, live := range []bool{false, true} {
+		for _, tc := range cases {
+			cfg := engine.Config{Trace: tr, AvgLifetime: 3 * 3600, Live: live}
+			tc.mutate(&cfg)
+			_, err := engine.New(cfg)
+			if err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Errorf("live=%v, bad %s: New returned %v, want an error naming the field", live, tc.field, err)
+			}
+		}
+	}
+}
+
 func TestNormalizedDefaults(t *testing.T) {
 	c, err := engine.Config{Trace: infocom(t)}.Normalized()
 	if err != nil {
@@ -52,7 +88,7 @@ func TestNormalizedDefaults(t *testing.T) {
 	if c.AvgLifetime != 7*86400 || c.K != 8 || c.Seed != 1 {
 		t.Errorf("paper defaults not applied: %+v", c)
 	}
-	if c.MetricT != engine.DefaultMetricT(string(trace.Infocom05)) {
+	if c.MetricT != scheme.DefaultMetricT(string(trace.Infocom05)) {
 		t.Errorf("MetricT = %v", c.MetricT)
 	}
 	// Idempotence: normalizing a normalized config changes nothing.

@@ -201,7 +201,7 @@ func RoutingComparison(o FigureOptions) (*Table, error) {
 	// Whole-trace path knowledge from raw contacts, as in Sec. IV-B; the
 	// gradient relay score reads the snapshot's precomputed weight
 	// matrix (safe under the parallel strategy evaluation below).
-	metricT := engine.DefaultMetricT(string(preset))
+	metricT := scheme.DefaultMetricT(string(preset))
 	snap := knowledge.NewProvider(knowledge.Params{
 		Nodes:   tr.Nodes,
 		MetricT: metricT,

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dtncache/internal/engine"
+	"dtncache/internal/scheme"
 	"dtncache/internal/trace"
 )
 
@@ -57,7 +58,7 @@ func TestTableIPresetComparisonIdentical(t *testing.T) {
 			// hypoexponential path weights inside the knowledge build,
 			// which is orthogonal to the store-equivalence property under
 			// test here.
-			metricT := engine.DefaultMetricT(string(p))
+			metricT := scheme.DefaultMetricT(string(p))
 			if metricT > 6*3600 {
 				metricT = 6 * 3600
 			}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dtncache/internal/engine"
+	"dtncache/internal/scheme"
 	"dtncache/internal/trace"
 )
 
@@ -125,7 +126,7 @@ func TestDefaultMetricT(t *testing.T) {
 		"custom":                 86400,
 	}
 	for name, want := range cases {
-		if got := engine.DefaultMetricT(name); got != want {
+		if got := scheme.DefaultMetricT(name); got != want {
 			t.Errorf("DefaultMetricT(%q) = %v, want %v", name, got, want)
 		}
 	}

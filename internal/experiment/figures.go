@@ -8,6 +8,7 @@ import (
 	"dtncache/internal/knowledge"
 	"dtncache/internal/mathx"
 	"dtncache/internal/metrics"
+	"dtncache/internal/scheme"
 	"dtncache/internal/trace"
 	"dtncache/internal/workload"
 )
@@ -94,7 +95,7 @@ func Fig4(o FigureOptions) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		metricsVals, err := NCLMetrics(tr, engine.DefaultMetricT(string(p)))
+		metricsVals, err := NCLMetrics(tr, scheme.DefaultMetricT(string(p)))
 		if err != nil {
 			return nil, err
 		}
@@ -105,7 +106,7 @@ func Fig4(o FigureOptions) (*Table, error) {
 		if med > 0 {
 			skew = sorted[len(sorted)-1] / med
 		}
-		t.AddRow(string(p), fmtDuration(engine.DefaultMetricT(string(p))),
+		t.AddRow(string(p), fmtDuration(scheme.DefaultMetricT(string(p))),
 			sorted[0], mathx.Percentile(sorted, 0.25), med,
 			mathx.Percentile(sorted, 0.75), mathx.Percentile(sorted, 0.9),
 			sorted[len(sorted)-1], skew)
@@ -127,15 +128,15 @@ func NCLMetrics(tr *trace.Trace, metricT float64) ([]float64, error) {
 }
 
 // Fig7 regenerates Fig. 7: the sigmoid response probability of Eq. (4)
-// with p_min = 0.45, p_max = 0.8 and T_q = 10 hours.
+// with the scheme's p_min and p_max (0.45, 0.8) and T_q = 10 hours.
 func Fig7(FigureOptions) (*Table, error) {
-	sig, err := mathx.NewResponseSigmoid(0.45, 0.8, 10*hour)
+	sig, err := mathx.NewResponseSigmoid(scheme.PMin, scheme.PMax, 10*hour)
 	if err != nil {
 		return nil, err
 	}
 	t := &Table{
 		ID:      "Fig. 7",
-		Title:   "Probability for deciding data response (Eq. 4, pmin=0.45 pmax=0.8 Tq=10h)",
+		Title:   fmt.Sprintf("Probability for deciding data response (Eq. 4, pmin=%g pmax=%g Tq=10h)", scheme.PMin, scheme.PMax),
 		Headers: []string{"remaining time (h)", "p_R"},
 	}
 	for h := 0.0; h <= 10.0001; h += 1 {

@@ -4,8 +4,8 @@ import (
 	"sync"
 	"testing"
 
-	"dtncache/internal/engine"
 	"dtncache/internal/knowledge"
+	"dtncache/internal/scheme"
 	"dtncache/internal/trace"
 )
 
@@ -31,7 +31,7 @@ func benchSetup(b *testing.B) (*trace.Trace, knowledge.Params) {
 		benchTrace = tr
 		benchParams = knowledge.Params{
 			Nodes:   tr.Nodes,
-			MetricT: engine.DefaultMetricT(tr.Name),
+			MetricT: scheme.DefaultMetricT(tr.Name),
 		}
 	})
 	return benchTrace, benchParams

@@ -28,10 +28,10 @@ type Builder struct {
 
 // NewBuilder creates a builder over the given contact list.
 func NewBuilder(p Params, contacts []trace.Contact) *Builder {
-	return &Builder{params: p.Normalized(), contacts: contacts}
+	return &Builder{params: p, contacts: contacts}
 }
 
-// Params returns the normalized pipeline configuration.
+// Params returns the pipeline configuration.
 func (b *Builder) Params() Params { return b.params }
 
 // counts observes every contact with Start <= t — the prefix a run has
@@ -124,7 +124,7 @@ func (b *Builder) buildFromCounts(counts *graph.RateEstimator, t float64, versio
 		// PathsInto fills vals with the whole row; the loop compacts its
 		// non-zero weights to the front in place (nnz <= j).
 		scratch := scratchPool.Get().(*graph.PathScratch)
-		s.paths[i] = g.PathsInto(trace.NodeID(i), b.params.MaxHops, scratch, b.params.MetricT, stage.vals[:n])
+		s.paths[i] = g.PathsInto(trace.NodeID(i), graph.DefaultMaxHops, scratch, b.params.MetricT, stage.vals[:n])
 		scratchPool.Put(scratch)
 		var sum float64
 		nnz := 0

@@ -35,10 +35,6 @@
 //dtn:determinism
 package knowledge
 
-import (
-	"dtncache/internal/graph"
-)
-
 // Params identifies the knowledge pipeline configuration. Two consumers
 // may share a Provider exactly when their Params are equal.
 type Params struct {
@@ -47,16 +43,4 @@ type Params struct {
 	// MetricT is the path-weight horizon T of Sec. IV-B; the n×n weight
 	// matrix is precomputed at this horizon.
 	MetricT float64
-	// MaxHops caps opportunistic path length (graph.DefaultMaxHops if
-	// <= 0, mirroring graph.Paths).
-	MaxHops int
-}
-
-// Normalized fills the MaxHops default so equivalent pipeline
-// configurations compare equal with ==.
-func (p Params) Normalized() Params {
-	if p.MaxHops <= 0 {
-		p.MaxHops = graph.DefaultMaxHops
-	}
-	return p
 }

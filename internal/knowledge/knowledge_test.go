@@ -8,6 +8,7 @@ import (
 	"dtncache/internal/engine"
 	"dtncache/internal/graph"
 	"dtncache/internal/knowledge"
+	"dtncache/internal/scheme"
 	"dtncache/internal/trace"
 )
 
@@ -40,7 +41,7 @@ func TestSnapshotMatchesSeedPipeline(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			metricT := engine.DefaultMetricT(tr.Name)
+			metricT := scheme.DefaultMetricT(tr.Name)
 			params := knowledge.Params{Nodes: tr.Nodes, MetricT: metricT}
 			builder := knowledge.NewBuilder(params, tr.Contacts)
 			provider := knowledge.NewProvider(params, tr.Contacts)
@@ -163,7 +164,7 @@ func TestSnapshotSharingConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	metricT := engine.DefaultMetricT(tr.Name)
+	metricT := scheme.DefaultMetricT(tr.Name)
 	pr := engine.SharedKnowledge(tr, metricT)
 	grid := []float64{0.2, 0.4, 0.6, 0.8, 1.0}
 	const consumers = 8
@@ -203,18 +204,5 @@ func TestSnapshotSharingConcurrent(t *testing.T) {
 	}
 	if sums[0] != math.Float64bits(want) {
 		t.Errorf("concurrent consumer read %x, serial replay %x", sums[0], math.Float64bits(want))
-	}
-}
-
-// TestParamsNormalized pins the Params sharing key: defaults are filled
-// so equivalent configurations compare equal with ==.
-func TestParamsNormalized(t *testing.T) {
-	n := knowledge.Params{Nodes: 5, MetricT: 10}.Normalized()
-	if n.MaxHops != graph.DefaultMaxHops {
-		t.Errorf("MaxHops default = %d, want %d", n.MaxHops, graph.DefaultMaxHops)
-	}
-	explicit := knowledge.Params{Nodes: 5, MetricT: 10, MaxHops: graph.DefaultMaxHops}.Normalized()
-	if n != explicit {
-		t.Error("default and explicit MaxHops params should normalize equal")
 	}
 }

@@ -29,7 +29,7 @@ func retentionTrace(t *testing.T) (*trace.Trace, knowledge.Params, func() (trace
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := knowledge.Params{Nodes: tr.Nodes, MetricT: engine.DefaultMetricT(tr.Name)}
+	params := knowledge.Params{Nodes: tr.Nodes, MetricT: scheme.DefaultMetricT(tr.Name)}
 	open := func() (trace.ContactSource, error) { return trace.NewSliceSource(tr.Contacts), nil }
 	return tr, params, open
 }

@@ -53,7 +53,7 @@ func TestNoCacheContactZeroAlloc(t *testing.T) {
 	tr := lineTrace(1000, 40000)
 	w := manualWorkload(tr, 21000, 39000, 22000, 38000)
 	nc := NewNoCache()
-	env, err := NewEnv(tr, w, testConfig(tr), nc, nil, nil)
+	env, err := NewEnv(testConfig(tr), w, nc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -637,7 +637,7 @@ func (b *Base) sendQuery(s *sim.Session, from, to trace.NodeID, qc *QueryCarry, 
 	if spray {
 		label = "query-spray"
 	}
-	if !s.Enqueue(sim.Transfer{From: from, To: to, Bits: b.E.Cfg.QueryBits, Label: label,
+	if !s.Enqueue(sim.Transfer{From: from, To: to, Bits: QueryBits, Label: label,
 		OnDelivered: x.onDelivered, OnDropped: x.onDropped}) {
 		x.release()
 	}
@@ -660,7 +660,7 @@ func (x *queryXfer) delivered(at float64) {
 	b, qc, s, onArrive, from, to, sent, spray := x.b, x.qc, x.sess, x.onArrive, x.key.node, x.to, x.sent, x.spray
 	delete(b.inflightQ, x.key)
 	x.release()
-	b.E.M.ControlTransferred(b.E.Cfg.QueryBits)
+	b.E.M.ControlTransferred(QueryBits)
 	if !spray {
 		b.DropQuery(from, qc) // custody moves to the receiver
 	}
@@ -675,7 +675,7 @@ func (x *queryXfer) delivered(at float64) {
 	}
 	b.CarryQuery(to, arrived)
 	b.E.Prov.QueryHop(qc.Q.ID, qc.Target, from, to,
-		sent, at, b.E.XferSec(b.E.Cfg.QueryBits), op, !spray)
+		sent, at, b.E.XferSec(QueryBits), op, !spray)
 	if onArrive != nil {
 		onArrive(s, to, arrived)
 	}

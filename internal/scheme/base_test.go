@@ -13,7 +13,7 @@ func testBase(t *testing.T) (*Base, *Env, *workload.Workload) {
 	t.Helper()
 	tr := lineTrace(1000, 40000)
 	w := manualWorkload(tr, 21000, 39000, 22000, 38000)
-	env, err := NewEnv(tr, w, testConfig(tr), NewNoCache(), nil, nil)
+	env, err := NewEnv(testConfig(tr), w, NewNoCache())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestSprayQueryReplication(t *testing.T) {
 	tr := lineTrace(1000, 40000)
 	w := manualWorkload(tr, 21000, 39000, 22000, 38000)
 	s := &sprayScheme{}
-	env, err := NewEnv(tr, w, testConfig(tr), s, nil, nil)
+	env, err := NewEnv(testConfig(tr), w, s)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,32 +45,29 @@ func manualWorkload(tr *trace.Trace, created, expires, issued, deadline float64)
 
 func testConfig(tr *trace.Trace) Config {
 	cfg := DefaultConfig(tr.Duration)
+	cfg.Trace = tr
 	cfg.MetricT = 3600
-	cfg.NCLCount = 1
+	cfg.K = 1
 	cfg.WarmupEnd = tr.Duration / 2
 	return cfg
 }
 
 func TestConfigValidate(t *testing.T) {
-	good := DefaultConfig(86400)
-	if err := good.Validate(); err != nil {
+	tr := lineTrace(1000, 40000)
+	if err := testConfig(tr).Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
 	bad := []func(*Config){
+		func(c *Config) { c.Trace = nil },
 		func(c *Config) { c.MetricT = 0 },
 		func(c *Config) { c.RefreshSec = 0 },
-		func(c *Config) { c.SweepSec = 0 },
-		func(c *Config) { c.QueryBits = -1 },
 		func(c *Config) { c.Response = 0 },
 		func(c *Config) { c.Response = 99 },
-		func(c *Config) { c.NCLCount = -1 },
-		func(c *Config) { c.QuantBits = 0 },
+		func(c *Config) { c.K = -1 },
 		func(c *Config) { c.BufferMinBits = 0 },
 		func(c *Config) { c.BufferMaxBits = c.BufferMinBits - 1 },
 		func(c *Config) { c.WarmupEnd = -1 },
-		func(c *Config) { c.PMin = 0.1 }, // below pmax/2 for sigmoid
-		func(c *Config) { c.PMin = 0.9 }, // above pmax
-		func(c *Config) { c.MaxHops = -1 },
+		func(c *Config) { c.WarmupEnd = c.Trace.Duration }, // empty data-access window
 		// Fault/recovery knobs.
 		func(c *Config) { c.QueryRetrySec = -1 },
 		func(c *Config) { c.QueryRetryMax = -1 },
@@ -84,7 +81,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Fault.BlackoutNCLs = -1 },
 	}
 	for i, mutate := range bad {
-		c := DefaultConfig(86400)
+		c := testConfig(tr)
 		mutate(&c)
 		if err := c.Validate(); err == nil {
 			t.Errorf("bad config %d accepted", i)
@@ -96,15 +93,15 @@ func TestNewEnvRejectsMismatchedNodes(t *testing.T) {
 	tr := lineTrace(1000, 40000)
 	w := manualWorkload(tr, 21000, 39000, 22000, 30000)
 	w.Config.Nodes = 99
-	if _, err := NewEnv(tr, w, testConfig(tr), NewNoCache(), nil, nil); err == nil {
+	if _, err := NewEnv(testConfig(tr), w, NewNoCache()); err == nil {
 		t.Error("mismatched node counts accepted")
 	}
 }
 
 func TestNewEnvRejectsInvalidTrace(t *testing.T) {
-	tr := &trace.Trace{Nodes: 0}
+	tr := &trace.Trace{Nodes: 0, Duration: 100}
 	w := &workload.Workload{Config: workload.Config{Nodes: 0}}
-	if _, err := NewEnv(tr, w, DefaultConfig(100), NewNoCache(), nil, nil); err == nil {
+	if _, err := NewEnv(testConfig(tr), w, NewNoCache()); err == nil {
 		t.Error("invalid trace accepted")
 	}
 }
@@ -115,7 +112,7 @@ func TestNoCacheEndToEnd(t *testing.T) {
 	// generous deadline. The query must travel 2->1->0 and the reply
 	// 0->1->2 over the periodic contacts.
 	w := manualWorkload(tr, 21000, 39000, 22000, 38000)
-	env, err := NewEnv(tr, w, testConfig(tr), NewNoCache(), nil, nil)
+	env, err := NewEnv(testConfig(tr), w, NewNoCache())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +136,7 @@ func TestQuerySuppressedWhenLocallyCached(t *testing.T) {
 	tr := lineTrace(1000, 40000)
 	w := manualWorkload(tr, 21000, 39000, 22000, 38000)
 	s := NewRandomCache()
-	env, err := NewEnv(tr, w, testConfig(tr), s, nil, nil)
+	env, err := NewEnv(testConfig(tr), w, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,9 +170,10 @@ func TestDeterministicRuns(t *testing.T) {
 	}
 	run := func() interface{} {
 		cfg := DefaultConfig(tr.Duration)
+		cfg.Trace = tr
 		cfg.MetricT = 3600
-		cfg.NCLCount = 3
-		env, err := NewEnv(tr, w, cfg, NewCacheData(), nil, nil)
+		cfg.K = 3
+		env, err := NewEnv(cfg, w, NewCacheData())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,9 +203,10 @@ func TestAllBaselinesProduceSaneReports(t *testing.T) {
 		s := s
 		t.Run(s.Name(), func(t *testing.T) {
 			cfg := DefaultConfig(tr.Duration)
+			cfg.Trace = tr
 			cfg.MetricT = 3600
-			cfg.NCLCount = 3
-			env, err := NewEnv(tr, w, cfg, s, nil, nil)
+			cfg.K = 3
+			env, err := NewEnv(cfg, w, s)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -235,7 +234,7 @@ func TestResponseProbModes(t *testing.T) {
 	for _, mode := range []ResponseMode{ResponseGlobal, ResponseSigmoid, ResponseAlways} {
 		cfg := testConfig(tr)
 		cfg.Response = mode
-		env, err := NewEnv(tr, w, cfg, NewNoCache(), nil, nil)
+		env, err := NewEnv(cfg, w, NewNoCache())
 		if err != nil {
 			t.Fatalf("mode %v: %v", mode, err)
 		}
@@ -260,7 +259,7 @@ func TestResponseProbModes(t *testing.T) {
 func TestEnvHelpers(t *testing.T) {
 	tr := lineTrace(1000, 40000)
 	w := manualWorkload(tr, 21000, 39000, 22000, 38000)
-	env, err := NewEnv(tr, w, testConfig(tr), NewNoCache(), nil, nil)
+	env, err := NewEnv(testConfig(tr), w, NewNoCache())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +290,7 @@ func TestEnvHelpers(t *testing.T) {
 func TestNCLSelectionPicksHub(t *testing.T) {
 	tr := lineTrace(1000, 40000)
 	w := manualWorkload(tr, 21000, 39000, 22000, 38000)
-	env, err := NewEnv(tr, w, testConfig(tr), NewNoCache(), nil, nil)
+	env, err := NewEnv(testConfig(tr), w, NewNoCache())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +308,7 @@ func TestNodeContacts(t *testing.T) {
 	w := manualWorkload(tr, 21000, 39000, 22000, 38000)
 	cfg := testConfig(tr)
 	cfg.NCLSelection = NCLByContacts
-	env, err := NewEnv(tr, w, cfg, NewNoCache(), nil, nil)
+	env, err := NewEnv(cfg, w, NewNoCache())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +351,7 @@ func (*initError) Error() string { return "boom" }
 func TestNewEnvPropagatesInitError(t *testing.T) {
 	tr := lineTrace(1000, 40000)
 	w := manualWorkload(tr, 21000, 39000, 22000, 38000)
-	if _, err := NewEnv(tr, w, testConfig(tr), &failingScheme{}, nil, nil); err == nil {
+	if _, err := NewEnv(testConfig(tr), w, &failingScheme{}); err == nil {
 		t.Error("init error not propagated")
 	}
 }
@@ -365,7 +364,7 @@ func TestNCLSelectionStrategies(t *testing.T) {
 	for _, strat := range []NCLStrategy{NCLByMetric, NCLByDegree, NCLByContacts, NCLRandom} {
 		cfg := testConfig(tr)
 		cfg.NCLSelection = strat
-		env, err := NewEnv(tr, w, cfg, NewNoCache(), nil, nil)
+		env, err := NewEnv(cfg, w, NewNoCache())
 		if err != nil {
 			t.Fatalf("strategy %v: %v", strat, err)
 		}
@@ -386,7 +385,7 @@ func TestCachePassByEvictionRules(t *testing.T) {
 	tr := lineTrace(1000, 40000)
 	w := manualWorkload(tr, 21000, 39000, 22000, 38000)
 	cd := NewCacheData()
-	env, err := NewEnv(tr, w, testConfig(tr), cd, nil, nil)
+	env, err := NewEnv(testConfig(tr), w, cd)
 	if err != nil {
 		t.Fatal(err)
 	}

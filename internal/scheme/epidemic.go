@@ -77,7 +77,7 @@ func (s *Epidemic) floodQueries(sess *sim.Session, from trace.NodeID) {
 			x.onDelivered, x.onDropped = x.delivered, x.dropped
 		}
 		x.qc, x.sess, x.from, x.to, x.sent = qc, sess, from, to, now
-		if !sess.Enqueue(sim.Transfer{From: from, To: to, Bits: e.Cfg.QueryBits, Label: "epidemic-query",
+		if !sess.Enqueue(sim.Transfer{From: from, To: to, Bits: QueryBits, Label: "epidemic-query",
 			OnDelivered: x.onDelivered, OnDropped: x.onDropped}) {
 			x.release()
 		}
@@ -112,7 +112,7 @@ func (x *floodXfer) delivered(at float64) {
 	s, qc, sess, from, to, sent := x.s, x.qc, x.sess, x.from, x.to, x.sent
 	x.release()
 	e := s.base.E
-	e.M.ControlTransferred(e.Cfg.QueryBits)
+	e.M.ControlTransferred(QueryBits)
 	if qc.Q.Deadline <= at {
 		return
 	}
@@ -120,7 +120,7 @@ func (x *floodXfer) delivered(at float64) {
 	s.base.CarryQuery(to, copyQC)
 	// A flooded copy is a replication: the sender keeps its own.
 	e.Prov.QueryHop(copyQC.Q.ID, copyQC.Target, from, to,
-		sent, at, e.XferSec(e.Cfg.QueryBits), provenance.OpQueryBcast, false)
+		sent, at, e.XferSec(QueryBits), provenance.OpQueryBcast, false)
 	if e.HasData(to, copyQC.Q.Data) && s.base.Respond(to, copyQC, true) {
 		s.floodReplies(sess, to)
 	}

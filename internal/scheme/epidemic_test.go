@@ -11,7 +11,7 @@ import (
 func TestEpidemicEndToEnd(t *testing.T) {
 	tr := lineTrace(1000, 40000)
 	w := manualWorkload(tr, 21000, 39000, 22000, 38000)
-	env, err := NewEnv(tr, w, testConfig(tr), NewEpidemic(), nil, nil)
+	env, err := NewEnv(testConfig(tr), w, NewEpidemic())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,9 +38,10 @@ func TestEpidemicBeatsNoCacheDelay(t *testing.T) {
 	}
 	run := func(s Scheme) metrics.Report {
 		cfg := DefaultConfig(tr.Duration)
+		cfg.Trace = tr
 		cfg.MetricT = 3600
-		cfg.NCLCount = 3
-		env, err := NewEnv(tr, w, cfg, s, nil, nil)
+		cfg.K = 3
+		env, err := NewEnv(cfg, w, s)
 		if err != nil {
 			t.Fatal(err)
 		}

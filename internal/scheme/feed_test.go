@@ -61,7 +61,7 @@ func TestWorkloadFeedTieOrder(t *testing.T) {
 	s := &orderScheme{}
 	cfg := testConfig(tr)
 	cfg.RefreshSec = 100000 // one refresh, at WarmupEnd
-	env, err := NewEnv(tr, w, cfg, s, nil, nil)
+	env, err := NewEnv(cfg, w, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestWorkloadFeedRejectsUnsortedSchedule(t *testing.T) {
 	tr := lineTrace(1000, 40000)
 	w := manualWorkload(tr, 21000, 39000, 25000, 38000)
 	w.Queries = append(w.Queries, workload.Query{ID: 1, Requester: 2, Data: 0, Issued: 22000, Deadline: 38000})
-	if _, err := NewEnv(tr, w, testConfig(tr), &NoCache{}, nil, nil); err == nil {
+	if _, err := NewEnv(testConfig(tr), w, &NoCache{}); err == nil {
 		t.Fatal("unsorted queries accepted")
 	}
 }
